@@ -350,7 +350,8 @@ impl std::error::Error for FrameError {
 /// it a first-class durable artifact: a collector checkpoints by
 /// encoding its shard to bytes, and recovers from a crash by decoding
 /// the last snapshot and replaying only the reports received since
-/// (`hh_sim::stream::StreamEngine` drives exactly this cycle).
+/// (the collector actors of `hh_sim::pipeline` drive exactly this
+/// cycle).
 ///
 /// Implementations must satisfy, for every shard `s`:
 ///

@@ -20,14 +20,17 @@
 //!
 //! [`Erased`] wraps any concrete protocol into the dyn traits (a
 //! wrapper struct rather than a blanket impl, so `finish()` et al.
-//! never become ambiguous on concrete types), and [`DynHhStream`] /
-//! [`DynOracleStream`] adapt a `&dyn` protocol into
-//! [`StreamIngest`] — so the batched drivers, the lock-step
-//! [`StreamEngine`](crate::stream::StreamEngine) and the pipelined
-//! collector runtime ([`crate::pipeline`]) all drive dyn-dispatched
-//! protocols through the *same* engines as monomorphized ones.
+//! never become ambiguous on concrete types), and
+//! [`DynHhStream`](type@DynHhStream) /
+//! [`DynOracleStream`](type@DynOracleStream) adapt a `&dyn` protocol
+//! into [`StreamIngest`] — so the batched drivers and the collector
+//! runtime ([`crate::pipeline`]) drive dyn-dispatched protocols through
+//! the *same* code paths as monomorphized ones.
 
-use crate::stream::{StreamIngest, HH_CLIENT_LABEL, ORACLE_CLIENT_LABEL};
+use crate::stream::{
+    HhFinish, HhStream, OracleFinish, OracleStream, StreamIngest, HH_CLIENT_LABEL,
+    ORACLE_CLIENT_LABEL,
+};
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::{FrameError, WireError, WireFrames, WireShard};
@@ -360,12 +363,17 @@ where
 }
 
 /// [`StreamIngest`] over a borrowed type-erased heavy-hitter protocol —
-/// drives the batched drivers, the lock-step engine and the pipelined
-/// runtime exactly like the typed [`HhStream`](crate::stream::HhStream).
-#[derive(Clone, Copy)]
-pub struct DynHhStream<'a>(pub &'a dyn DynHhProtocol);
+/// drives the batched drivers and the collector runtime exactly like
+/// the typed [`HhStream`].
+pub type DynHhStream<'a> = HhStream<'a, dyn DynHhProtocol + 'a>;
 
-impl StreamIngest for DynHhStream<'_> {
+/// Adapt a type-erased heavy-hitter protocol: `DynHhStream(protocol)`.
+#[allow(non_snake_case)]
+pub fn DynHhStream(protocol: &dyn DynHhProtocol) -> DynHhStream<'_> {
+    HhStream(protocol)
+}
+
+impl StreamIngest for HhStream<'_, dyn DynHhProtocol + '_> {
     type Shard = DynShard;
     const CLIENT_LABEL: u64 = HH_CLIENT_LABEL;
 
@@ -411,11 +419,16 @@ impl StreamIngest for DynHhStream<'_> {
 }
 
 /// [`StreamIngest`] over a borrowed type-erased frequency oracle (see
-/// [`DynHhStream`]).
-#[derive(Clone, Copy)]
-pub struct DynOracleStream<'a>(pub &'a dyn DynOracle);
+/// [`DynHhStream`](type@DynHhStream)).
+pub type DynOracleStream<'a> = OracleStream<'a, dyn DynOracle + 'a>;
 
-impl StreamIngest for DynOracleStream<'_> {
+/// Adapt a type-erased frequency oracle: `DynOracleStream(oracle)`.
+#[allow(non_snake_case)]
+pub fn DynOracleStream(oracle: &dyn DynOracle) -> DynOracleStream<'_> {
+    OracleStream(oracle)
+}
+
+impl StreamIngest for OracleStream<'_, dyn DynOracle + '_> {
     type Shard = DynShard;
     const CLIENT_LABEL: u64 = ORACLE_CLIENT_LABEL;
 
@@ -457,5 +470,25 @@ impl StreamIngest for DynOracleStream<'_> {
 
     fn decode_shard(&self, bytes: &[u8]) -> Result<DynShard, WireError> {
         self.0.decode_shard(bytes)
+    }
+}
+
+impl HhFinish<DynShard> for dyn DynHhProtocol + '_ {
+    fn finish_shard(&mut self, shard: DynShard) {
+        DynHhProtocol::finish_shard(self, shard);
+    }
+
+    fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
+        DynHhProtocol::finish_with(self, scratch)
+    }
+}
+
+impl OracleFinish<DynShard> for dyn DynOracle + '_ {
+    fn finish_shard(&mut self, shard: DynShard) {
+        DynOracle::finish_shard(self, shard);
+    }
+
+    fn finalize_with(&mut self, scratch: &mut FinishScratch) {
+        DynOracle::finalize_with(self, scratch);
     }
 }

@@ -26,22 +26,23 @@
 //!     merged (tree-wise by default) before `finish`. Configured by
 //!     [`DistPlan`] (collector count, chunk size, threads,
 //!     [`MergeOrder`] — none affects output); also accounts measured
-//!     wire bytes. Both are thin single-epoch wrappers over [`stream`].
-//! * [`stream`] is the open-ended ingestion engine: reports arrive in
-//!   *epochs*, every collector's shard is snapshotted to bytes at
-//!   checkpoint boundaries (the `WireShard` codec), a killed collector
-//!   recovers by decoding its last snapshot and replaying only the
-//!   spooled reports since, and mid-stream queries are answered from
-//!   the merged decoded snapshots without stopping the stream.
-//!   Configured by [`StreamPlan`] (epoch size, checkpoint cadence, the
-//!   fleet's [`DistPlan`] — none affects output).
-//! * [`pipeline`] removes the lock-step engine's epoch barriers:
-//!   long-lived collector *actor* threads behind bounded queues absorb
-//!   chunks, encode checkpoints and replay recoveries concurrently with
-//!   the client-side encoding, under backpressure — bit-for-bit equal
-//!   to [`stream`]'s engine for every queue depth and worker count
-//!   (chunk sequence numbers keep per-collector order exact).
-//!   Configured by [`PipelineConfig`].
+//!     wire bytes. Both are thin single-epoch runs of [`pipeline`].
+//! * [`pipeline`] is the one streaming engine: reports arrive in
+//!   *epochs*, long-lived collector *actor* threads behind bounded
+//!   queues absorb chunks, snapshot their shards to bytes at checkpoint
+//!   boundaries (the `WireShard` codec) and replay recoveries
+//!   concurrently with the client-side encoding, under backpressure; a
+//!   killed collector recovers by decoding its last snapshot and
+//!   replaying only the spooled reports since, and mid-stream queries
+//!   are answered from the merged decoded snapshots without stopping
+//!   the stream. Bit-for-bit schedule-invariant (chunk sequence numbers
+//!   keep per-collector order exact). Configured by [`StreamPlan`]
+//!   (epoch size, checkpoint cadence, the fleet's [`DistPlan`]) and
+//!   [`PipelineConfig`] (queue depth, encoder workers) — none affects
+//!   output.
+//! * [`stream`] holds the vocabulary the engine runs on: the
+//!   [`StreamIngest`] protocol surface and its adapters, the collector
+//!   snapshot/replay steps, and [`StreamStats`].
 //! * [`erased`] is the object-safe protocol layer — [`DynHhProtocol`] /
 //!   [`DynOracle`] pass reports as wire frames and shards as opaque
 //!   boxes or snapshot bytes, so every driver and engine above also
@@ -82,7 +83,7 @@ pub use run::{
     OracleRun, ProtocolRun,
 };
 pub use stream::{
-    CheckpointReport, HhStream, MaterializingIngest, OracleStream, RecoveryReport, StreamEngine,
-    StreamIngest, StreamPlan, StreamStats,
+    CheckpointReport, HhStream, MaterializingIngest, OracleStream, RecoveryReport, StreamIngest,
+    StreamPlan, StreamStats,
 };
 pub use workload::{StreamWorkload, Workload};

@@ -1,12 +1,11 @@
-//! The pipelined collector runtime: long-lived collector actors fed by
-//! bounded channels, so ingest, absorption and checkpointing overlap.
+//! The collector runtime: long-lived collector actors fed by bounded
+//! channels, so ingest, absorption and checkpointing overlap.
 //!
-//! The lock-step [`StreamEngine`](crate::stream::StreamEngine) runs each
-//! epoch as parallel respond → barrier → parallel absorb → barrier →
-//! checkpoint: collector threads idle while clients encode, clients idle
-//! while collectors absorb, and everyone idles while snapshots encode —
-//! exactly the central coordination cost the fully-distributed local
-//! model is supposed to avoid. This module removes the barriers:
+//! An epoch-at-a-time engine would run respond → barrier → absorb →
+//! barrier → checkpoint: collectors idle while clients encode, clients
+//! idle while collectors absorb, and everyone idles while snapshots
+//! encode — exactly the central coordination the fully distributed
+//! local model is supposed to avoid. This runtime has no barriers:
 //!
 //! * every collector is a **long-lived actor thread** owning its shard,
 //!   snapshot and spool, fed by a **bounded** command queue
@@ -21,39 +20,40 @@
 //! * a full queue applies **backpressure**: the producer blocks until
 //!   the collector drains, and the stall is measured
 //!   ([`StreamStats::producer_stall`], with the high-water mark in
-//!   [`StreamStats::max_queue_occupancy`]).
+//!   [`StreamStats::max_queue_occupancy`]);
+//! * a crashed collector recovers by decoding its last snapshot and
+//!   replaying only the chunks spooled since; mid-stream queries
+//!   (`finish_at_epoch`) answer from the merged durable snapshots
+//!   without consuming live shards, so the stream keeps running.
 //!
-//! # Bit-for-bit equivalence with the lock-step engine
+//! # Schedule invariance
 //!
 //! Every chunk carries its **global sequence number**; chunk `s` routes
-//! to collector `s % k` (the lock-step rule), and each collector holds a
-//! small reorder buffer so it absorbs its chunks in increasing sequence
-//! order even when concurrent encoder workers finish out of order. All
-//! of an epoch's sends happen before the epoch-boundary command sends
-//! (checkpoint / kill / recover), and `mpsc` queues are FIFO, so every
-//! collector observes exactly the lock-step event order: same chunks,
-//! same order, same checkpoint boundaries. Shards, snapshots, recoveries
-//! and final output are therefore *bit-for-bit* identical to
-//! [`StreamEngine`](crate::stream::StreamEngine) — pinned by the
-//! pipelined-vs-lock-step proptest grid in
-//! `tests/streaming_equivalence.rs`.
+//! to collector `s % k`, and each collector holds a small reorder buffer
+//! so it absorbs its chunks in increasing sequence order even when
+//! concurrent encoder workers finish out of order. All of an epoch's
+//! sends happen before the epoch-boundary command sends (checkpoint /
+//! kill / recover), and `mpsc` queues are FIFO, so every collector
+//! observes the same event sequence at any queue depth and worker
+//! count: same chunks, same order, same checkpoint boundaries. Shards,
+//! snapshots, recoveries and final output are therefore *bit-for-bit*
+//! schedule-invariant and equal to the serial reference run — pinned by
+//! the proptest grid in `tests/streaming_equivalence.rs`.
 //!
 //! # Use
 //!
 //! The actors borrow the protocol, so the runtime runs inside a scope:
 //! [`run_pipelined`] spawns the fleet, hands a [`PipelineSession`] to
-//! your closure (drive it like the lock-step engine: `ingest_epoch`,
-//! `checkpoint`, `kill_collector`, `recover_collector`,
-//! `finish_at_epoch`), then shuts the fleet down, merges the collector
-//! shards and returns the final aggregate with its [`StreamStats`].
+//! your closure (`ingest_epoch`, `checkpoint`, `kill_collector`,
+//! `recover_collector`, `finish_at_epoch`), then shuts the fleet down,
+//! merges the collector shards and returns the final aggregate with its
+//! [`StreamStats`].
 
-use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream};
 use crate::stream::{
-    absorb_chunk, combine_shards, encode_snapshot, rebuild_shard, CheckpointReport, HhStream,
-    OracleStream, RecoveryReport, Snapshot, StreamIngest, StreamPlan, StreamStats, WireChunk,
+    absorb_chunk, combine_shards, encode_snapshot, rebuild_shard, CheckpointReport, HhFinish,
+    HhStream, OracleFinish, OracleStream, RecoveryReport, Snapshot, StreamIngest, StreamPlan,
+    StreamStats, WireChunk,
 };
-use hh_core::traits::HeavyHitterProtocol;
-use hh_freq::traits::FrequencyOracle;
 use hh_math::par::{BufferPool, FinishScratch};
 use hh_math::rng::derive_seed;
 use std::collections::BTreeMap;
@@ -100,9 +100,7 @@ impl PipelineConfig {
     }
 }
 
-/// One command down a collector's queue. Everything the lock-step engine
-/// does to a collector between barriers arrives here as a message, in
-/// the same order.
+/// One command down a collector's queue, applied in send order.
 enum Cmd {
     /// One routed wire chunk. `seq` is the chunk's global sequence
     /// number — the collector absorbs strictly in `seq` order.
@@ -112,7 +110,7 @@ enum Cmd {
     /// fire-and-forget cadence checkpoints.
     Checkpoint {
         epoch: u64,
-        reply: Option<Sender<CollectorCheckpoint>>,
+        reply: Option<SyncSender<CollectorCheckpoint>>,
     },
     /// Crash: drop the live shard. The spool keeps receiving.
     Kill,
@@ -122,7 +120,7 @@ enum Cmd {
     /// session) for a mid-stream query.
     Query {
         buf: Vec<u8>,
-        reply: Sender<QueryReply>,
+        reply: SyncSender<QueryReply>,
     },
     /// End of stream: recover if crashed, then hand the live shard and
     /// the actor's accounting back and exit.
@@ -351,9 +349,9 @@ fn send_chunk(
     }
 }
 
-/// The driving half of the pipelined runtime (see the module docs): the
-/// API of the lock-step engine, but every call is a message send into
-/// the running collector fleet. Obtained inside [`run_pipelined`].
+/// The driving half of the runtime (see the module docs): every call is
+/// a message send into the running collector fleet. Obtained inside
+/// [`run_pipelined`].
 pub struct PipelineSession<'a, I: StreamIngest> {
     ingest: &'a I,
     plan: StreamPlan,
@@ -369,6 +367,9 @@ pub struct PipelineSession<'a, I: StreamIngest> {
     /// Mirror of each collector's crashed/alive state (exact, because
     /// commands are applied in send order).
     alive: Vec<bool>,
+    /// Mirror of each collector's latest snapshot epoch, kept the same
+    /// way: a checkpoint stamps every collector alive when it is sent.
+    snapshot_epochs: Vec<Option<u64>>,
     epoch: u64,
     users: u64,
     next_chunk: u64,
@@ -408,6 +409,15 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// Whether a collector currently holds a live shard.
     pub fn is_alive(&self, node: usize) -> bool {
         self.alive[node]
+    }
+
+    /// Per-collector epoch of the latest snapshot (`None` = the node has
+    /// never checkpointed). Callers of [`PipelineSession::snapshot_shard`]
+    /// / `finish_at_epoch` can check this to detect a *ragged* durable
+    /// view: while a crashed node sits unrecovered across a checkpoint,
+    /// its snapshot stays at an older epoch than its peers'.
+    pub fn snapshot_epochs(&self) -> Vec<Option<u64>> {
+        self.snapshot_epochs.clone()
     }
 
     /// Ingest one epoch: encode the next `xs.len()` users' wire chunks
@@ -512,8 +522,13 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
         }
     }
 
-    fn send_checkpoint(&mut self, reply: Option<&Sender<CollectorCheckpoint>>) {
+    fn send_checkpoint(&mut self, reply: Option<&SyncSender<CollectorCheckpoint>>) {
         self.checkpoints += 1;
+        for (epoch, &alive) in self.snapshot_epochs.iter_mut().zip(&self.alive) {
+            if alive {
+                *epoch = Some(self.epoch);
+            }
+        }
         for tx in &self.txs {
             tx.send(Cmd::Checkpoint {
                 epoch: self.epoch,
@@ -524,11 +539,14 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     }
 
     /// Checkpoint every live collector now and wait for the fleet's
-    /// reports. (Cadence checkpoints don't wait; this explicit form
-    /// matches the lock-step engine's synchronous `checkpoint()`.)
+    /// reports (cadence checkpoints don't wait). Crashed collectors are
+    /// skipped: their last snapshot stays valid and their spool keeps
+    /// growing until recovery.
     pub fn checkpoint(&mut self) -> CheckpointReport {
         let t = Instant::now();
-        let (reply_tx, reply_rx) = mpsc::channel();
+        // One slot per collector: no reply ever blocks, and the channel
+        // allocates the same amount on every call.
+        let (reply_tx, reply_rx) = mpsc::sync_channel(self.txs.len());
         self.send_checkpoint(Some(&reply_tx));
         drop(reply_tx);
         let mut snapshot_bytes = 0u64;
@@ -548,9 +566,9 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     }
 
     /// Crash a collector: its live shard is lost once the command
-    /// reaches it (after everything already queued — the same stream
-    /// position a lock-step kill at this epoch boundary would hit). Its
-    /// spool keeps receiving routed chunks.
+    /// reaches it (after everything already queued, so at this epoch
+    /// boundary). Its spool keeps receiving routed chunks, like a durable
+    /// queue with its consumer down.
     pub fn kill_collector(&mut self, node: usize) {
         assert!(self.alive[node], "collector {node} is already dead");
         self.alive[node] = false;
@@ -558,7 +576,8 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     }
 
     /// Recover a crashed collector (snapshot decode + spool replay, in
-    /// the actor) and wait for its report.
+    /// the actor) and wait for its report. The rebuilt shard is
+    /// bit-for-bit the shard an uninterrupted collector would hold.
     pub fn recover_collector(&mut self, node: usize) -> RecoveryReport {
         assert!(
             !self.alive[node],
@@ -578,8 +597,14 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// decode and merge them in the plan's order. `None` before the
     /// first checkpoint. Live shards are untouched; the fleet keeps
     /// absorbing whatever is still queued while the session decodes.
+    ///
+    /// When every collector checkpointed at the same boundary (the
+    /// normal cadence), this is exactly the aggregate of the users
+    /// ingested by then. While a crashed node sits unrecovered across
+    /// later checkpoints the view is *ragged* — see
+    /// [`PipelineSession::snapshot_epochs`].
     pub fn snapshot_shard(&mut self) -> Option<I::Shard> {
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply_tx, reply_rx) = mpsc::sync_channel(self.txs.len());
         for tx in &self.txs {
             let buf = self.query_bufs.pop().unwrap_or_default();
             tx.send(Cmd::Query {
@@ -619,11 +644,12 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     }
 
     /// [`PipelineSession::snapshot_shard`] through the incremental fold
-    /// cache (see the lock-step engine's `merged_durable_shard`): the
-    /// first query after a checkpoint pays the fleet-wide snapshot
-    /// query, decode, and merge once and re-encodes the merged
-    /// aggregate; subsequent queries at the same checkpoint count decode
-    /// that single artifact without touching the collector actors.
+    /// cache: the first query after a checkpoint pays the fleet-wide
+    /// snapshot query, decode, and merge once and re-encodes the merged
+    /// aggregate (reusing the previous buffer); subsequent queries at the
+    /// same checkpoint count decode that single artifact without touching
+    /// the collector actors. Values are bit-for-bit the uncached view's
+    /// because the snapshot codec round-trips exactly.
     fn merged_durable_shard(&mut self) -> Option<I::Shard> {
         let warm = matches!(&self.merged_bytes, Some((stamp, _)) if *stamp == self.checkpoints);
         if warm {
@@ -699,52 +725,65 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
         stats.merge_total = t.elapsed();
         (merged, stats)
     }
+
+    /// The folded durable view a mid-stream query answers from. Panics
+    /// when users have been ingested but nothing was checkpointed yet —
+    /// an empty answer there would be indistinguishable from a genuinely
+    /// empty stream.
+    fn query_view(&mut self) -> Option<I::Shard> {
+        let view = self.merged_durable_shard();
+        assert!(
+            view.is_some() || self.users == 0,
+            "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
+             call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
+            self.users
+        );
+        view
+    }
 }
 
 impl<'a, 'p, P> PipelineSession<'a, HhStream<'p, P>>
 where
-    P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
+    P: ?Sized + HhFinish<<HhStream<'p, P> as StreamIngest>::Shard>,
+    HhStream<'p, P>: StreamIngest + Sync,
 {
     /// Answer a top-k query mid-stream from the merged decoded
     /// snapshots, without consuming the live shards. `fresh` must be a
     /// new instance built with the same parameters and public-randomness
-    /// seed as the streamed protocol.
+    /// seed (for a registry protocol: the same
+    /// [`ProtocolSpec`](crate::registry::ProtocolSpec)) as the streamed
+    /// protocol.
     ///
-    /// Incremental, like the lock-step engine's: the first query after a
-    /// checkpoint folds the durable view and memoizes the answer;
-    /// repeated queries at an unchanged checkpoint count return the
-    /// memoized list, bit-for-bit the from-scratch result.
+    /// Incremental: the first query after a checkpoint folds the durable
+    /// view (decode snapshots → merge → finish, through the session's
+    /// [`FinishScratch`]) and memoizes the answer; repeated queries at an
+    /// unchanged checkpoint count return the memoized list. Answers are
+    /// bit-for-bit the from-scratch `finish_shard` + `finish` result.
     ///
     /// Panics when users have been ingested but no collector has
-    /// checkpointed yet — an empty answer there would be
-    /// indistinguishable from a genuinely empty stream.
+    /// checkpointed yet — call [`PipelineSession::checkpoint`] first (or
+    /// set a [`StreamPlan::checkpoint_every`] cadence).
     pub fn finish_at_epoch(&mut self, fresh: &mut P) -> Vec<(u64, f64)> {
         let t = Instant::now();
         self.finish_queries += 1;
-        if let Some((stamp, answer)) = &self.cached_answer {
-            if *stamp == self.checkpoints {
+        let answer = match &self.cached_answer {
+            Some((stamp, answer)) if *stamp == self.checkpoints => {
                 self.finish_cache_hits += 1;
-                let answer = answer.clone();
-                self.finish_total += t.elapsed();
-                return answer;
+                answer.clone()
             }
-        }
-        let folded = self.merged_durable_shard();
-        let had_snapshot = folded.is_some();
-        match folded {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        let answer = fresh.finish_with(&mut self.scratch);
-        if had_snapshot {
-            self.cached_answer = Some((self.checkpoints, answer.clone()));
-        }
+            _ => {
+                let view = self.query_view();
+                let had_snapshot = view.is_some();
+                if let Some(shard) = view {
+                    fresh.finish_shard(shard);
+                }
+                let answer = fresh.finish_with(&mut self.scratch);
+                if had_snapshot {
+                    self.cached_answer = Some((self.checkpoints, answer.clone()));
+                }
+                answer
+            }
+        };
         self.finish_total += t.elapsed();
         answer
     }
@@ -752,99 +791,40 @@ where
 
 impl<'a, 'p, O> PipelineSession<'a, OracleStream<'p, O>>
 where
-    O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
+    O: ?Sized + OracleFinish<<OracleStream<'p, O> as StreamIngest>::Shard>,
+    OracleStream<'p, O>: StreamIngest + Sync,
 {
     /// Prepare a mid-stream frequency oracle from the merged decoded
-    /// snapshots, without consuming the live shards (the oracle analogue
-    /// of the heavy-hitter `finish_at_epoch`). Incremental: repeated
-    /// queries at an unchanged checkpoint count decode the cached merged
-    /// artifact instead of round-tripping the collector fleet.
+    /// snapshots, without consuming the live shards: folds the durable
+    /// view into `fresh` and finalizes it through the session's
+    /// [`FinishScratch`], so the caller can `estimate`. `fresh` must be a
+    /// new instance built like the streamed oracle.
+    ///
+    /// Incremental: repeated queries at an unchanged checkpoint count
+    /// decode the cached merged artifact instead of round-tripping the
+    /// collector fleet (the oracle's state lives in `fresh`, so the fold
+    /// into it still runs). Panics like the heavy-hitter query when
+    /// nothing was checkpointed yet.
     pub fn finish_at_epoch(&mut self, fresh: &mut O) {
         let t = Instant::now();
         self.finish_queries += 1;
-        match self.merged_durable_shard() {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
+        if let Some(shard) = self.query_view() {
+            fresh.finish_shard(shard);
         }
         fresh.finalize_with(&mut self.scratch);
         self.finish_total += t.elapsed();
     }
 }
 
-impl<'a, 'p> PipelineSession<'a, DynHhStream<'p>> {
-    /// Type-erased [`finish_at_epoch`](PipelineSession::finish_at_epoch):
-    /// the same incremental mid-stream query over a registry-dispatched
-    /// protocol. `fresh` must be built from the same
-    /// [`ProtocolSpec`](crate::registry::ProtocolSpec) as the streamed
-    /// protocol.
-    pub fn finish_at_epoch(&mut self, fresh: &mut dyn DynHhProtocol) -> Vec<(u64, f64)> {
-        let t = Instant::now();
-        self.finish_queries += 1;
-        if let Some((stamp, answer)) = &self.cached_answer {
-            if *stamp == self.checkpoints {
-                self.finish_cache_hits += 1;
-                let answer = answer.clone();
-                self.finish_total += t.elapsed();
-                return answer;
-            }
-        }
-        let folded = self.merged_durable_shard();
-        let had_snapshot = folded.is_some();
-        match folded {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        let answer = fresh.finish_with(&mut self.scratch);
-        if had_snapshot {
-            self.cached_answer = Some((self.checkpoints, answer.clone()));
-        }
-        self.finish_total += t.elapsed();
-        answer
-    }
-}
-
-impl<'a, 'p> PipelineSession<'a, DynOracleStream<'p>> {
-    /// Type-erased oracle [`finish_at_epoch`](PipelineSession::finish_at_epoch):
-    /// folds the merged durable view into `fresh` and finalizes it
-    /// through the session-owned scratch, so the caller can `estimate`.
-    pub fn finish_at_epoch(&mut self, fresh: &mut dyn DynOracle) {
-        let t = Instant::now();
-        self.finish_queries += 1;
-        match self.merged_durable_shard() {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        fresh.finalize_with(&mut self.scratch);
-        self.finish_total += t.elapsed();
-    }
-}
-
-/// Run the pipelined collector runtime: spawn `plan.dist.collectors`
+/// Run the collector runtime: spawn `plan.dist.collectors`
 /// long-lived collector actors (plus the session's encoder workers),
 /// hand a [`PipelineSession`] to `drive`, then shut the fleet down and
 /// return the merged final shard, the run's [`StreamStats`], and
 /// `drive`'s own result.
 ///
-/// Output is bit-for-bit identical to driving the lock-step
-/// [`StreamEngine`](crate::stream::StreamEngine) through the same
-/// sequence of calls, for every queue depth and worker count (see the
-/// module docs for why).
+/// Output is bit-for-bit identical for every queue depth and worker
+/// count (see the module docs for why), and equal to the serial
+/// reference run over the same users.
 pub fn run_pipelined<I, R>(
     ingest: &I,
     plan: &StreamPlan,
@@ -888,6 +868,7 @@ where
             pool: BufferPool::new(),
             query_bufs: Vec::new(),
             alive: vec![true; k],
+            snapshot_epochs: vec![None; k],
             epoch: 0,
             users: 0,
             next_chunk: 0,
@@ -912,9 +893,7 @@ where
 }
 
 /// Convenience: ingest `data` in [`StreamPlan::epoch_size`] epochs
-/// through the pipelined runtime and return the merged final shard and
-/// stats — the pipelined counterpart of building a lock-step engine,
-/// calling `ingest_all`, and finishing it.
+/// through the runtime and return the merged final shard and stats.
 pub fn run_pipelined_all<I>(
     ingest: &I,
     plan: &StreamPlan,

@@ -7,12 +7,11 @@
 //! under a stable name, with a constructor from one shared parameter
 //! record ([`ProtocolSpec`]). Callers look a name up
 //! ([`build_hh`] / [`build_oracle`]), get a boxed
-//! [`DynHhProtocol`] / [`DynOracle`], and drive it through any of the
-//! engines — the dyn drivers in [`crate::run`], the lock-step
-//! [`StreamEngine`](crate::stream::StreamEngine), or the pipelined
-//! collector runtime ([`crate::pipeline`]) — via the
-//! [`DynHhStream`](crate::erased::DynHhStream) /
-//! [`DynOracleStream`](crate::erased::DynOracleStream) adapters.
+//! [`DynHhProtocol`] / [`DynOracle`], and drive it through the dyn
+//! drivers in [`crate::run`] or the collector runtime
+//! ([`crate::pipeline`]) via the
+//! [`DynHhStream`](type@crate::erased::DynHhStream) /
+//! [`DynOracleStream`](type@crate::erased::DynOracleStream) adapters.
 //!
 //! ```
 //! use hh_sim::registry::{build_hh, ProtocolSpec};

@@ -18,7 +18,7 @@
 //! # The batched pipeline
 //!
 //! [`run_heavy_hitter_batched`] executes in three phases, all wire-native
-//! (the same fused path the streaming engine runs):
+//! (the same fused path the collector runtime runs):
 //!
 //! 1. **respond + encode** — the population is partitioned into chunks
 //!    of [`BatchPlan::chunk_size`]; scoped worker threads run the fused
@@ -34,18 +34,18 @@
 //! # The distributed pipeline
 //!
 //! [`run_heavy_hitter_distributed`] simulates a collector fleet. It is
-//! a thin wrapper over the streaming epoch engine
-//! ([`crate::stream::StreamEngine`]) run as a single epoch:
+//! a thin wrapper over the collector runtime
+//! ([`crate::pipeline::run_pipelined_all`]) run as a single epoch:
 //!
 //! 1. **respond + encode** — as above, but each chunk's reports are
 //!    immediately serialized through their [`WireReport`](hh_core::traits::WireReport) encoding (the
-//!    clients' messages as they would leave the device); total wire
-//!    bytes are accounted;
+//!    clients' messages as they would leave the device) and sent to
+//!    their collector; total wire bytes are accounted;
 //! 2. **collect** — chunk `c`'s bytes are routed to collector
-//!    `c % collectors`; each collector folds its chunks' borrowed wire
-//!    frames straight into its own shard (`absorb_wire` — collectors run
-//!    in parallel and share nothing, and no `Report` values are ever
-//!    materialized);
+//!    `c % collectors`; each collector actor folds its chunks' borrowed
+//!    wire frames straight into its own shard while the rest are still
+//!    being encoded (`absorb_wire` — collectors share nothing, and no
+//!    `Report` values are ever materialized);
 //! 3. **merge** — the collector shards are combined in the order given
 //!    by [`MergeOrder`] (tree-wise by default) and folded into the
 //!    server;
@@ -56,15 +56,17 @@
 //!    output.
 //!
 //! Open-ended, multi-epoch ingestion — with durable shard snapshots,
-//! crash recovery and mid-stream queries — lives in [`crate::stream`];
-//! this module's drivers and that engine share one ingestion path.
+//! crash recovery and mid-stream queries — runs on the same runtime
+//! ([`crate::pipeline`]); this module's drivers share its ingestion
+//! path.
 
 use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream};
-use crate::stream::{HhStream, OracleStream, StreamEngine, StreamIngest, StreamPlan, StreamStats};
+use crate::pipeline::{run_pipelined_all, PipelineConfig};
+use crate::stream::{HhStream, OracleStream, StreamIngest, StreamPlan, StreamStats};
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::WireFrames;
-use hh_math::par::{merge_tree, par_chunk_map, par_map_owned, FinishScratch};
+use hh_math::par::{merge_tree, par_chunk_map, par_map_owned, planned_threads, FinishScratch};
 use hh_math::rng::{client_rng, derive_seed};
 use std::time::{Duration, Instant};
 
@@ -281,7 +283,7 @@ fn batched_ingest<I: StreamIngest + Sync>(
 /// the scheduler's own policy so the reported number cannot drift from
 /// [`par_chunk_map`]'s behavior.
 fn effective_threads(plan: &BatchPlan, n: usize) -> usize {
-    hh_math::par::planned_threads(plan.threads, n, plan.chunk_size)
+    planned_threads(plan.threads, n, plan.chunk_size)
 }
 
 /// One encoded wire chunk as the batched drivers buffer it: the
@@ -337,16 +339,19 @@ fn absorb_chunks_sharded<I: StreamIngest + Sync>(
 }
 
 /// The shared collector-fleet ingest over any [`StreamIngest`] — typed
-/// or type-erased: a single-epoch run of the lock-step streaming engine.
+/// or type-erased: a single-epoch run of the collector runtime, with as
+/// many encoder workers as the plan's thread policy gives this input.
 fn one_shot_fleet<I: StreamIngest + Sync>(
-    ingest: I,
+    ingest: &I,
     data: &[u64],
     seed: u64,
     plan: &DistPlan,
 ) -> (I::Shard, StreamStats) {
-    let mut engine = StreamEngine::new(ingest, StreamPlan::one_shot(plan), seed);
-    engine.ingest_epoch(data);
-    engine.into_live_shard()
+    let config = PipelineConfig {
+        workers: planned_threads(plan.threads, data.len(), plan.chunk_size),
+        ..PipelineConfig::default()
+    };
+    run_pipelined_all(ingest, &StreamPlan::one_shot(plan), &config, seed, data)
 }
 
 /// The order in which collector shards are combined. Every order yields
@@ -425,15 +430,16 @@ pub struct DistributedRun {
     pub collectors: usize,
     /// Total bytes all reports occupied on the (simulated) wire.
     pub wire_bytes: u64,
-    /// Wall-clock time of the respond + encode phase.
+    /// Wall-clock time of the respond + encode phase (including any time
+    /// blocked on full collector queues).
     pub client_total: Duration,
-    /// Wall-clock time of the collectors' decode + absorb phase.
+    /// The collectors' summed decode + absorb busy time.
     pub server_ingest: Duration,
     /// Time to combine the collector shards and fold them in.
     pub server_merge: Duration,
     /// Aggregation/decoding time (finish).
     pub server_finish: Duration,
-    /// Worker threads used by the parallel phases.
+    /// Threads the fleet ran: encoder workers plus collector actors.
     pub threads: usize,
     /// Per-user communication claim in bits.
     pub report_bits: usize,
@@ -461,7 +467,7 @@ impl DistributedRun {
 }
 
 /// Run a heavy-hitter protocol across a simulated collector fleet — a
-/// single-epoch run of the streaming engine ([`crate::stream`]).
+/// single-epoch run of the collector runtime ([`crate::pipeline`]).
 ///
 /// Every report crosses a real serialization boundary (its
 /// [`WireReport`](hh_core::traits::WireReport) encoding) on the way to its collector; collectors
@@ -481,7 +487,7 @@ where
     P::Report: Send + Sync,
 {
     plan.validate();
-    let (merged, stats) = one_shot_fleet(HhStream(&*server), data, seed, plan);
+    let (merged, stats) = one_shot_fleet(&HhStream(&*server), data, seed, plan);
 
     // Fold the fleet's merged shard into the server.
     let t2 = Instant::now();
@@ -627,7 +633,7 @@ pub struct DistributedOracleRun {
     pub server_build: Duration,
     /// Total query time.
     pub query_total: Duration,
-    /// Worker threads used by the parallel phases.
+    /// Threads the fleet ran: encoder workers plus collector actors.
     pub threads: usize,
     /// Per-user communication claim in bits.
     pub report_bits: usize,
@@ -644,7 +650,7 @@ impl DistributedOracleRun {
 
 /// Run a frequency oracle across a simulated collector fleet — the
 /// oracle-level analogue of [`run_heavy_hitter_distributed`] (the same
-/// single-epoch run of the streaming engine), with the same wire
+/// single-epoch run of the collector runtime), with the same wire
 /// round-trip and merge guarantees: answers are bit-for-bit identical
 /// to [`run_oracle`] for every `plan`.
 pub fn run_oracle_distributed<O>(
@@ -659,7 +665,7 @@ where
     O::Report: Send + Sync,
 {
     plan.validate();
-    let (merged, stats) = one_shot_fleet(OracleStream(&*oracle), data, seed, plan);
+    let (merged, stats) = one_shot_fleet(&OracleStream(&*oracle), data, seed, plan);
 
     let t1 = Instant::now();
     oracle.finish_shard(merged);
@@ -768,7 +774,7 @@ pub fn run_dyn_heavy_hitter_batched(
 
 /// Run a type-erased heavy-hitter protocol across a simulated collector
 /// fleet — the dyn twin of [`run_heavy_hitter_distributed`] (the same
-/// single-epoch run of the lock-step streaming engine).
+/// single-epoch run of the collector runtime).
 pub fn run_dyn_heavy_hitter_distributed(
     server: &mut dyn DynHhProtocol,
     data: &[u64],
@@ -776,7 +782,7 @@ pub fn run_dyn_heavy_hitter_distributed(
     plan: &DistPlan,
 ) -> DistributedRun {
     plan.validate();
-    let (merged, stats) = one_shot_fleet(DynHhStream(&*server), data, seed, plan);
+    let (merged, stats) = one_shot_fleet(&DynHhStream(&*server), data, seed, plan);
 
     let t2 = Instant::now();
     server.finish_shard(merged);
@@ -890,7 +896,7 @@ pub fn run_dyn_oracle_distributed(
     plan: &DistPlan,
 ) -> DistributedOracleRun {
     plan.validate();
-    let (merged, stats) = one_shot_fleet(DynOracleStream(&*oracle), data, seed, plan);
+    let (merged, stats) = one_shot_fleet(&DynOracleStream(&*oracle), data, seed, plan);
 
     let t1 = Instant::now();
     oracle.finish_shard(merged);

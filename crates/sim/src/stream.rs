@@ -1,77 +1,56 @@
-//! The streaming epoch engine: continuous ingestion with durable shard
-//! snapshots and checkpoint/replay crash recovery.
+//! The streaming vocabulary: what the collector runtime in
+//! [`crate::pipeline`] ingests through, how it is shaped, and the
+//! durable-shard steps every collector runs.
 //!
-//! The distributed driver of `run` executes one static batch; real
-//! deployments of local-model heavy hitters ingest reports in *rounds*
-//! from an open-ended population, checkpoint aggregator state, and
-//! tolerate collector loss. [`StreamEngine`] is that machine:
+//! Real deployments of local-model heavy hitters ingest reports in
+//! *rounds* from an open-ended population, checkpoint aggregator state,
+//! and tolerate collector loss. The pieces here are that machine's parts:
 //!
-//! 1. **Epochs** — each [`StreamEngine::ingest_epoch`] call takes the
-//!    next slice of the population: the fused client path
-//!    (`respond_encode_batch`) samples each parallel chunk's reports
-//!    straight into a pooled wire buffer, each chunk's bytes are routed
-//!    to one of `k` collector nodes (global chunk index mod `k`), and
-//!    every collector folds the chunk's *borrowed* frames into its
-//!    private live shard (`absorb_wire`) — no intermediate report vec on
-//!    either side, and after the first checkpointed epoch no steady-state
-//!    buffer allocation either (chunk buffers cycle
-//!    pool → respond → spool → checkpoint → pool).
-//! 2. **Snapshots** — at epoch boundaries (cadence
-//!    [`StreamPlan::checkpoint_every`]) every collector's shard is
-//!    encoded to bytes through its `WireShard` codec — the durable
-//!    artifact a real node would write to stable storage. Snapshotting
-//!    truncates the collector's *spool*: the wire-chunk log retained
-//!    since its last checkpoint.
-//! 3. **Recovery** — [`StreamEngine::kill_collector`] discards a live
-//!    shard (a simulated crash; the node's spool keeps receiving its
-//!    routed chunks, like a durable queue with its consumer down).
-//!    [`StreamEngine::recover_collector`] decodes the last snapshot and
-//!    replays only the spooled reports since — never the full history.
-//! 4. **Mid-stream queries** — `finish_at_epoch` (on the concrete
-//!    engines) answers top-k / frequency queries from the *merged
-//!    decoded snapshots*, without consuming the live shards, so the
-//!    stream keeps running.
+//! * [`StreamIngest`] — the wire-native protocol surface (fused
+//!   `respond_encode_batch`, zero-copy `absorb_wire`, merge, and the
+//!   `WireShard` snapshot codec), with the [`HhStream`] / [`OracleStream`]
+//!   adapters over typed and type-erased protocols;
+//! * [`StreamPlan`] — epoch size, checkpoint cadence and the collector
+//!   fleet's [`DistPlan`] (none of it affects output);
+//! * the collector steps — absorb a routed wire chunk, encode a
+//!   snapshot (truncating the spool), rebuild a crashed collector from
+//!   its last snapshot plus the spooled chunks since, and combine
+//!   collector shards in the plan's [`MergeOrder`];
+//! * the accounting — [`StreamStats`], [`CheckpointReport`],
+//!   [`RecoveryReport`].
 //!
 //! **Equivalence guarantee:** because user `i`'s coins are a pure
 //! function of `(seed, i)`, shards hold exact integer state, and the
-//! snapshot codec round-trips bit-for-bit, the final output equals the
-//! serial one-shot run over the same population for *every* epoch size,
-//! collector count, checkpoint cadence, kill schedule, and merge order
-//! (pinned by `tests/streaming_equivalence.rs` and the snapshot/replay
-//! proptests in `tests/shard_wire_conformance.rs`). The distributed
-//! drivers in [`crate::run`] are thin wrappers over this engine — one
-//! ingestion path, not three.
-//!
-//! This engine is *lock-step*: each epoch runs parallel respond →
-//! barrier → parallel absorb → barrier → checkpoint, which makes it the
-//! simple, obviously-correct reference. The production-shaped runtime —
-//! long-lived collector actors behind bounded queues, with ingest,
-//! absorption and checkpointing overlapped under backpressure — lives
-//! in [`crate::pipeline`] and is pinned bit-for-bit against this
-//! engine.
+//! snapshot codec round-trips bit-for-bit, a stream's final output
+//! equals the serial one-shot run over the same population for *every*
+//! epoch size, collector count, checkpoint cadence, kill schedule, and
+//! merge order (pinned by `tests/streaming_equivalence.rs` and the
+//! snapshot/replay proptests in `tests/shard_wire_conformance.rs`). The
+//! distributed drivers in [`crate::run`] are single-epoch runs of the
+//! same runtime — one ingestion path, not three.
 
-use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream};
 use crate::run::{DistPlan, MergeOrder};
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::{FrameError, WireError, WireFrames, WireReport, WireShard};
-use hh_math::par::{merge_tree, par_chunk_zip_map, par_map_owned, planned_threads, BufferPool};
-use hh_math::rng::derive_seed;
-use std::time::{Duration, Instant};
+use hh_math::par::{merge_tree, FinishScratch};
+use std::time::Duration;
 
 /// Seed label for heavy-hitter client coins (one hop off the run seed).
 pub(crate) const HH_CLIENT_LABEL: u64 = 0xC11E57;
 /// Seed label for frequency-oracle client coins.
 pub(crate) const ORACLE_CLIENT_LABEL: u64 = 0x04AC1E;
 
-/// Execution shape of the streaming engine.
+/// Execution shape of a stream.
 #[derive(Debug, Clone)]
 pub struct StreamPlan {
-    /// Users per epoch for [`StreamEngine::ingest_all`]. Does not affect
-    /// output.
+    /// Users per epoch for
+    /// [`PipelineSession::ingest_all`](crate::pipeline::PipelineSession::ingest_all).
+    /// Does not affect output.
     pub epoch_size: usize,
     /// Checkpoint every this many epochs (`0` = only on explicit
-    /// [`StreamEngine::checkpoint`] calls). Does not affect output.
+    /// [`PipelineSession::checkpoint`](crate::pipeline::PipelineSession::checkpoint)
+    /// calls). Does not affect output.
     pub checkpoint_every: usize,
     /// Collector fleet shape (collectors, chunk size, threads, merge
     /// order). None of it affects output.
@@ -110,19 +89,19 @@ impl StreamPlan {
     }
 }
 
-/// The protocol surface the streaming engines ingest through: produce a
-/// user range's wire frames, build/absorb/merge shards, and run the
-/// shard snapshot codec. Implemented by the [`HhStream`] and
-/// [`OracleStream`] adapters (and their type-erased counterparts in
-/// [`crate::erased`]) so one engine serves both protocol families.
+/// The protocol surface a stream ingests through: produce a user
+/// range's wire frames, build/absorb/merge shards, and run the shard
+/// snapshot codec. Implemented by the [`HhStream`] and [`OracleStream`]
+/// adapters — over typed protocols here, over type-erased ones in
+/// [`crate::erased`] — so one runtime serves both protocol families.
 ///
 /// The surface is deliberately *wire-native and object-friendly*:
 /// reports only ever appear as encoded frames, and the shard codec runs
 /// through `&self` (not an associated-type bound), so a `dyn`-boxed
-/// protocol behind [`crate::erased::DynHhProtocol`] can drive the same
-/// engines as a monomorphized one. Code that needs typed `Report`
-/// values (e.g. the legacy materializing ingest path benchmarks compare
-/// against) bounds on [`MaterializingIngest`] instead.
+/// protocol behind [`crate::erased::DynHhProtocol`] drives the same
+/// runtime as a monomorphized one. Code that needs typed `Report`
+/// values (the wire conformance tests) bounds on
+/// [`MaterializingIngest`] instead.
 pub trait StreamIngest {
     /// The mergeable, durable partial aggregate.
     type Shard: Send;
@@ -170,8 +149,8 @@ pub trait StreamIngest {
 
 /// The typed, report-materializing extension of [`StreamIngest`]: the
 /// pre-zero-copy pipeline (respond to a report vec, absorb decoded
-/// reports). The streaming engines never call these — they exist for
-/// conformance tests and the fused-vs-legacy ingest benchmarks, and are
+/// reports). The runtime never calls these — they are the reference the
+/// wire conformance tests compare the zero-copy path against, and are
 /// not object-safe (a type-erased protocol has no `Report` type).
 pub trait MaterializingIngest: StreamIngest {
     /// The client message type crossing the wire.
@@ -183,9 +162,73 @@ pub trait MaterializingIngest: StreamIngest {
     fn absorb(&self, shard: &mut Self::Shard, start_index: u64, reports: &[Self::Report]);
 }
 
-/// [`StreamIngest`] over a borrowed heavy-hitter protocol.
-#[derive(Clone, Copy)]
-pub struct HhStream<'a, P>(pub &'a P);
+/// [`StreamIngest`] over a borrowed heavy-hitter protocol: a typed
+/// [`HeavyHitterProtocol`], or a `dyn`
+/// [`DynHhProtocol`](crate::erased::DynHhProtocol) (spelled
+/// [`DynHhStream`](type@crate::erased::DynHhStream)). One adapter type
+/// per family is what lets
+/// [`PipelineSession::finish_at_epoch`](crate::pipeline::PipelineSession)
+/// have one body per family.
+pub struct HhStream<'a, P: ?Sized>(pub &'a P);
+
+/// [`StreamIngest`] over a borrowed frequency oracle: a typed
+/// [`FrequencyOracle`], or a `dyn` [`DynOracle`](crate::erased::DynOracle)
+/// (spelled [`DynOracleStream`](type@crate::erased::DynOracleStream)).
+pub struct OracleStream<'a, O: ?Sized>(pub &'a O);
+
+impl<P: ?Sized> Clone for HhStream<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: ?Sized> Copy for HhStream<'_, P> {}
+
+impl<O: ?Sized> Clone for OracleStream<'_, O> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<O: ?Sized> Copy for OracleStream<'_, O> {}
+
+/// The finish half of a heavy-hitter server — typed or type-erased —
+/// that a mid-stream query folds the durable view into.
+pub trait HhFinish<S> {
+    /// Fold a partial aggregate into the server state.
+    fn finish_shard(&mut self, shard: S);
+    /// The estimated heavy-hitter list, decoded through `scratch`.
+    fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)>;
+}
+
+/// The finish half of a frequency oracle — typed or type-erased — that a
+/// mid-stream query folds the durable view into.
+pub trait OracleFinish<S> {
+    /// Fold a partial aggregate into the oracle state.
+    fn finish_shard(&mut self, shard: S);
+    /// Finalize through `scratch`, so the caller can `estimate`.
+    fn finalize_with(&mut self, scratch: &mut FinishScratch);
+}
+
+impl<P: HeavyHitterProtocol> HhFinish<P::Shard> for P {
+    fn finish_shard(&mut self, shard: P::Shard) {
+        HeavyHitterProtocol::finish_shard(self, shard);
+    }
+
+    fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
+        HeavyHitterProtocol::finish_with(self, scratch)
+    }
+}
+
+impl<O: FrequencyOracle> OracleFinish<O::Shard> for O {
+    fn finish_shard(&mut self, shard: O::Shard) {
+        FrequencyOracle::finish_shard(self, shard);
+    }
+
+    fn finalize_with(&mut self, scratch: &mut FinishScratch) {
+        FrequencyOracle::finalize_with(self, scratch);
+    }
+}
 
 impl<'a, P> StreamIngest for HhStream<'a, P>
 where
@@ -251,10 +294,6 @@ where
         self.0.absorb(shard, start_index, reports);
     }
 }
-
-/// [`StreamIngest`] over a borrowed frequency oracle.
-#[derive(Clone, Copy)]
-pub struct OracleStream<'a, O>(pub &'a O);
 
 impl<'a, O> StreamIngest for OracleStream<'a, O>
 where
@@ -325,7 +364,7 @@ where
 /// encodings (written by the fused `respond_encode_batch` path), each
 /// report's frame length, and the user index the chunk starts at. This
 /// is both the simulated RPC to a collector and the spool entry
-/// replayed on recovery. Byte buffers cycle through the engine's pool
+/// replayed on recovery. Byte buffers cycle through the session's pool
 /// (pool → respond → spool → checkpoint → pool), so steady-state
 /// epochs reuse capacity instead of allocating.
 pub(crate) struct WireChunk {
@@ -397,8 +436,7 @@ pub(crate) fn combine_shards<S>(
     }
 }
 
-/// A durable checkpoint of one collector's shard (shared with the
-/// pipelined runtime's collector actors).
+/// A durable checkpoint of one collector's shard.
 pub(crate) struct Snapshot {
     /// The `WireShard` encoding — what a real node would fsync.
     pub(crate) bytes: Vec<u8>,
@@ -409,9 +447,7 @@ pub(crate) struct Snapshot {
 /// Encode `shard`'s durable snapshot, reusing the previous snapshot's
 /// byte buffer (a checkpoint *replaces* the durable artifact, so
 /// steady-state checkpointing allocates nothing once the buffer has
-/// grown to the shard's encoded size). The one snapshot-encoding
-/// sequence both the lock-step engine and the pipelined collector
-/// actors run — their bit-for-bit equivalence depends on sharing it.
+/// grown to the shard's encoded size).
 pub(crate) fn encode_snapshot<I: StreamIngest>(
     ingest: &I,
     shard: &I::Shard,
@@ -433,8 +469,7 @@ pub(crate) fn encode_snapshot<I: StreamIngest>(
 /// Rebuild a crashed collector's live shard: decode its last snapshot
 /// (or start empty if it never checkpointed) and replay the spooled
 /// chunks since. Returns the rebuilt shard, the snapshot's epoch, and
-/// the number of replayed reports. Shared by [`StreamEngine`] and the
-/// pipelined collector actors.
+/// the number of replayed reports.
 pub(crate) fn rebuild_shard<I: StreamIngest>(
     ingest: &I,
     collector: usize,
@@ -462,17 +497,7 @@ pub(crate) fn rebuild_shard<I: StreamIngest>(
     (shard, from_epoch, replayed_reports)
 }
 
-/// One simulated collector node.
-struct CollectorState<S> {
-    /// The in-memory partial aggregate; `None` while crashed.
-    live: Option<S>,
-    /// Last durable checkpoint, if any.
-    snapshot: Option<Snapshot>,
-    /// Spooled wire chunks since the last checkpoint — the replay log.
-    log: Vec<WireChunk>,
-}
-
-/// Cumulative resource accounting of one engine run.
+/// Cumulative resource accounting of one stream.
 #[derive(Debug, Clone, Default)]
 pub struct StreamStats {
     /// Epochs ingested.
@@ -481,34 +506,34 @@ pub struct StreamStats {
     pub users: u64,
     /// Total bytes all reports occupied on the (simulated) wire.
     pub wire_bytes: u64,
-    /// Wall-clock time of the respond + encode phases.
+    /// Wall-clock time the session spent in `ingest_epoch`: respond +
+    /// encode, plus any time blocked on full collector queues.
     pub client_total: Duration,
-    /// Wall-clock time of the collectors' decode + absorb phases.
+    /// The collectors' summed busy time absorbing wire chunks (collector
+    /// threads run concurrently, so this can exceed wall-clock time).
     pub ingest_total: Duration,
-    /// Checkpoints taken and their total wall-clock cost.
+    /// Checkpoints requested (cadence and explicit).
     pub checkpoints: u64,
-    /// Total time spent encoding snapshots.
+    /// The collectors' summed busy time encoding snapshots.
     pub checkpoint_total: Duration,
     /// Total snapshot bytes across collectors at the latest checkpoint.
     pub snapshot_bytes_last: u64,
-    /// Recoveries performed and their total wall-clock cost.
+    /// Recoveries performed (explicit, and at the end of the stream).
     pub recoveries: u64,
-    /// Total time spent decoding snapshots and replaying spools.
+    /// The collectors' summed time decoding snapshots and replaying
+    /// spools.
     pub recovery_total: Duration,
     /// Reports replayed from spools across all recoveries.
     pub replayed_reports: u64,
     /// Time to combine the collector shards at the end of the stream.
     pub merge_total: Duration,
-    /// Peak worker threads used by the parallel phases (for the
-    /// pipelined runtime: encoder workers plus collector actors).
+    /// Threads the runtime ran: encoder workers plus collector actors.
     pub threads: usize,
-    /// Backpressure high-water mark of the pipelined runtime: the most
-    /// wire chunks ever waiting in one collector's bounded queue.
-    /// Always 0 for the lock-step [`StreamEngine`] (no queues).
+    /// Backpressure high-water mark: the most wire chunks ever waiting
+    /// in one collector's bounded queue.
     pub max_queue_occupancy: usize,
-    /// Total time the pipelined runtime's producers spent blocked on
-    /// full collector queues (the backpressure cost). Always zero for
-    /// the lock-step [`StreamEngine`].
+    /// Total time producers spent blocked on full collector queues (the
+    /// backpressure cost).
     pub producer_stall: Duration,
     /// Mid-stream `finish_at_epoch` queries answered.
     pub finish_queries: u64,
@@ -531,18 +556,20 @@ pub struct StreamStats {
     pub scratch_fresh: u64,
 }
 
-/// Outcome of one [`StreamEngine::checkpoint`].
+/// Outcome of one
+/// [`PipelineSession::checkpoint`](crate::pipeline::PipelineSession::checkpoint).
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointReport {
     /// Bytes written across all snapshotted collectors.
     pub snapshot_bytes: u64,
     /// Collectors snapshotted (crashed nodes are skipped).
     pub collectors: usize,
-    /// Wall-clock encoding time.
+    /// Wall-clock time from the request to the fleet's last reply.
     pub elapsed: Duration,
 }
 
-/// Outcome of one [`StreamEngine::recover_collector`].
+/// Outcome of one
+/// [`PipelineSession::recover_collector`](crate::pipeline::PipelineSession::recover_collector).
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryReport {
     /// The epoch of the snapshot recovery started from (`None` = the
@@ -552,542 +579,4 @@ pub struct RecoveryReport {
     pub replayed_reports: u64,
     /// Wall-clock decode + replay time.
     pub elapsed: Duration,
-}
-
-/// The streaming epoch engine (see the module docs).
-///
-/// Generic over [`StreamIngest`], so one implementation serves both
-/// heavy-hitter protocols ([`HhStream`]) and frequency oracles
-/// ([`OracleStream`]); the concrete wrappers add `finish_at_epoch` /
-/// `finish` in their protocol family's vocabulary.
-pub struct StreamEngine<I: StreamIngest> {
-    ingest: I,
-    plan: StreamPlan,
-    client_seed: u64,
-    collectors: Vec<CollectorState<I::Shard>>,
-    epoch: u64,
-    users: u64,
-    /// Global chunk counter — routing is `chunk % collectors` across the
-    /// whole stream, exactly as in the one-shot distributed run.
-    next_chunk: usize,
-    /// Recycled wire-chunk byte buffers: the respond phase takes them,
-    /// the spool holds them until its checkpoint truncation returns
-    /// them. After the first checkpointed epoch, steady-state ingest
-    /// reuses this capacity instead of allocating per chunk.
-    pool: BufferPool,
-    /// Bumped whenever the durable view changes (every checkpoint).
-    /// Stamps the incremental finish caches below.
-    finish_stamp: u64,
-    /// The merged durable view, incrementally folded: per-collector
-    /// snapshots decoded, merged, and re-encoded once per stamp. Warm
-    /// `finish_at_epoch` queries decode this single artifact instead of
-    /// re-running the per-collector decode + merge tree.
-    merged_bytes: Option<(u64, Vec<u8>)>,
-    /// Memoized heavy-hitter answer per stamp (HH family only): repeated
-    /// queries at an unchanged checkpoint skip the decode entirely.
-    cached_answer: Option<(u64, Vec<(u64, f64)>)>,
-    /// Engine-owned decode scratch: thread plan plus reusable buffers,
-    /// so repeated mid-stream queries allocate nothing steady-state.
-    scratch: hh_math::par::FinishScratch,
-    stats: StreamStats,
-}
-
-impl<I: StreamIngest + Sync> StreamEngine<I> {
-    /// Start a stream. `seed` is the run seed of the matching serial
-    /// reference run (client coins derive from it per
-    /// [`StreamIngest::CLIENT_LABEL`]).
-    pub fn new(ingest: I, plan: StreamPlan, seed: u64) -> Self {
-        plan.validate();
-        let collectors = (0..plan.dist.collectors)
-            .map(|_| CollectorState {
-                live: Some(ingest.new_shard()),
-                snapshot: None,
-                log: Vec::new(),
-            })
-            .collect();
-        Self {
-            client_seed: derive_seed(seed, I::CLIENT_LABEL),
-            ingest,
-            plan,
-            collectors,
-            epoch: 0,
-            users: 0,
-            next_chunk: 0,
-            pool: BufferPool::new(),
-            finish_stamp: 0,
-            merged_bytes: None,
-            cached_answer: None,
-            scratch: hh_math::par::FinishScratch::default(),
-            stats: StreamStats::default(),
-        }
-    }
-
-    /// Epochs ingested so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Users ingested so far.
-    pub fn users(&self) -> u64 {
-        self.users
-    }
-
-    /// Cumulative resource accounting.
-    pub fn stats(&self) -> &StreamStats {
-        &self.stats
-    }
-
-    /// Per-collector size in bytes of the latest snapshot (`None` = the
-    /// node has never checkpointed).
-    pub fn snapshot_sizes(&self) -> Vec<Option<usize>> {
-        self.collectors
-            .iter()
-            .map(|n| n.snapshot.as_ref().map(|s| s.bytes.len()))
-            .collect()
-    }
-
-    /// Per-collector epoch of the latest snapshot (`None` = the node has
-    /// never checkpointed). Callers of [`StreamEngine::snapshot_shard`] /
-    /// `finish_at_epoch` can check this to detect a *ragged* durable
-    /// view: while a crashed node sits unrecovered across a checkpoint,
-    /// its snapshot stays at an older epoch than its peers'.
-    pub fn snapshot_epochs(&self) -> Vec<Option<u64>> {
-        self.collectors
-            .iter()
-            .map(|n| n.snapshot.as_ref().map(|s| s.epoch))
-            .collect()
-    }
-
-    /// Whether a collector currently holds a live shard.
-    pub fn is_alive(&self, node: usize) -> bool {
-        self.collectors[node].live.is_some()
-    }
-
-    /// Ingest one epoch: the next `xs.len()` users of the population.
-    /// The fused respond + encode phase samples each chunk's reports
-    /// straight into a pooled wire buffer (no intermediate report vec);
-    /// each chunk is routed to collector `global_chunk % k`, absorbed
-    /// into the node's live shard *from its borrowed frames*
-    /// (`absorb_wire` — no decoded report vec either), and appended to
-    /// its spool. Auto-checkpoints on the
-    /// [`StreamPlan::checkpoint_every`] cadence.
-    pub fn ingest_epoch(&mut self, xs: &[u64]) {
-        let k = self.plan.dist.collectors;
-        let chunk_size = self.plan.dist.chunk_size;
-        let threads = self.plan.dist.threads;
-        let start_user = self.users;
-        self.stats.threads = self
-            .stats
-            .threads
-            .max(planned_threads(threads, xs.len(), chunk_size));
-
-        // Phase 1: fused respond + encode (the clients' messages as they
-        // leave the devices), written into pooled buffers.
-        let t0 = Instant::now();
-        let num_chunks = xs.len().div_ceil(chunk_size);
-        let buffers: Vec<Vec<u8>> = (0..num_chunks).map(|_| self.pool.take()).collect();
-        let wire: Vec<WireChunk> = {
-            let ingest = &self.ingest;
-            let client_seed = self.client_seed;
-            par_chunk_zip_map(xs, chunk_size, threads, buffers, |c, slice, mut bytes| {
-                let start = start_user + (c * chunk_size) as u64;
-                debug_assert!(bytes.is_empty(), "pooled buffer not cleared");
-                let frame_lens = ingest.respond_encode_batch(start, slice, client_seed, &mut bytes);
-                WireChunk {
-                    start,
-                    bytes,
-                    frame_lens,
-                }
-            })
-        };
-        self.stats.client_total += t0.elapsed();
-        self.stats.wire_bytes += wire.iter().map(|w| w.bytes.len() as u64).sum::<u64>();
-
-        // Phase 2: route + absorb-from-wire — collectors in parallel,
-        // each owning its shard and its share of the epoch's chunks.
-        // Crashed nodes only spool (their durable queue keeps
-        // receiving).
-        let t1 = Instant::now();
-        let mut per_node: Vec<Vec<WireChunk>> = (0..k).map(|_| Vec::new()).collect();
-        for (c, chunk) in wire.into_iter().enumerate() {
-            per_node[(self.next_chunk + c) % k].push(chunk);
-        }
-        self.next_chunk += num_chunks;
-        let work: Vec<(usize, Option<I::Shard>, Vec<WireChunk>)> = self
-            .collectors
-            .iter_mut()
-            .zip(per_node)
-            .enumerate()
-            .map(|(id, (node, chunks))| (id, node.live.take(), chunks))
-            .collect();
-        let done = {
-            let ingest = &self.ingest;
-            par_map_owned(work, threads, |_, (id, mut live, chunks)| {
-                if let Some(shard) = live.as_mut() {
-                    for chunk in &chunks {
-                        absorb_chunk(ingest, shard, id, chunk);
-                    }
-                }
-                (live, chunks)
-            })
-        };
-        for (node, (live, chunks)) in self.collectors.iter_mut().zip(done) {
-            node.live = live;
-            node.log.extend(chunks);
-        }
-        self.stats.ingest_total += t1.elapsed();
-
-        self.users += xs.len() as u64;
-        self.epoch += 1;
-        self.stats.users = self.users;
-        self.stats.epochs = self.epoch;
-        if self.plan.checkpoint_every > 0
-            && self.epoch.is_multiple_of(self.plan.checkpoint_every as u64)
-        {
-            self.checkpoint();
-        }
-    }
-
-    /// Ingest a whole dataset in epochs of [`StreamPlan::epoch_size`].
-    pub fn ingest_all(&mut self, data: &[u64]) {
-        let mut off = 0;
-        while off < data.len() {
-            let hi = off.saturating_add(self.plan.epoch_size).min(data.len());
-            self.ingest_epoch(&data[off..hi]);
-            off = hi;
-        }
-    }
-
-    /// Snapshot every live collector's shard to bytes (the durable
-    /// artifact) and truncate its spool. Crashed collectors are skipped:
-    /// their last snapshot stays valid and their spool keeps growing
-    /// until recovery.
-    ///
-    /// The previous snapshot's byte buffer is reused for the new
-    /// encoding (a checkpoint *replaces* the durable artifact), so
-    /// steady-state checkpointing allocates nothing once buffers have
-    /// grown to the shard's encoded size.
-    pub fn checkpoint(&mut self) -> CheckpointReport {
-        let t = Instant::now();
-        let mut snapshot_bytes = 0u64;
-        let mut snapshotted = 0usize;
-        let pool = &mut self.pool;
-        for node in &mut self.collectors {
-            if let Some(shard) = &node.live {
-                let snap = encode_snapshot(&self.ingest, shard, node.snapshot.take(), self.epoch);
-                snapshot_bytes += snap.bytes.len() as u64;
-                node.snapshot = Some(snap);
-                // Truncate the spool: its chunks are no longer needed
-                // for replay, so their buffers go back to the pool for
-                // the next epoch's respond phase.
-                pool.put_all(node.log.drain(..).map(WireChunk::into_buffer));
-                snapshotted += 1;
-            }
-        }
-        let elapsed = t.elapsed();
-        // The durable view changed: stamp the incremental finish caches
-        // stale (the fold itself happens lazily at the next query, so
-        // steady-state checkpointing stays allocation-free).
-        self.finish_stamp += 1;
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_total += elapsed;
-        self.stats.snapshot_bytes_last = self
-            .collectors
-            .iter()
-            .filter_map(|n| n.snapshot.as_ref())
-            .map(|s| s.bytes.len() as u64)
-            .sum();
-        CheckpointReport {
-            snapshot_bytes,
-            collectors: snapshotted,
-            elapsed,
-        }
-    }
-
-    /// Crash a collector: its live shard is lost. Its spool (the durable
-    /// queue feeding it) keeps receiving routed chunks, so nothing is
-    /// dropped — recovery replays them.
-    pub fn kill_collector(&mut self, node: usize) {
-        let state = &mut self.collectors[node];
-        assert!(state.live.is_some(), "collector {node} is already dead");
-        state.live = None;
-    }
-
-    /// Recover a crashed collector: decode its last snapshot (or start
-    /// empty if it never checkpointed) and replay only the spooled
-    /// reports since. The rebuilt shard is bit-for-bit the shard an
-    /// uninterrupted collector would hold.
-    pub fn recover_collector(&mut self, node: usize) -> RecoveryReport {
-        let state = &mut self.collectors[node];
-        assert!(
-            state.live.is_none(),
-            "collector {node} is alive — nothing to recover"
-        );
-        let t = Instant::now();
-        let (shard, from_epoch, replayed_reports) =
-            rebuild_shard(&self.ingest, node, state.snapshot.as_ref(), &state.log);
-        self.collectors[node].live = Some(shard);
-        let elapsed = t.elapsed();
-        self.stats.recoveries += 1;
-        self.stats.recovery_total += elapsed;
-        self.stats.replayed_reports += replayed_reports;
-        RecoveryReport {
-            from_epoch,
-            replayed_reports,
-            elapsed,
-        }
-    }
-
-    /// The durable mid-stream view: decode every collector's last
-    /// snapshot and merge them (in the plan's order), leaving all live
-    /// shards untouched. `None` before the first checkpoint.
-    ///
-    /// When every collector checkpointed at the same boundary (the
-    /// normal cadence), this is exactly the aggregate of the first
-    /// `users-at-that-boundary` reports. While a crashed node sits
-    /// unrecovered across later checkpoints its snapshot lags its
-    /// peers', so the view is *ragged* — the honest answer of a degraded
-    /// fleet, not a prefix of the stream. [`StreamEngine::snapshot_epochs`]
-    /// exposes the per-node epochs so callers can detect this.
-    pub fn snapshot_shard(&self) -> Option<I::Shard> {
-        let shards: Vec<I::Shard> = self
-            .collectors
-            .iter()
-            .enumerate()
-            .filter_map(|(id, n)| n.snapshot.as_ref().map(|s| (id, s)))
-            .map(|(id, s)| {
-                self.ingest.decode_shard(&s.bytes).unwrap_or_else(|e| {
-                    panic!(
-                        "collector {id}: snapshot from epoch {} ({} bytes) failed to decode: {e}",
-                        s.epoch,
-                        s.bytes.len()
-                    )
-                })
-            })
-            .collect();
-        if shards.is_empty() {
-            return None;
-        }
-        Some(combine_shards(shards, self.plan.dist.merge, |a, b| {
-            self.ingest.merge(a, b)
-        }))
-    }
-
-    /// [`StreamEngine::snapshot_shard`] through the incremental fold
-    /// cache: the first query after a checkpoint pays the per-collector
-    /// decode + merge once and re-encodes the merged aggregate (reusing
-    /// the previous stamp's buffer); subsequent queries at the same
-    /// stamp decode that single artifact. Values are bit-for-bit the
-    /// uncached [`StreamEngine::snapshot_shard`]'s because the snapshot
-    /// codec round-trips exactly.
-    fn merged_durable_shard(&mut self) -> Option<I::Shard> {
-        let warm = matches!(&self.merged_bytes, Some((stamp, _)) if *stamp == self.finish_stamp);
-        if warm {
-            self.stats.finish_cache_hits += 1;
-            let (_, bytes) = self.merged_bytes.as_ref().expect("warm cache");
-            return Some(
-                self.ingest
-                    .decode_shard(bytes)
-                    .expect("merged snapshot re-encoding round-trips"),
-            );
-        }
-        let t = Instant::now();
-        let merged = self.snapshot_shard()?;
-        let mut bytes = match self.merged_bytes.take() {
-            Some((_, mut b)) => {
-                b.clear();
-                b
-            }
-            None => Vec::with_capacity(self.ingest.shard_encoded_len(&merged)),
-        };
-        self.ingest.encode_shard_into(&merged, &mut bytes);
-        self.merged_bytes = Some((self.finish_stamp, bytes));
-        self.stats.fold_total += t.elapsed();
-        Some(merged)
-    }
-
-    /// End the stream: recover any crashed collectors (replaying their
-    /// spools), merge all live shards in the plan's order, and return
-    /// the final aggregate with the run's accounting.
-    pub fn into_live_shard(mut self) -> (I::Shard, StreamStats) {
-        for node in 0..self.collectors.len() {
-            if self.collectors[node].live.is_none() {
-                self.recover_collector(node);
-            }
-        }
-        let t = Instant::now();
-        let shards: Vec<I::Shard> = self
-            .collectors
-            .into_iter()
-            .map(|n| n.live.expect("all collectors recovered"))
-            .collect();
-        let merged = combine_shards(shards, self.plan.dist.merge, |a, b| self.ingest.merge(a, b));
-        self.stats.merge_total += t.elapsed();
-        (merged, self.stats)
-    }
-}
-
-impl<'a, P> StreamEngine<HhStream<'a, P>>
-where
-    P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
-{
-    /// Answer a top-k query mid-stream from the merged decoded
-    /// snapshots, without consuming the live shards. `fresh` must be a
-    /// new instance built with the same parameters and public-randomness
-    /// seed as the streamed protocol.
-    ///
-    /// Incremental: the expensive decode runs once per checkpoint stamp.
-    /// The first query after a checkpoint folds the durable view (decode
-    /// snapshots → merge → finish) and memoizes the answer; repeated
-    /// queries at an unchanged checkpoint return the memoized list — the
-    /// engine-owned [`hh_math::par::FinishScratch`] recycles the decode
-    /// buffers, so warm queries allocate nothing beyond the returned
-    /// `Vec`. Answers are bit-for-bit the from-scratch
-    /// `finish_shard` + `finish` result (`finish` is deterministic).
-    ///
-    /// Panics when users have been ingested but no collector has
-    /// checkpointed yet — an empty answer there would be
-    /// indistinguishable from a genuinely empty stream. Call
-    /// [`StreamEngine::checkpoint`] first (or set a
-    /// [`StreamPlan::checkpoint_every`] cadence).
-    pub fn finish_at_epoch(&mut self, fresh: &mut P) -> Vec<(u64, f64)> {
-        let t = Instant::now();
-        self.stats.finish_queries += 1;
-        if let Some((stamp, answer)) = &self.cached_answer {
-            if *stamp == self.finish_stamp {
-                self.stats.finish_cache_hits += 1;
-                let answer = answer.clone();
-                self.stats.finish_total += t.elapsed();
-                return answer;
-            }
-        }
-        let folded = self.merged_durable_shard();
-        let had_snapshot = folded.is_some();
-        match folded {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        let answer = fresh.finish_with(&mut self.scratch);
-        if had_snapshot {
-            self.cached_answer = Some((self.finish_stamp, answer.clone()));
-        }
-        let (reused, fresh_bufs) = self.scratch.handout_counts();
-        self.stats.scratch_reused = reused;
-        self.stats.scratch_fresh = fresh_bufs;
-        self.stats.finish_total += t.elapsed();
-        answer
-    }
-}
-
-impl<'a, O> StreamEngine<OracleStream<'a, O>>
-where
-    O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
-{
-    /// Prepare a mid-stream frequency oracle from the merged decoded
-    /// snapshots, without consuming the live shards: folds the durable
-    /// view into `fresh` and finalizes it, so the caller can `estimate`.
-    /// `fresh` must be a new instance built with the same parameters and
-    /// public-randomness seed as the streamed oracle.
-    ///
-    /// Incremental: the per-collector decode + merge runs once per
-    /// checkpoint stamp; repeated queries at an unchanged checkpoint
-    /// decode the cached merged artifact instead (the oracle's state
-    /// lives in the caller's `fresh`, so the fold into it still runs,
-    /// through the engine-owned scratch). Resulting estimates are
-    /// bit-for-bit the from-scratch `finish_shard` + `finalize` result.
-    ///
-    /// Panics when users have been ingested but no collector has
-    /// checkpointed yet — zero estimates there would be
-    /// indistinguishable from a genuinely empty stream. Call
-    /// [`StreamEngine::checkpoint`] first (or set a
-    /// [`StreamPlan::checkpoint_every`] cadence).
-    pub fn finish_at_epoch(&mut self, fresh: &mut O) {
-        let t = Instant::now();
-        self.stats.finish_queries += 1;
-        match self.merged_durable_shard() {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        fresh.finalize_with(&mut self.scratch);
-        let (reused, fresh_bufs) = self.scratch.handout_counts();
-        self.stats.scratch_reused = reused;
-        self.stats.scratch_fresh = fresh_bufs;
-        self.stats.finish_total += t.elapsed();
-    }
-}
-
-impl<'a> StreamEngine<DynHhStream<'a>> {
-    /// Type-erased [`finish_at_epoch`](StreamEngine::finish_at_epoch):
-    /// the same incremental mid-stream query over a registry-dispatched
-    /// protocol. `fresh` must be built from the same
-    /// [`ProtocolSpec`](crate::registry::ProtocolSpec) as the streamed
-    /// protocol.
-    pub fn finish_at_epoch(&mut self, fresh: &mut dyn DynHhProtocol) -> Vec<(u64, f64)> {
-        let t = Instant::now();
-        self.stats.finish_queries += 1;
-        if let Some((stamp, answer)) = &self.cached_answer {
-            if *stamp == self.finish_stamp {
-                self.stats.finish_cache_hits += 1;
-                let answer = answer.clone();
-                self.stats.finish_total += t.elapsed();
-                return answer;
-            }
-        }
-        let folded = self.merged_durable_shard();
-        let had_snapshot = folded.is_some();
-        match folded {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        let answer = fresh.finish_with(&mut self.scratch);
-        if had_snapshot {
-            self.cached_answer = Some((self.finish_stamp, answer.clone()));
-        }
-        let (reused, fresh_bufs) = self.scratch.handout_counts();
-        self.stats.scratch_reused = reused;
-        self.stats.scratch_fresh = fresh_bufs;
-        self.stats.finish_total += t.elapsed();
-        answer
-    }
-}
-
-impl<'a> StreamEngine<DynOracleStream<'a>> {
-    /// Type-erased oracle [`finish_at_epoch`](StreamEngine::finish_at_epoch):
-    /// folds the merged durable view into `fresh` and finalizes it
-    /// through the engine-owned scratch, so the caller can `estimate`.
-    pub fn finish_at_epoch(&mut self, fresh: &mut dyn DynOracle) {
-        let t = Instant::now();
-        self.stats.finish_queries += 1;
-        match self.merged_durable_shard() {
-            Some(shard) => fresh.finish_shard(shard),
-            None => assert!(
-                self.users == 0,
-                "finish_at_epoch with {} users ingested but no checkpoint to answer from — \
-                 call checkpoint() first (checkpoint_every = 0 never auto-checkpoints)",
-                self.users
-            ),
-        }
-        fresh.finalize_with(&mut self.scratch);
-        let (reused, fresh_bufs) = self.scratch.handout_counts();
-        self.stats.scratch_reused = reused;
-        self.stats.scratch_fresh = fresh_bufs;
-        self.stats.finish_total += t.elapsed();
-    }
 }

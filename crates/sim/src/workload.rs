@@ -272,7 +272,7 @@ enum StreamKind {
 
 /// A reproducible *streaming* workload: one distribution per epoch plus
 /// per-epoch arrival jitter. Feed [`StreamWorkload::generate_epoch`]
-/// straight into `StreamEngine::ingest_epoch`.
+/// straight into `PipelineSession::ingest_epoch`.
 #[derive(Debug, Clone)]
 pub struct StreamWorkload {
     /// Human-readable label for experiment output.

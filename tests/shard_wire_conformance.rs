@@ -293,7 +293,7 @@ mod snapshot_replay {
 
     use ldp_heavy_hitters::core::baselines::{ScanHeavyHitters, ScanParams};
     use ldp_heavy_hitters::prelude::*;
-    use ldp_heavy_hitters::sim::{HhStream, StreamEngine, StreamPlan};
+    use ldp_heavy_hitters::sim::{HhStream, StreamPlan};
     use proptest::prelude::*;
 
     const N: usize = 6_000;
@@ -305,29 +305,26 @@ mod snapshot_replay {
         crash: Option<(u64, usize, u64)>,
     ) -> Vec<(u64, f64)> {
         let input = Workload::planted(256, vec![(9, 0.35)]).generate(N, seed ^ 0x11);
-        let server = ScanHeavyHitters::new(ScanParams::new(N as u64, 256, 4.0, 0.1), seed ^ 0x22);
-        let (shard, stats) = {
-            let mut engine = StreamEngine::new(HhStream(&server), plan.clone(), seed ^ 0x33);
-            let mut off = 0;
-            while off < N {
-                let hi = (off + plan.epoch_size).min(N);
-                engine.ingest_epoch(&input[off..hi]);
-                off = hi;
-                if let Some((kill_epoch, node, recover_epoch)) = crash {
-                    if engine.epoch() == kill_epoch && engine.is_alive(node) {
-                        engine.kill_collector(node);
-                    }
-                    if engine.epoch() == recover_epoch && !engine.is_alive(node) {
-                        engine.recover_collector(node);
+        let mut server =
+            ScanHeavyHitters::new(ScanParams::new(N as u64, 256, 4.0, 0.1), seed ^ 0x22);
+        let config = PipelineConfig::default();
+        let (shard, stats, ()) =
+            run_pipelined(&HhStream(&server), plan, &config, seed ^ 0x33, |session| {
+                for slice in input.chunks(plan.epoch_size) {
+                    session.ingest_epoch(slice);
+                    if let Some((kill_epoch, node, recover_epoch)) = crash {
+                        if session.epoch() == kill_epoch && session.is_alive(node) {
+                            session.kill_collector(node);
+                        }
+                        if session.epoch() == recover_epoch && !session.is_alive(node) {
+                            session.recover_collector(node);
+                        }
                     }
                 }
-            }
-            engine.into_live_shard()
-        };
+            });
         if crash.is_some() {
             assert_eq!(stats.recoveries, 1, "crash was never recovered");
         }
-        let mut server = server;
         server.finish_shard(shard);
         server.finish()
     }

@@ -1,16 +1,16 @@
 //! Streaming-vs-serial equivalence: for every heavy-hitter protocol and
-//! frequency oracle, the streaming epoch engine — which wire-encodes
-//! every report, routes it to one of `k` collectors, snapshots every
+//! frequency oracle, the collector runtime — which wire-encodes every
+//! report, routes it to one of `k` collector actors, snapshots every
 //! collector's shard to bytes at checkpoint boundaries, and recovers
 //! killed collectors by decoding their last snapshot and replaying the
 //! spooled reports since — must produce final output bit-for-bit
 //! identical to the serial one-shot reference run for the same seed, at
 //! **any** epoch size, collector count, checkpoint cadence, kill
-//! schedule, and merge order.
+//! schedule, merge order, queue depth and encoder worker count.
 //!
-//! This is the acceptance gate of the durable-shard refactor: epochs,
-//! snapshots, crashes and replays are pure schedule/durability events,
-//! never result changes.
+//! This is the acceptance gate of the durable-shard runtime: epochs,
+//! snapshots, crashes, replays and scheduling are pure
+//! schedule/durability events, never result changes.
 
 use ldp_heavy_hitters::core::baselines::{
     BassilySmithHeavyHitters, Bitstogram, BitstogramParams, BsHhParams, ScanHeavyHitters,
@@ -20,11 +20,11 @@ use ldp_heavy_hitters::freq::bassily_smith::BassilySmithOracle;
 use ldp_heavy_hitters::freq::krr::KrrOracle;
 use ldp_heavy_hitters::freq::rappor::Rappor;
 use ldp_heavy_hitters::prelude::*;
-use ldp_heavy_hitters::sim::{HhStream, OracleStream, StreamEngine, StreamPlan};
+use ldp_heavy_hitters::sim::{HhStream, OracleStream, StreamIngest, StreamPlan, StreamStats};
 
 /// A crash in the schedule: kill `node` after `kill_after` epochs, and
 /// (optionally) recover it explicitly after `recover_after` epochs —
-/// otherwise it stays dead until the engine's final recovery sweep.
+/// otherwise it stays dead until the runtime's final recovery sweep.
 #[derive(Clone, Copy)]
 struct Crash {
     node: usize,
@@ -93,26 +93,40 @@ fn stream_grid(n: usize) -> Vec<(StreamPlan, Vec<Crash>)> {
     ]
 }
 
-/// Stream `input` through the engine in `epoch_size` slices, applying
-/// the crash schedule at epoch boundaries.
-fn drive<I>(engine: &mut StreamEngine<I>, input: &[u64], epoch_size: usize, crashes: &[Crash])
-where
-    I: ldp_heavy_hitters::sim::StreamIngest + Sync,
-{
-    let mut off = 0;
-    while off < input.len() {
-        let hi = off.saturating_add(epoch_size).min(input.len());
-        engine.ingest_epoch(&input[off..hi]);
-        off = hi;
-        let epoch = engine.epoch();
-        for crash in crashes {
-            if crash.kill_after == epoch && engine.is_alive(crash.node) {
-                engine.kill_collector(crash.node);
-            }
-            if crash.recover_after == Some(epoch) && !engine.is_alive(crash.node) {
-                engine.recover_collector(crash.node);
+/// Stream `input` through the collector runtime in `plan.epoch_size`
+/// slices, applying the crash schedule at epoch boundaries; returns the
+/// final merged shard and the run's stats.
+fn run_stream<I: StreamIngest + Sync>(
+    ingest: &I,
+    plan: &StreamPlan,
+    config: &PipelineConfig,
+    seed: u64,
+    input: &[u64],
+    crashes: &[Crash],
+) -> (I::Shard, StreamStats) {
+    let (shard, stats, ()) = run_pipelined(ingest, plan, config, seed, |session| {
+        for slice in input.chunks(plan.epoch_size) {
+            session.ingest_epoch(slice);
+            let epoch = session.epoch();
+            for crash in crashes {
+                if crash.kill_after == epoch && session.is_alive(crash.node) {
+                    session.kill_collector(crash.node);
+                }
+                if crash.recover_after == Some(epoch) && !session.is_alive(crash.node) {
+                    session.recover_collector(crash.node);
+                }
             }
         }
+    });
+    (shard, stats)
+}
+
+/// A queue depth / encoder worker shape per grid shape, so the grid also
+/// walks the runtime's scheduling knobs.
+fn grid_config(shape: usize) -> PipelineConfig {
+    PipelineConfig {
+        queue_depth: 1 + shape % 3,
+        workers: 1 + shape % 2,
     }
 }
 
@@ -131,14 +145,15 @@ where
         "{protocol}: serial run found nothing — test is vacuous"
     );
     for (i, (plan, crashes)) in stream_grid(input.len()).into_iter().enumerate() {
-        let epoch_size = plan.epoch_size;
-        let server = make();
-        let (shard, stats) = {
-            let mut engine = StreamEngine::new(HhStream(&server), plan, seed);
-            drive(&mut engine, input, epoch_size, &crashes);
-            engine.into_live_shard()
-        };
-        let mut server = server;
+        let mut server = make();
+        let (shard, stats) = run_stream(
+            &HhStream(&server),
+            &plan,
+            &grid_config(i),
+            seed,
+            input,
+            &crashes,
+        );
         server.finish_shard(shard);
         assert_eq!(
             server.finish(),
@@ -172,14 +187,15 @@ fn assert_oracle_stream_equivalent<O, F>(
         run_oracle(&mut oracle, input, queries, seed).answers
     };
     for (i, (plan, crashes)) in stream_grid(input.len()).into_iter().enumerate() {
-        let epoch_size = plan.epoch_size;
-        let oracle = make();
-        let (shard, _) = {
-            let mut engine = StreamEngine::new(OracleStream(&oracle), plan, seed);
-            drive(&mut engine, input, epoch_size, &crashes);
-            engine.into_live_shard()
-        };
-        let mut oracle = oracle;
+        let mut oracle = make();
+        let (shard, _) = run_stream(
+            &OracleStream(&oracle),
+            &plan,
+            &grid_config(i),
+            seed,
+            input,
+            &crashes,
+        );
         oracle.finish_shard(shard);
         oracle.finalize();
         let answers: Vec<f64> = queries.iter().map(|&q| oracle.estimate(q)).collect();
@@ -289,18 +305,13 @@ fn rappor_streams_equal_serial() {
     );
 }
 
-#[test]
-fn fused_ingest_crash_grid_matches_serial() {
-    // The engine's whole ingest path is now fused and zero-copy:
-    // `respond_encode_batch` writes each chunk straight into a pooled
-    // wire buffer and collectors fold the borrowed frames via
-    // `absorb_wire` — including recovery replay from the spool. This
-    // grid leans on exactly the parts that path changed: a chunk size
-    // far below the epoch (many pooled buffers cycling per epoch), more
-    // collectors than chunks in the last ragged epoch, a sparse
-    // checkpoint cadence, and the same node crashing twice (the second
-    // recovery replays spooled chunks through `absorb_wire` on top of a
-    // decoded snapshot).
+/// The fused crash grid: a chunk size far below the epoch (many pooled
+/// buffers cycling per epoch), more collectors than chunks in the last
+/// ragged epoch, a sparse checkpoint cadence, and the same node crashing
+/// twice (the second recovery replays spooled chunks through
+/// `absorb_wire` on top of a decoded snapshot). Must match the serial
+/// one-shot run under `config`; returns the run's stats.
+fn assert_crash_grid_matches_serial(config: &PipelineConfig) -> (StreamPlan, StreamStats) {
     let n = 1usize << 14;
     let input = Workload::planted(512, vec![(9, 0.3), (100, 0.2)]).generate(n, 103);
     let params = ScanParams::new(n as u64, 512, 4.0, 0.1);
@@ -339,67 +350,94 @@ fn fused_ingest_crash_grid_matches_serial() {
             recover_after: None,
         },
     ];
-    let server = make();
-    let (shard, stats) = {
-        let mut engine = StreamEngine::new(HhStream(&server), plan.clone(), seed);
-        drive(&mut engine, &input, plan.epoch_size, &crashes);
-        engine.into_live_shard()
-    };
-    let mut server = server;
+    let mut server = make();
+    let (shard, stats) = run_stream(&HhStream(&server), &plan, config, seed, &input, &crashes);
     server.finish_shard(shard);
-    assert_eq!(server.finish(), serial, "fused crash grid diverged");
+    assert_eq!(server.finish(), serial, "crash grid diverged");
     assert_eq!(stats.users as usize, n);
     assert!(
         stats.recoveries >= 3,
         "expected all three crashes recovered"
     );
     assert!(stats.replayed_reports > 0, "recovery replayed nothing");
+    (plan, stats)
 }
 
 #[test]
-fn mid_stream_queries_match_prefix_runs() {
-    // `finish_at_epoch` answers from the merged decoded snapshots
-    // without consuming live shards: right after each checkpoint it must
-    // equal the serial one-shot run over exactly the ingested prefix —
-    // and the stream must keep running unperturbed afterwards.
-    let n = 1usize << 14;
+fn fused_ingest_crash_grid_matches_serial() {
+    // Depth-1 queues fed by three concurrent encoders: the most
+    // backpressure and the most out-of-order chunk arrivals.
+    assert_crash_grid_matches_serial(&PipelineConfig {
+        queue_depth: 1,
+        workers: 3,
+    });
+}
+
+/// `finish_at_epoch` answers from the merged decoded snapshots without
+/// consuming live shards: right after each checkpoint it must equal the
+/// serial one-shot run over exactly the ingested prefix — and the stream
+/// must keep running unperturbed afterwards. Returns the four mid-stream
+/// answers.
+fn assert_mid_stream_queries_match_prefix_runs(
+    n: usize,
+    chunk_size: usize,
+    config: PipelineConfig,
+) -> Vec<Vec<(u64, f64)>> {
     let epoch_size = n / 4;
     let input = Workload::planted(512, vec![(9, 0.3), (100, 0.2)]).generate(n, 99);
     let params = ScanParams::new(n as u64, 512, 4.0, 0.1);
     let make = || ScanHeavyHitters::new(params.clone(), 315);
     let seed = 316;
 
-    let server = make();
     let plan = StreamPlan {
         epoch_size,
         checkpoint_every: 1,
         dist: DistPlan {
             collectors: 3,
-            chunk_size: 1000,
+            chunk_size,
             threads: 2,
             merge: MergeOrder::Tree,
         },
     };
-    let mut engine = StreamEngine::new(HhStream(&server), plan, seed);
-    for e in 0..4usize {
-        engine.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
-        let mid = engine.finish_at_epoch(&mut make());
-        let prefix = {
-            let mut s = make();
-            run_heavy_hitter(&mut s, &input[..(e + 1) * epoch_size], seed).estimates
-        };
-        assert_eq!(mid, prefix, "mid-stream query diverged after epoch {e}");
-        assert!(!mid.is_empty() || e == 0, "vacuous mid-stream query");
-    }
+    let mut server = make();
+    let (shard, _, mids) = run_pipelined(&HhStream(&server), &plan, &config, seed, |session| {
+        (0..4usize)
+            .map(|e| {
+                session.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
+                let mid = session.finish_at_epoch(&mut make());
+                let prefix = {
+                    let mut s = make();
+                    run_heavy_hitter(&mut s, &input[..(e + 1) * epoch_size], seed).estimates
+                };
+                assert_eq!(mid, prefix, "mid-stream query diverged after epoch {e}");
+                mid
+            })
+            .collect::<Vec<_>>()
+    });
     // The mid-stream queries did not perturb the live stream.
-    let (shard, _) = engine.into_live_shard();
-    let mut server = server;
     server.finish_shard(shard);
     let serial = {
         let mut s = make();
         run_heavy_hitter(&mut s, &input, seed).estimates
     };
     assert_eq!(server.finish(), serial);
+    mids
+}
+
+#[test]
+fn mid_stream_queries_match_prefix_runs() {
+    let mids = assert_mid_stream_queries_match_prefix_runs(
+        1 << 14,
+        1000,
+        PipelineConfig {
+            queue_depth: 1,
+            workers: 2,
+        },
+    );
+    assert!(
+        mids[1..].iter().all(|mid| !mid.is_empty()),
+        "vacuous mid-stream query"
+    );
 }
 
 #[test]
@@ -418,21 +456,23 @@ fn oracle_mid_stream_queries_match_prefix_runs() {
         checkpoint_every: 1,
         dist: DistPlan::with_collectors(2),
     };
-    let mut engine = StreamEngine::new(OracleStream(&oracle), plan, seed);
-    for e in 0..4usize {
-        engine.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
-        let mut mid = make();
-        engine.finish_at_epoch(&mut mid);
-        let mid_answers: Vec<f64> = queries.iter().map(|&q| mid.estimate(q)).collect();
-        let prefix = {
-            let mut o = make();
-            run_oracle(&mut o, &input[..(e + 1) * epoch_size], &queries, seed).answers
-        };
-        assert_eq!(
-            mid_answers, prefix,
-            "oracle mid-stream query diverged after epoch {e}"
-        );
-    }
+    let config = PipelineConfig::default();
+    run_pipelined(&OracleStream(&oracle), &plan, &config, seed, |session| {
+        for e in 0..4usize {
+            session.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
+            let mut mid = make();
+            session.finish_at_epoch(&mut mid);
+            let mid_answers: Vec<f64> = queries.iter().map(|&q| mid.estimate(q)).collect();
+            let prefix = {
+                let mut o = make();
+                run_oracle(&mut o, &input[..(e + 1) * epoch_size], &queries, seed).answers
+            };
+            assert_eq!(
+                mid_answers, prefix,
+                "oracle mid-stream query diverged after epoch {e}"
+            );
+        }
+    });
 }
 
 #[test]
@@ -472,7 +512,7 @@ fn zero_batch_chunk_size_is_rejected_up_front() {
 #[should_panic(expected = "no checkpoint to answer from")]
 fn mid_stream_query_without_checkpoint_panics() {
     // With checkpointing disabled, an "empty" mid-stream answer would be
-    // indistinguishable from an empty stream — the engine refuses.
+    // indistinguishable from an empty stream — the session refuses.
     let n = 4_000usize;
     let input = Workload::planted(256, vec![(9, 0.35)]).generate(n, 101);
     let params = ScanParams::new(n as u64, 256, 4.0, 0.1);
@@ -483,9 +523,11 @@ fn mid_stream_query_without_checkpoint_panics() {
         checkpoint_every: 0,
         ..StreamPlan::default()
     };
-    let mut engine = StreamEngine::new(HhStream(&server), plan, 320);
-    engine.ingest_epoch(&input);
-    let _ = engine.finish_at_epoch(&mut make());
+    let config = PipelineConfig::default();
+    run_pipelined(&HhStream(&server), &plan, &config, 320, |session| {
+        session.ingest_epoch(&input);
+        let _ = session.finish_at_epoch(&mut make());
+    });
 }
 
 #[test]
@@ -506,17 +548,26 @@ fn snapshot_epochs_expose_ragged_views() {
             merge: MergeOrder::Tree,
         },
     };
-    let mut engine = StreamEngine::new(HhStream(&server), plan, 322);
-    engine.ingest_epoch(&input[..n / 4]);
-    engine.ingest_epoch(&input[n / 4..n / 2]);
-    assert_eq!(engine.snapshot_epochs(), vec![Some(2), Some(2)]);
-    engine.kill_collector(1);
-    engine.ingest_epoch(&input[n / 2..3 * n / 4]);
-    // The dead node's snapshot stayed behind.
-    assert_eq!(engine.snapshot_epochs(), vec![Some(3), Some(2)]);
-    engine.recover_collector(1);
-    engine.ingest_epoch(&input[3 * n / 4..]);
-    assert_eq!(engine.snapshot_epochs(), vec![Some(4), Some(4)]);
+    let config = PipelineConfig::default();
+    run_pipelined(&HhStream(&server), &plan, &config, 322, |session| {
+        assert_eq!(session.snapshot_epochs(), vec![None, None]);
+        session.ingest_epoch(&input[..n / 4]);
+        session.ingest_epoch(&input[n / 4..n / 2]);
+        assert_eq!(session.snapshot_epochs(), vec![Some(2), Some(2)]);
+        session.kill_collector(1);
+        session.ingest_epoch(&input[n / 2..3 * n / 4]);
+        // The dead node's snapshot stayed behind.
+        assert_eq!(session.snapshot_epochs(), vec![Some(3), Some(2)]);
+        // The mirror agrees with what the collectors actually hold: the
+        // ragged view decodes node 1's epoch-2 snapshot.
+        assert_eq!(
+            session.recover_collector(1).from_epoch,
+            Some(2),
+            "recovery started from a different snapshot than the mirror shows"
+        );
+        session.ingest_epoch(&input[3 * n / 4..]);
+        assert_eq!(session.snapshot_epochs(), vec![Some(4), Some(4)]);
+    });
 }
 
 #[test]
@@ -527,64 +578,26 @@ fn zero_epoch_size_is_rejected_up_front() {
         epoch_size: 0,
         ..StreamPlan::default()
     };
-    let _ = StreamEngine::new(HhStream(&server), plan, 2);
+    run_pipelined(
+        &HhStream(&server),
+        &plan,
+        &PipelineConfig::default(),
+        2,
+        |_| {},
+    );
 }
 
-/// The pipelined collector runtime must be bit-for-bit the lock-step
-/// engine under every schedule: same chunks, same per-collector order
-/// (sequence numbers), same checkpoint boundaries, same crashes.
+/// Schedule-level properties of the runtime: any queue depth and encoder
+/// worker count gives the same bytes, and backpressure is accounted.
 mod pipelined {
     use super::*;
     use ldp_heavy_hitters::sim::registry::{
         build_hh, build_oracle, hh_names, oracle_names, ProtocolSpec,
     };
     use ldp_heavy_hitters::sim::{
-        run_pipelined, DynHhStream, DynOracleStream, PipelineConfig, StreamIngest,
+        run_dyn_heavy_hitter, run_dyn_oracle, DynHhStream, DynOracleStream,
     };
     use proptest::prelude::*;
-
-    /// Drive the lock-step engine through `input` with the crash
-    /// schedule, returning the final merged shard and stats.
-    fn run_lockstep<I: StreamIngest + Sync>(
-        ingest: I,
-        plan: &StreamPlan,
-        seed: u64,
-        input: &[u64],
-        crashes: &[Crash],
-    ) -> (I::Shard, ldp_heavy_hitters::sim::StreamStats) {
-        let mut engine = StreamEngine::new(ingest, plan.clone(), seed);
-        drive(&mut engine, input, plan.epoch_size, crashes);
-        engine.into_live_shard()
-    }
-
-    /// Drive the pipelined runtime through the *same* schedule.
-    fn run_pipe<I: StreamIngest + Sync>(
-        ingest: &I,
-        plan: &StreamPlan,
-        config: &PipelineConfig,
-        seed: u64,
-        input: &[u64],
-        crashes: &[Crash],
-    ) -> (I::Shard, ldp_heavy_hitters::sim::StreamStats) {
-        let (shard, stats, ()) = run_pipelined(ingest, plan, config, seed, |session| {
-            let mut off = 0;
-            while off < input.len() {
-                let hi = off.saturating_add(plan.epoch_size).min(input.len());
-                session.ingest_epoch(&input[off..hi]);
-                off = hi;
-                let epoch = session.epoch();
-                for crash in crashes {
-                    if crash.kill_after == epoch && session.is_alive(crash.node) {
-                        session.kill_collector(crash.node);
-                    }
-                    if crash.recover_after == Some(epoch) && !session.is_alive(crash.node) {
-                        session.recover_collector(crash.node);
-                    }
-                }
-            }
-        });
-        (shard, stats)
-    }
 
     /// The crash schedule of one property case, clamped to the fleet.
     fn crash_schedule(case: u64, collectors: usize) -> Vec<Crash> {
@@ -621,16 +634,23 @@ mod pipelined {
         }
     }
 
+    /// The fully serialized schedule every random one is compared with.
+    const SERIALIZED: PipelineConfig = PipelineConfig {
+        queue_depth: 1,
+        workers: 1,
+    };
+
     // Random registry protocol x collector count x queue depth x
     // encoder workers x epoch shape x checkpoint cadence x kill/recover
-    // schedule: the pipelined runtime's final shard must encode to the
-    // very bytes the lock-step engine's does, its durable snapshots
-    // must be byte-equal, and the finished output must match.
+    // schedule: the finished output must equal the serial reference
+    // run, and the final shard and durable snapshot sizes must be
+    // byte-equal to the same plan run at queue depth 1 with one encoder
+    // (schedule invariance).
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
         #[test]
-        fn pipelined_runtime_matches_lockstep_bit_for_bit(
+        fn pipelined_runtime_matches_serial_at_any_schedule(
             proto in 0usize..8,
             collectors in 1usize..5,
             queue_depth in 1usize..5,
@@ -671,127 +691,73 @@ mod pipelined {
             let oracles = oracle_names();
             if proto < hh.len() {
                 let name = hh[proto];
-                let lock_server = build_hh(name, &spec).expect("registered");
-                let (lock_shard, lock_stats) = run_lockstep(
-                    DynHhStream(lock_server.as_ref()), &plan, seed, &input, &crashes,
-                );
-                let pipe_server = build_hh(name, &spec).expect("registered");
-                let (pipe_shard, pipe_stats) = run_pipe(
-                    &DynHhStream(pipe_server.as_ref()), &plan, &config, seed, &input, &crashes,
+                let serial = {
+                    let mut s = build_hh(name, &spec).expect("registered");
+                    run_dyn_heavy_hitter(s.as_mut(), &input, seed).estimates
+                };
+                let base_server = build_hh(name, &spec).expect("registered");
+                let base = DynHhStream(base_server.as_ref());
+                let (base_shard, base_stats) =
+                    run_stream(&base, &plan, &SERIALIZED, seed, &input, &crashes);
+                let mut server = build_hh(name, &spec).expect("registered");
+                let (shard, stats) = run_stream(
+                    &DynHhStream(server.as_ref()), &plan, &config, seed, &input, &crashes,
                 );
                 prop_assert_eq!(
-                    DynHhStream(lock_server.as_ref()).encode_shard(&lock_shard),
-                    DynHhStream(pipe_server.as_ref()).encode_shard(&pipe_shard),
-                    "{}: final shard bytes diverged", name
+                    base.encode_shard(&base_shard),
+                    DynHhStream(server.as_ref()).encode_shard(&shard),
+                    "{}: final shard bytes depend on the schedule", name
                 );
                 prop_assert_eq!(
-                    lock_stats.snapshot_bytes_last, pipe_stats.snapshot_bytes_last,
-                    "{}: durable snapshot sizes diverged", name
+                    base_stats.snapshot_bytes_last, stats.snapshot_bytes_last,
+                    "{}: durable snapshot sizes depend on the schedule", name
                 );
-                prop_assert_eq!(lock_stats.users, pipe_stats.users);
-                prop_assert_eq!(lock_stats.epochs, pipe_stats.epochs);
-                let mut lock_server = lock_server;
-                lock_server.finish_shard(lock_shard);
-                let mut pipe_server = pipe_server;
-                pipe_server.finish_shard(pipe_shard);
-                prop_assert_eq!(
-                    lock_server.finish(), pipe_server.finish(),
-                    "{}: estimates diverged", name
-                );
+                prop_assert_eq!(stats.users, n as u64);
+                prop_assert_eq!(base_stats.epochs, stats.epochs);
+                server.finish_shard(shard);
+                prop_assert_eq!(server.finish(), serial, "{}: estimates diverged from serial", name);
             } else {
                 let name = oracles[proto - hh.len()];
-                let lock_oracle = build_oracle(name, &spec).expect("registered");
-                let (lock_shard, lock_stats) = run_lockstep(
-                    DynOracleStream(lock_oracle.as_ref()), &plan, seed, &input, &crashes,
-                );
-                let pipe_oracle = build_oracle(name, &spec).expect("registered");
-                let (pipe_shard, pipe_stats) = run_pipe(
-                    &DynOracleStream(pipe_oracle.as_ref()), &plan, &config, seed, &input, &crashes,
+                let queries = [17u64, 3, 250];
+                let serial = {
+                    let mut o = build_oracle(name, &spec).expect("registered");
+                    run_dyn_oracle(o.as_mut(), &input, &queries, seed).answers
+                };
+                let base_oracle = build_oracle(name, &spec).expect("registered");
+                let base = DynOracleStream(base_oracle.as_ref());
+                let (base_shard, base_stats) =
+                    run_stream(&base, &plan, &SERIALIZED, seed, &input, &crashes);
+                let mut oracle = build_oracle(name, &spec).expect("registered");
+                let (shard, stats) = run_stream(
+                    &DynOracleStream(oracle.as_ref()), &plan, &config, seed, &input, &crashes,
                 );
                 prop_assert_eq!(
-                    DynOracleStream(lock_oracle.as_ref()).encode_shard(&lock_shard),
-                    DynOracleStream(pipe_oracle.as_ref()).encode_shard(&pipe_shard),
-                    "{}: final shard bytes diverged", name
+                    base.encode_shard(&base_shard),
+                    DynOracleStream(oracle.as_ref()).encode_shard(&shard),
+                    "{}: final shard bytes depend on the schedule", name
                 );
                 prop_assert_eq!(
-                    lock_stats.snapshot_bytes_last, pipe_stats.snapshot_bytes_last,
-                    "{}: durable snapshot sizes diverged", name
+                    base_stats.snapshot_bytes_last, stats.snapshot_bytes_last,
+                    "{}: durable snapshot sizes depend on the schedule", name
                 );
-                let mut lock_oracle = lock_oracle;
-                lock_oracle.finish_shard(lock_shard);
-                lock_oracle.finalize();
-                let mut pipe_oracle = pipe_oracle;
-                pipe_oracle.finish_shard(pipe_shard);
-                pipe_oracle.finalize();
-                for q in [17u64, 3, 250] {
-                    prop_assert_eq!(
-                        lock_oracle.estimate(q), pipe_oracle.estimate(q),
-                        "{}: estimate({}) diverged", name, q
-                    );
-                }
+                oracle.finish_shard(shard);
+                oracle.finalize();
+                let answers: Vec<f64> = queries.iter().map(|&q| oracle.estimate(q)).collect();
+                prop_assert_eq!(answers, serial, "{}: estimates diverged from serial", name);
             }
         }
     }
 
-    /// The typed pipelined session under the fused crash grid: the same
-    /// schedule as `fused_ingest_crash_grid_matches_serial`, driven
-    /// through collector actors, must still match the serial one-shot
-    /// run — and its backpressure stats must be populated.
+    /// The fused crash grid through a buffered queue and concurrent
+    /// encoders: must still match the serial one-shot run, with its
+    /// backpressure stats populated.
     #[test]
     fn pipelined_crash_grid_matches_serial() {
-        let n = 1usize << 14;
-        let input = Workload::planted(512, vec![(9, 0.3), (100, 0.2)]).generate(n, 103);
-        let params = ScanParams::new(n as u64, 512, 4.0, 0.1);
-        let make = || ScanHeavyHitters::new(params.clone(), 323);
-        let seed = 324;
-        let serial = {
-            let mut s = make();
-            run_heavy_hitter(&mut s, &input, seed).estimates
-        };
-        assert!(!serial.is_empty(), "serial run found nothing — vacuous");
-
-        let plan = StreamPlan {
-            epoch_size: n / 7 + 1,
-            checkpoint_every: 3,
-            dist: DistPlan {
-                collectors: 5,
-                chunk_size: n / 40 + 1,
-                threads: 2,
-                merge: MergeOrder::Sequential,
-            },
-        };
         let config = PipelineConfig {
             queue_depth: 2,
             workers: 2,
         };
-        let crashes = vec![
-            Crash {
-                node: 2,
-                kill_after: 2,
-                recover_after: Some(4),
-            },
-            Crash {
-                node: 2,
-                kill_after: 5,
-                recover_after: Some(6),
-            },
-            Crash {
-                node: 4,
-                kill_after: 3,
-                recover_after: None,
-            },
-        ];
-        let server = make();
-        let (shard, stats) = run_pipe(&HhStream(&server), &plan, &config, seed, &input, &crashes);
-        let mut server = server;
-        server.finish_shard(shard);
-        assert_eq!(server.finish(), serial, "pipelined crash grid diverged");
-        assert_eq!(stats.users as usize, n);
-        assert!(
-            stats.recoveries >= 3,
-            "expected all three crashes recovered"
-        );
-        assert!(stats.replayed_reports > 0, "recovery replayed nothing");
+        let (plan, stats) = assert_crash_grid_matches_serial(&config);
         assert!(
             stats.max_queue_occupancy >= 1,
             "chunks crossed queues — occupancy high-water mark must show it"
@@ -799,52 +765,19 @@ mod pipelined {
         assert_eq!(stats.threads, config.workers + plan.dist.collectors);
     }
 
-    /// Mid-stream `finish_at_epoch` on the pipelined session: right
-    /// after each checkpoint it must equal the serial run over exactly
-    /// the ingested prefix (queries are answered from pooled snapshot
-    /// buffers and must not perturb the live stream).
+    /// Mid-stream queries with a single encoder on the session thread:
+    /// answers come from pooled snapshot buffers and must not perturb
+    /// the live stream.
     #[test]
     fn pipelined_mid_stream_queries_match_prefix_runs() {
-        let n = 1usize << 13;
-        let epoch_size = n / 4;
-        let input = Workload::planted(512, vec![(9, 0.3), (100, 0.2)]).generate(n, 99);
-        let params = ScanParams::new(n as u64, 512, 4.0, 0.1);
-        let make = || ScanHeavyHitters::new(params.clone(), 315);
-        let seed = 316;
-
-        let server = make();
-        let plan = StreamPlan {
-            epoch_size,
-            checkpoint_every: 1,
-            dist: DistPlan {
-                collectors: 3,
-                chunk_size: 700,
-                threads: 2,
-                merge: MergeOrder::Tree,
+        assert_mid_stream_queries_match_prefix_runs(
+            1 << 13,
+            700,
+            PipelineConfig {
+                queue_depth: 2,
+                workers: 1,
             },
-        };
-        let config = PipelineConfig {
-            queue_depth: 2,
-            workers: 1,
-        };
-        let (shard, _, ()) = run_pipelined(&HhStream(&server), &plan, &config, seed, |session| {
-            for e in 0..4usize {
-                session.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
-                let mid = session.finish_at_epoch(&mut make());
-                let prefix = {
-                    let mut s = make();
-                    run_heavy_hitter(&mut s, &input[..(e + 1) * epoch_size], seed).estimates
-                };
-                assert_eq!(mid, prefix, "mid-stream query diverged after epoch {e}");
-            }
-        });
-        let mut server = server;
-        server.finish_shard(shard);
-        let serial = {
-            let mut s = make();
-            run_heavy_hitter(&mut s, &input, seed).estimates
-        };
-        assert_eq!(server.finish(), serial);
+        );
     }
 
     #[test]
