@@ -16,9 +16,9 @@
 //! Both components are ε-LDP in total by basic composition, and the
 //! protocol is one-round and non-interactive.
 //!
-//! Server: per coordinate, reconstruct all cell estimates (one fast WHT),
-//! take the per-`(b, y)` argmax over `z` against the stand-out threshold
-//! (steps 2–3), decode each bucket's lists through the
+//! Server: per coordinate, reconstruct all cell tallies (one exact integer
+//! WHT), take the per-`(b, y)` argmax over `z` against the stand-out
+//! threshold (steps 2–3), decode each bucket's lists through the
 //! unique-list-recoverable code (step 4), and return the outer-oracle
 //! estimates of the decoded candidates (steps 5–6).
 
@@ -36,9 +36,10 @@ use hh_freq::wire;
 use hh_freq::wire::{varint_len, write_varint, ShardReader};
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, KWiseHash};
-use hh_math::par::{par_chunk_zip_map, par_map_indexed, planned_threads};
+use hh_math::par::{par_chunk_map, par_chunk_zip_map, par_map_indexed, planned_threads};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::ClientCoins;
+use hh_math::wht::fwht_i32;
 use rand::Rng;
 
 /// The single message a user sends: her coordinate report and her final
@@ -72,7 +73,7 @@ impl WireReport for SketchReport {
 }
 
 /// Mergeable partial aggregate of an [`ExpanderSketch`]: buffered inner
-/// reports per coordinate (the coordinate oracles materialize lazily at
+/// reports per coordinate (each coordinate is decoded from them at
 /// finish) plus the outer oracle's integer-tally shard.
 pub struct SketchShard {
     inner: Vec<Vec<(u64, HashtogramReport)>>,
@@ -134,12 +135,13 @@ pub struct ExpanderSketch {
     seed: u64,
     ulrc: UniqueListCode,
     group_hash: KWiseHash,
-    /// Prototype inner oracle (shared public randomness for all
-    /// coordinates; the per-coordinate accumulation happens at finish).
+    /// Prototype inner oracle: the public randomness and parameters all
+    /// coordinates share. It answers client `respond` calls and supplies
+    /// `W_in` and the debias constant; it never ingests a report.
     inner_proto: Hashtogram,
-    /// Buffered inner reports per coordinate (the coordinate oracles are
-    /// materialized one at a time at finish, so peak memory is one
-    /// `W_in`-sized accumulator plus these tiny reports).
+    /// Buffered inner reports per coordinate. Finish decodes each
+    /// coordinate from them in one `W_in`-cell `i32` buffer per worker,
+    /// so peak decode memory is that buffer plus these tiny reports.
     inner_reports: Vec<Vec<(u64, HashtogramReport)>>,
     outer: Hashtogram,
     users_seen: u64,
@@ -252,58 +254,108 @@ impl ExpanderSketch {
         }
     }
 
+    /// `Err` when an inner report's row lies outside `W_in`: it would
+    /// index past the decode buffer at finish. The same rejection the
+    /// outer [`Hashtogram`] absorber applies to its own rows.
+    fn check_inner_row(&self, rep: HashtogramReport) -> Result<(), WireError> {
+        if rep.ell < self.inner_proto.params().buckets {
+            Ok(())
+        } else {
+            Err(WireError::Invalid("report row outside W"))
+        }
+    }
+
+    /// [`ExpanderSketch::check_inner_row`] as a hard assert, for the
+    /// typed and snapshot paths, which have no error channel.
+    fn assert_inner_row(&self, rep: HashtogramReport) {
+        self.check_inner_row(rep).unwrap_or_else(|_| {
+            panic!(
+                "report row {} outside W = {}",
+                rep.ell,
+                self.inner_proto.params().buckets
+            )
+        });
+    }
+
     /// The stand-out lists (step 3), exposed for inspection/ablation:
     /// `lists[b][m]` = the `(y, z)` pairs whose estimate cleared τ.
     ///
-    /// Coordinates are independent — each materializes, finalizes and
-    /// scans its own inner oracle — so they decode on `threads` workers
-    /// (`0` = hardware, `1` = serial), with the per-coordinate results
-    /// reassembled in coordinate order: the lists are identical for
-    /// every thread count.
+    /// Coordinates are independent, so they decode on `threads` workers
+    /// (`0` = hardware, `1` = serial), each worker reusing one decode
+    /// buffer over a contiguous run of coordinates; results come back in
+    /// coordinate order, so the lists are identical for every thread
+    /// count.
     fn build_standout_lists(&self, threads: usize) -> Vec<Vec<Vec<(u64, u64)>>> {
         let p = &self.params;
-        let tau = p.standout_threshold();
-        let z_card = p.z_cardinality();
-        let per_coord = par_map_indexed(p.num_coords, threads, |m| {
-            // Materialize coordinate m's oracle, ingest its reports, scan.
-            let reports_m = &self.inner_reports[m];
-            let mut out = vec![Vec::new(); p.num_buckets as usize];
-            if reports_m.is_empty() {
-                return out;
-            }
-            let mut oracle = self.inner_proto.clone();
-            for &(user, rep) in reports_m {
-                oracle.collect(user, rep);
-            }
-            oracle.finalize();
-            let mut buf = Vec::new();
-            for (b, list) in out.iter_mut().enumerate() {
-                for y in 0..p.y_range {
-                    let base = p.cell_id(b as u64, y, 0);
-                    let mut best_z = 0u64;
-                    let mut best_v = f64::NEG_INFINITY;
-                    for z in 0..z_card {
-                        let v = oracle.estimate_into(base + z, &mut buf);
-                        if v > best_v {
-                            best_v = v;
-                            best_z = z;
-                        }
-                    }
-                    if best_v >= tau && list.len() < p.list_cap {
-                        list.push((y, best_z));
-                    }
-                }
-            }
-            out
+        let run = p
+            .num_coords
+            .div_ceil(planned_threads(threads, p.num_coords, 1))
+            .max(1);
+        let per_run = par_chunk_map(&self.inner_reports, run, threads, |_, run| {
+            let mut cells = Vec::new();
+            run.iter()
+                .map(|reports| self.coord_standouts(reports, &mut cells))
+                .collect::<Vec<_>>()
         });
         // Transpose coordinate-major results into `lists[b][m]`.
         let mut lists = vec![vec![Vec::new(); p.num_coords]; p.num_buckets as usize];
-        for (m, per_b) in per_coord.into_iter().enumerate() {
+        for (m, per_b) in per_run.into_iter().flatten().enumerate() {
             for (b, list) in per_b.into_iter().enumerate() {
                 lists[b][m] = list;
             }
         }
         lists
+    }
+
+    /// Steps 2–3 for one coordinate: its stand-out list per bucket,
+    /// decoded from the exact integer tallies of its inner reports.
+    ///
+    /// The inner oracle is one group with identity buckets and no signs,
+    /// so its estimate of a cell is the debias constant `c` times the
+    /// cell's Hadamard-transformed tally `T`. The decode scatters the
+    /// ±1 bits into `cells` (zeroed, `W_in` long), runs one integer WHT,
+    /// takes each contiguous `(b, y)` z-block's first-occurrence argmax
+    /// of `T`, and debiases only that winner (`c·T ≥ τ`). `c > 0`, so the
+    /// winner is the oracle's argmax; only on an exact tie could the
+    /// f64 estimates order the tied cells differently.
+    fn coord_standouts(
+        &self,
+        reports: &[(u64, HashtogramReport)],
+        cells: &mut Vec<i32>,
+    ) -> Vec<Vec<(u64, u64)>> {
+        let p = &self.params;
+        let mut out = vec![Vec::new(); p.num_buckets as usize];
+        if reports.is_empty() {
+            return out;
+        }
+        // Every transform intermediate is bounded by the report count.
+        assert!(
+            i32::try_from(reports.len()).is_ok(),
+            "{} reports in one coordinate overflow the i32 transform",
+            reports.len()
+        );
+        cells.clear();
+        cells.resize(self.inner_proto.params().buckets as usize, 0);
+        for &(_, rep) in reports {
+            cells[rep.ell as usize] += i32::from(rep.bit);
+        }
+        fwht_i32(cells);
+        let c = self.inner_proto.debias_factor();
+        let tau = p.standout_threshold();
+        let y_range = p.y_range as usize;
+        let z_blocks = cells[..p.inner_cells() as usize].chunks_exact(p.z_cardinality() as usize);
+        for (k, block) in z_blocks.enumerate() {
+            let best = *block.iter().max().expect("z blocks are non-empty");
+            let list = &mut out[k / y_range];
+            if c * f64::from(best) >= tau && list.len() < p.list_cap {
+                let z = block
+                    .iter()
+                    .position(|&t| t == best)
+                    .expect("max is in its block");
+                list.push(((k % y_range) as u64, z as u64));
+            }
+        }
+        out
     }
 }
 
@@ -345,6 +397,7 @@ impl HeavyHitterProtocol for ExpanderSketch {
 
     fn collect(&mut self, user_index: u64, report: SketchReport) {
         assert!(!self.finished, "collect after finish");
+        self.assert_inner_row(report.inner);
         let m = self.coord_of(user_index);
         self.inner_reports[m].push((user_index, report.inner));
         self.outer.collect(user_index, report.outer);
@@ -360,12 +413,14 @@ impl HeavyHitterProtocol for ExpanderSketch {
     }
 
     fn absorb(&self, shard: &mut SketchShard, start_index: u64, reports: &[SketchReport]) {
-        // Inner reports buffer per (recomputed) coordinate — the
-        // coordinate oracles ingest them at finish through order-exact
-        // integer tallies, so buffer order across shards is immaterial.
+        // Inner reports buffer per (recomputed) coordinate — finish
+        // tallies them into order-exact integers, so buffer order across
+        // shards is immaterial. A row outside `W_in` panics here, not at
+        // finish.
         let part_seed = self.partition_seed();
         let num_coords = self.params.num_coords as u64;
         for (k, rep) in reports.iter().enumerate() {
+            self.assert_inner_row(rep.inner);
             let i = start_index + k as u64;
             let m = Self::coord_at(part_seed, i, num_coords);
             shard.inner[m].push((i, rep.inner));
@@ -391,6 +446,8 @@ impl HeavyHitterProtocol for ExpanderSketch {
         let outer_absorber = self.outer.absorber();
         for (k, frame) in frames.iter().enumerate() {
             let (inner, outer) = wire::decode_pair::<HashtogramReport, HashtogramReport>(frame)
+                .map_err(|e| frames.frame_error(k, e))?;
+            self.check_inner_row(inner)
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
             let m = Self::coord_at(part_seed, i, num_coords);
@@ -422,6 +479,11 @@ impl HeavyHitterProtocol for ExpanderSketch {
             self.params.num_coords,
             "shard shape mismatch"
         );
+        // Decoded snapshots are unvalidated: a bad row fails here, not as
+        // an index panic inside finish.
+        for &(_, rep) in shard.inner.iter().flatten() {
+            self.assert_inner_row(rep);
+        }
         for (acc, mut add) in self.inner_reports.iter_mut().zip(shard.inner) {
             acc.append(&mut add);
         }
@@ -500,10 +562,10 @@ impl HeavyHitterProtocol for ExpanderSketch {
     }
 
     fn memory_bytes(&self) -> usize {
-        // One materialized coordinate accumulator (a parallel finish
-        // holds one per worker; this is the serial floor) + the outer
-        // oracle sketch + stand-out lists.
-        self.inner_proto.memory_bytes()
+        // One `W_in`-cell i32 decode buffer (a parallel finish holds one
+        // per worker; this is the serial floor) + the outer oracle sketch
+        // + stand-out lists.
+        self.inner_proto.params().buckets as usize * std::mem::size_of::<i32>()
             + self.outer.memory_bytes()
             + self.params.num_buckets as usize
                 * self.params.num_coords
@@ -554,6 +616,101 @@ mod tests {
             server.collect(i as u64, rep);
         }
         server.finish()
+    }
+
+    /// Test-only reference decode of the stand-out lists through the
+    /// inner oracle itself: per coordinate, clone the prototype,
+    /// `collect` its reports, `finalize` (f64 debias + WHT), then take
+    /// each `(b, y)` argmax over `z` of `estimate_into`.
+    fn oracle_standout_lists(s: &ExpanderSketch) -> Vec<Vec<Vec<(u64, u64)>>> {
+        let p = &s.params;
+        let tau = p.standout_threshold();
+        let mut lists = vec![vec![Vec::new(); p.num_coords]; p.num_buckets as usize];
+        for (m, reports) in s.inner_reports.iter().enumerate() {
+            if reports.is_empty() {
+                continue;
+            }
+            let mut oracle = s.inner_proto.clone();
+            for &(user, rep) in reports {
+                oracle.collect(user, rep);
+            }
+            oracle.finalize();
+            let mut buf = Vec::new();
+            for (b, per_m) in lists.iter_mut().enumerate() {
+                for y in 0..p.y_range {
+                    let base = p.cell_id(b as u64, y, 0);
+                    let (mut best_z, mut best_v) = (0, f64::NEG_INFINITY);
+                    for z in 0..p.z_cardinality() {
+                        let v = oracle.estimate_into(base + z, &mut buf);
+                        if v > best_v {
+                            (best_z, best_v) = (z, v);
+                        }
+                    }
+                    if best_v >= tau && per_m[m].len() < p.list_cap {
+                        per_m[m].push((y, best_z));
+                    }
+                }
+            }
+        }
+        lists
+    }
+
+    #[test]
+    fn integer_decode_matches_oracle_reference() {
+        // Two profiles (small/large domain, high/low ε) × two seeds, each
+        // with a planted element heavy enough to stand out, so the lists
+        // under comparison are not all empty. Both profiles have 2^21
+        // inner cells: the reference's per-cell estimates dominate the
+        // test's time.
+        for (n, bits, eps) in [(1usize << 12, 16u32, 4.0), (1 << 13, 20, 2.0)] {
+            let params = SketchParams::optimal(n as u64, bits, eps, 0.1);
+            for seed in [1u64, 2] {
+                let data = planted(n, bits, &[(0x2a, 0.9)], seed);
+                let mut server = ExpanderSketch::new(params.clone(), seed);
+                let mut rng = seeded_rng(derive_seed(seed, 0xFACE));
+                for (i, &x) in data.iter().enumerate() {
+                    let rep = server.respond(i as u64, x, &mut rng);
+                    server.collect(i as u64, rep);
+                }
+                let want = oracle_standout_lists(&server);
+                assert!(
+                    want.iter().flatten().any(|l| !l.is_empty()),
+                    "n = {n}, seed = {seed}: no stand-outs to compare"
+                );
+                for threads in [1, 2] {
+                    assert_eq!(
+                        server.build_standout_lists(threads),
+                        want,
+                        "n = {n}, bits = {bits}, seed = {seed}, threads = {threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_counts_one_i32_decode_buffer() {
+        let p = SketchParams::optimal(1 << 12, 16, 1.0, 0.1);
+        let server = ExpanderSketch::new(p.clone(), 6);
+        let lists = p.num_buckets as usize * p.num_coords * p.list_cap * 16;
+        assert_eq!(
+            server.memory_bytes(),
+            p.inner_cells().next_power_of_two() as usize * 4
+                + server.outer_oracle().memory_bytes()
+                + lists
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside W")]
+    fn typed_absorb_rejects_an_inner_row_outside_w() {
+        let p = SketchParams::optimal(1 << 10, 16, 1.0, 0.1);
+        let server = ExpanderSketch::new(p.clone(), 8);
+        let mut rng = seeded_rng(1);
+        let mut rep = server.respond(0, 7, &mut rng);
+        rep.inner.ell = p.inner_cells().next_power_of_two();
+        let mut shard = server.new_shard();
+        server.absorb(&mut shard, 0, &[rep]);
     }
 
     #[test]

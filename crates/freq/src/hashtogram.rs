@@ -406,6 +406,14 @@ impl Hashtogram {
         }
     }
 
+    /// The randomized-response debias constant `c_ε = (e^ε+1)/(e^ε−1)`
+    /// that [`FrequencyOracle::finalize`] multiplies into every tally
+    /// cell — read-only, for decoders that transform the exact integer
+    /// tallies themselves and debias only the cells they keep.
+    pub fn debias_factor(&self) -> f64 {
+        self.rr.debias_factor()
+    }
+
     /// [`FrequencyOracle::estimate`] writing the per-group estimates
     /// into a caller-owned buffer — bit-for-bit the same answer, no
     /// per-query allocation. The sweep entry point the scan-style

@@ -45,6 +45,61 @@ pub fn fwht(data: &mut [f64]) {
     }
 }
 
+/// Cells per cache block of [`fwht_i32`]: `2^16` `i32`s = 256 KiB, which
+/// stays resident in a per-core L2 while the levels inside it run.
+pub const WHT_BLOCK: usize = 1 << 16;
+
+/// In-place fast Walsh–Hadamard transform over exact integers
+/// (unnormalized), cache-blocked — the same transform as [`fwht`].
+///
+/// Every intermediate value is bounded by `Σ|data[i]|`, so the result is
+/// exact whenever that sum fits `i32` (a tally of at most `i32::MAX` ±1
+/// reports, say); keeping it there is the caller's precondition.
+///
+/// The levels below [`WHT_BLOCK`] pair cells inside one block, so each
+/// block runs all of them while it is cache-resident; the remaining
+/// levels then run over the whole buffer. Levels go two at a time
+/// (radix 4), so each pass loads and stores every cell once per pair of
+/// levels.
+pub fn fwht_i32(data: &mut [i32]) {
+    let n = data.len();
+    assert!(
+        n.is_power_of_two(),
+        "WHT length must be a power of two: {n}"
+    );
+    let block = n.min(WHT_BLOCK);
+    for row in data.chunks_exact_mut(block) {
+        levels_from(row, 1);
+    }
+    levels_from(data, block);
+}
+
+/// The butterfly levels `h, 2h, …` below `data.len()` of [`fwht_i32`]:
+/// pairs of levels fused into one radix-4 pass, an odd last level as a
+/// radix-2 pass.
+fn levels_from(data: &mut [i32], mut h: usize) {
+    let n = data.len();
+    while 4 * h <= n {
+        for quad in data.chunks_exact_mut(4 * h) {
+            let (ab, cd) = quad.split_at_mut(2 * h);
+            let (a, b) = ab.split_at_mut(h);
+            let (c, d) = cd.split_at_mut(h);
+            for (((a, b), c), d) in a.iter_mut().zip(b).zip(c).zip(d) {
+                let (p, q) = (*a + *b, *a - *b);
+                let (r, s) = (*c + *d, *c - *d);
+                (*a, *b, *c, *d) = (p + r, q + s, p - r, q - s);
+            }
+        }
+        h *= 4;
+    }
+    if h < n {
+        let (lo, hi) = data.split_at_mut(h);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            (*x, *y) = (*x + *y, *x - *y);
+        }
+    }
+}
+
 /// In-place fast Walsh–Hadamard transform, blocked across worker
 /// threads — bit-for-bit equal to [`fwht`] for every `threads`
 /// (`0` = the available hardware parallelism).
@@ -243,6 +298,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Random ±`bound` integers, as `i32` and as the same `f64` values.
+    fn random_ints(rng: &mut SmallRng, n: usize, bound: i32) -> (Vec<i32>, Vec<f64>) {
+        let ints: Vec<i32> = (0..n)
+            .map(|_| rng.gen_range(0..(2 * bound as u64 + 1)) as i32 - bound)
+            .collect();
+        let floats = ints.iter().map(|&v| f64::from(v)).collect();
+        (ints, floats)
+    }
+
+    #[test]
+    fn integer_matches_naive() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        for k in 0..9u32 {
+            let (mut got, data) = random_ints(&mut rng, 1 << k, 50);
+            let want = wht_naive(&data);
+            fwht_i32(&mut got);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(f64::from(g), w, "k = {k}, cell {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_matches_f64_below_at_and_above_the_block() {
+        // Integer f64 sums are exact below 2^53, so the float kernel is
+        // an exact oracle here. Sizes cover one partial block, exactly
+        // one block, and an even and an odd number of levels above it.
+        let mut rng = SmallRng::seed_from_u64(31);
+        for n in [
+            WHT_BLOCK / 4,
+            WHT_BLOCK,
+            WHT_BLOCK * 2,
+            WHT_BLOCK * 4,
+            WHT_BLOCK * 8,
+        ] {
+            let (mut got, mut want) = random_ints(&mut rng, n, 1);
+            fwht_i32(&mut got);
+            fwht(&mut want);
+            assert!(
+                got.iter().zip(&want).all(|(&g, &w)| f64::from(g) == w),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_is_exact_at_the_i32_bound() {
+        // `Σ|x| = i32::MAX`: every intermediate stays representable.
+        let mut x = vec![0i32; 8];
+        x[3] = i32::MAX - 5;
+        x[6] = -5;
+        let want: Vec<i64> = (0..8u64)
+            .map(|l| {
+                i64::from(hadamard_entry(l, 3)) * i64::from(i32::MAX - 5)
+                    - 5 * i64::from(hadamard_entry(l, 6))
+            })
+            .collect();
+        fwht_i32(&mut x);
+        let got: Vec<i64> = x.iter().map(|&v| i64::from(v)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn integer_rejects_non_power_of_two() {
+        let mut x = vec![0i32; 12];
+        fwht_i32(&mut x);
     }
 
     #[test]

@@ -215,6 +215,35 @@ fn corrupt_wire_chunks_surface_frame_and_offset() {
     );
 }
 
+#[test]
+fn sketch_rejects_an_inner_row_outside_w_at_ingest() {
+    // An inner report whose row is `W_in` decodes fine but would index
+    // past the coordinate's decode buffer at finish; ingest must reject
+    // it with the frame's provenance instead.
+    use ldp_heavy_hitters::core::SketchReport;
+    let params = SketchParams::optimal(1 << 10, 16, 2.0, 0.1);
+    let w_in = params.inner_cells().next_power_of_two();
+    let server = ExpanderSketch::new(params, 5);
+    let mut rng = seeded_rng(9);
+    let good = server.respond(0, 3, &mut rng);
+    let mut bad = server.respond(1, 3, &mut rng);
+    bad.inner.ell = w_in;
+    let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+    for rep in [good, bad] {
+        rep.encode_into(&mut bytes);
+        lens.push(rep.encoded_len() as u32);
+    }
+    assert_eq!(SketchReport::decode(&bytes[lens[0] as usize..]), Ok(bad));
+    let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
+    let mut shard = server.new_shard();
+    let err = server
+        .absorb_wire(&mut shard, 0, &frames)
+        .expect_err("inner row outside W_in must be rejected");
+    assert_eq!(err.frame, 1);
+    assert_eq!(err.byte_offset, lens[0] as usize);
+    assert_eq!(err.error, WireError::Invalid("report row outside W"));
+}
+
 mod zero_copy_ingest {
     //! Property: the fused client path (`respond_encode_batch`) writes
     //! byte-identical wire chunks to respond-then-encode, and the
