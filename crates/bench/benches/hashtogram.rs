@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hh_freq::hashtogram::{Hashtogram, HashtogramParams};
-use hh_freq::traits::FrequencyOracle;
+use hh_freq::traits::{Aggregator, FrequencyOracle};
 use hh_math::rng::seeded_rng;
 
 fn bench_respond(c: &mut Criterion) {

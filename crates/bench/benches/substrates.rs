@@ -1,17 +1,18 @@
 //! Criterion bench for the substrate layers: hashing, WHT,
 //! Reed–Solomon, ULRC encode/decode, expander construction, clustering,
-//! and the batch-pipeline primitives (respond_batch / collect_batch /
-//! par_chunk_map).
+//! and the batch-pipeline primitives (fused respond_encode_batch,
+//! sharded absorb_wire, par_chunk_map).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hh_codes::ulrc::{UlrcParams, UniqueListCode};
 use hh_codes::ReedSolomon;
 use hh_freq::hashtogram::{Hashtogram, HashtogramParams};
-use hh_freq::traits::FrequencyOracle;
+use hh_freq::traits::Aggregator;
+use hh_freq::wire::WireFrames;
 use hh_graph::cluster::{spectral_clusters, ClusterParams};
 use hh_graph::expander::expander;
 use hh_hash::{KWiseHash, PairwiseHash};
-use hh_math::par::par_chunk_map;
+use hh_math::par::{merge_tree, par_chunk_map, par_map_indexed};
 use hh_math::rng::{client_rng, seeded_rng};
 use hh_math::wht::fwht;
 use rand::Rng;
@@ -145,33 +146,57 @@ fn bench_batch_pipeline(c: &mut Criterion) {
             acc
         });
     });
-    group.bench_function("respond_batch_64k", |b| {
-        b.iter(|| oracle.respond_batch(0, &data, client_seed));
+    let mut buf = Vec::new();
+    group.bench_function("respond_encode_batch_64k", |b| {
+        b.iter(|| {
+            buf.clear();
+            oracle.respond_encode_batch(0, &data, client_seed, &mut buf)
+        });
     });
-    group.bench_function("respond_batch_64k_parallel", |b| {
+    group.bench_function("respond_encode_batch_64k_parallel", |b| {
         b.iter(|| {
             par_chunk_map(&data, 1 << 14, 0, |c, xs| {
-                oracle.respond_batch((c << 14) as u64, xs, client_seed)
+                let mut bytes = Vec::new();
+                let lens =
+                    oracle.respond_encode_batch((c << 14) as u64, xs, client_seed, &mut bytes);
+                (bytes, lens)
             })
         });
     });
-    // Both sides pay the same reports.clone() inside the timed closure
-    // (collect_batch consumes its Vec and the shim has no iter_batched),
-    // so the comparison isolates ingest cost, not allocation.
-    let reports = oracle.respond_batch(0, &data, client_seed);
+    let reports: Vec<_> = data
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| oracle.respond(i as u64, x, &mut client_rng(client_seed, i as u64)))
+        .collect();
     group.bench_function("collect_scalar_64k", |b| {
         b.iter(|| {
             let mut o = Hashtogram::new(params.clone(), 1);
-            for (i, rep) in reports.clone().into_iter().enumerate() {
+            for (i, &rep) in reports.iter().enumerate() {
                 o.collect(i as u64, rep);
             }
             o.total_users()
         });
     });
-    group.bench_function("collect_batch_64k", |b| {
+    // The wire chunks are encoded once, outside the timed closure, so
+    // the comparison with `collect_scalar_64k` isolates ingest cost.
+    let chunks = par_chunk_map(&data, 1 << 14, 0, |c, xs| {
+        let mut bytes = Vec::new();
+        let lens = oracle.respond_encode_batch((c << 14) as u64, xs, client_seed, &mut bytes);
+        (bytes, lens)
+    });
+    group.bench_function("absorb_wire_sharded_64k", |b| {
         b.iter(|| {
             let mut o = Hashtogram::new(params.clone(), 1);
-            o.collect_batch(0, reports.clone());
+            let shards = par_map_indexed(chunks.len(), 0, |c| {
+                let (bytes, lens) = &chunks[c];
+                let frames = WireFrames::new(bytes, lens).expect("well-framed");
+                let mut shard = o.new_shard();
+                o.absorb_wire(&mut shard, (c << 14) as u64, &frames)
+                    .expect("lossless chunk");
+                shard
+            });
+            let merged = merge_tree(shards, |a, b| o.merge(a, b)).expect("non-empty");
+            o.finish_shard(merged);
             o.total_users()
         });
     });

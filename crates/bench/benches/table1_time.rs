@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hh_core::baselines::{Bitstogram, BitstogramParams};
-use hh_core::traits::HeavyHitterProtocol;
+use hh_core::traits::Aggregator;
 use hh_core::{ExpanderSketch, SketchParams};
 use hh_math::rng::seeded_rng;
 use hh_sim::{run_heavy_hitter, run_heavy_hitter_batched, BatchPlan, Workload};

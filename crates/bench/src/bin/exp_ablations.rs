@@ -1,4 +1,4 @@
-//! Ablations AB.1–AB.3 — the design choices DESIGN.md calls out.
+//! Ablations AB.1–AB.3 — three design choices of the sketch, measured.
 //!
 //! * AB.1: per-coordinate independent hashes (the §3.1.2 idea) vs a
 //!   single shared hash (the \[3\] design): per-message failure
@@ -154,7 +154,7 @@ fn ab3() {
 fn main() {
     banner(
         "AB.1–AB.3 — ablations",
-        "design choices called out in DESIGN.md",
+        "three design choices of the sketch, measured",
     );
     ab1();
     ab2();

@@ -52,10 +52,10 @@ use hh_math::rng::derive_seed;
 use hh_math::FinishScratch;
 use hh_sim::registry::{build_hh, build_oracle, ProtocolSpec};
 use hh_sim::{
-    run_dyn_heavy_hitter, run_dyn_heavy_hitter_batched, run_dyn_heavy_hitter_distributed,
-    run_dyn_oracle, run_dyn_oracle_batched, run_dyn_oracle_distributed, run_pipelined, BatchPlan,
-    DistPlan, DynHhProtocol, DynHhStream, FinishPhase, PipelineConfig, PipelineSession,
-    ProtocolRun, StreamIngest, StreamPlan, StreamWorkload, Workload,
+    run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter_batched, run_heavy_hitter_distributed,
+    run_oracle_batched, run_oracle_distributed, run_pipelined, BatchPlan, DistPlan, DynHhProtocol,
+    DynHhStream, FinishPhase, PipelineConfig, PipelineSession, ProtocolRun, StreamIngest,
+    StreamPlan, StreamWorkload, Workload,
 };
 use std::time::Instant;
 
@@ -158,7 +158,7 @@ fn drive(server: &mut dyn DynHhProtocol, data: &[u64], seed: u64, driver: Driver
             let run = if driver == Driver::Serial {
                 run_dyn_heavy_hitter(server, data, seed)
             } else {
-                run_dyn_heavy_hitter_batched(server, data, seed, &BatchPlan::default())
+                run_heavy_hitter_batched(server, data, seed, &BatchPlan::default())
             };
             RowRun {
                 run,
@@ -166,7 +166,7 @@ fn drive(server: &mut dyn DynHhProtocol, data: &[u64], seed: u64, driver: Driver
             }
         }
         Driver::Distributed => {
-            let d = run_dyn_heavy_hitter_distributed(server, data, seed, &DistPlan::default());
+            let d = run_heavy_hitter_distributed(server, data, seed, &DistPlan::default());
             RowRun {
                 wire_bytes_per_user: d.wire_bytes_per_user(),
                 run: ProtocolRun {
@@ -202,7 +202,7 @@ fn compare_at_scale(
     let plan = BatchPlan::default();
     let batched = {
         let mut s = build_hh(name, spec).expect("registered protocol");
-        run_dyn_heavy_hitter_batched(s.as_mut(), data, seed, &plan)
+        run_heavy_hitter_batched(s.as_mut(), data, seed, &plan)
     };
     assert_eq!(
         serial.estimates, batched.estimates,
@@ -247,7 +247,7 @@ fn merge_scaling(
     let mut out = Vec::new();
     for collectors in [1usize, 2, 8] {
         let mut s = build_hh(name, spec).expect("registered protocol");
-        let run = run_dyn_heavy_hitter_distributed(
+        let run = run_heavy_hitter_distributed(
             s.as_mut(),
             data,
             seed,
@@ -731,7 +731,7 @@ fn main() {
                 let run = if driver == Driver::Serial {
                     run_dyn_oracle(o.as_mut(), &data, &queries, 6)
                 } else {
-                    run_dyn_oracle_batched(o.as_mut(), &data, &queries, 6, &BatchPlan::default())
+                    run_oracle_batched(o.as_mut(), &data, &queries, 6, &BatchPlan::default())
                 };
                 (
                     run.server_build,
@@ -743,13 +743,8 @@ fn main() {
                 )
             }
             Driver::Distributed => {
-                let run = run_dyn_oracle_distributed(
-                    o.as_mut(),
-                    &data,
-                    &queries,
-                    6,
-                    &DistPlan::default(),
-                );
+                let run =
+                    run_oracle_distributed(o.as_mut(), &data, &queries, 6, &DistPlan::default());
                 (
                     run.server_build,
                     run.client_total,

@@ -1,7 +1,8 @@
 //! Shared utilities for the experiment harness.
 //!
 //! The binaries in `src/bin/exp_*.rs` regenerate every quantitative claim
-//! of the paper (see EXPERIMENTS.md for the index); this library holds
+//! of the paper (see the README's "Reproducing the Table 1 experiments"
+//! for the index); this library holds
 //! the table-printing, JSON-emission and sweep plumbing they share.
 
 use std::fmt::Write as _;

@@ -10,7 +10,7 @@
 //!   (`m ∈ 3..=8` covers every configuration in the workspace).
 //! * [`rs`] — Reed–Solomon (evaluation form) with Berlekamp–Welch
 //!   errors-and-erasures decoding. This substitutes for the linear-time
-//!   Spielman codes the paper cites; see DESIGN.md §5 — at block lengths
+//!   Spielman codes the paper cites: at block lengths
 //!   `M ≤ 2^m − 1` the rate/distance trade-off is strictly better and
 //!   decode cost is negligible.
 //! * [`ulrc`] — the `(α, ℓ, L)`-unique-list-recoverable code of

@@ -9,7 +9,7 @@
 //!
 //! The paper cites linear-time Spielman codes here; at the block lengths
 //! this workspace uses (`n ≤ 2^m − 1 ≤ 255`) Reed–Solomon decoding is a
-//! trivial cost and the distance is strictly better (see DESIGN.md §5).
+//! trivial cost and the distance is strictly better.
 
 use crate::gf::Gf;
 

@@ -10,7 +10,7 @@
 //! capped accordingly; the `exp_table1_resources` bench extrapolates the
 //! full-domain cost.
 
-use crate::traits::{FinishScratch, FrameError, HeavyHitterProtocol, WireFrames};
+use crate::traits::{Aggregator, FinishScratch, FrameError, HeavyHitterProtocol, WireFrames};
 use hh_freq::bassily_smith::{BassilySmithOracle, BsReport, BsShard};
 use hh_freq::calibrate;
 use hh_freq::traits::FrequencyOracle;
@@ -83,16 +83,12 @@ impl BassilySmithHeavyHitters {
     }
 }
 
-impl HeavyHitterProtocol for BassilySmithHeavyHitters {
+impl Aggregator for BassilySmithHeavyHitters {
     type Report = BsReport;
     type Shard = BsShard;
 
     fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> BsReport {
         self.oracle.respond(user_index, x, rng)
-    }
-
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<BsReport> {
-        self.oracle.respond_batch(start_index, xs, client_seed)
     }
 
     fn respond_encode_batch(
@@ -115,10 +111,6 @@ impl HeavyHitterProtocol for BassilySmithHeavyHitters {
         self.oracle.new_shard()
     }
 
-    fn absorb(&self, shard: &mut BsShard, start_index: u64, reports: &[BsReport]) {
-        self.oracle.absorb(shard, start_index, reports);
-    }
-
     fn absorb_wire(
         &self,
         shard: &mut BsShard,
@@ -137,6 +129,20 @@ impl HeavyHitterProtocol for BassilySmithHeavyHitters {
         self.oracle.finish_shard(shard);
     }
 
+    fn report_bits(&self) -> usize {
+        self.oracle.report_bits()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.oracle.memory_bytes()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.params.eps
+    }
+}
+
+impl HeavyHitterProtocol for BassilySmithHeavyHitters {
     fn finish(&mut self) -> Vec<(u64, f64)> {
         self.finish_with(&mut FinishScratch::default())
     }
@@ -174,18 +180,6 @@ impl HeavyHitterProtocol for BassilySmithHeavyHitters {
                 .then_with(|| a.0.cmp(&b.0))
         });
         est
-    }
-
-    fn report_bits(&self) -> usize {
-        self.oracle.report_bits()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.oracle.memory_bytes()
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.params.eps
     }
 
     fn detection_threshold(&self) -> f64 {

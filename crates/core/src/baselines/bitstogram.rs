@@ -17,7 +17,8 @@
 //! `exp_error_vs_beta` bench measures the two side by side.
 
 use crate::traits::{
-    FinishScratch, FrameError, HeavyHitterProtocol, WireError, WireFrames, WireReport, WireShard,
+    Aggregator, FinishScratch, FrameError, HeavyHitterProtocol, WireError, WireFrames, WireReport,
+    WireShard,
 };
 use hh_freq::calibrate;
 use hh_freq::hashtogram::{
@@ -266,36 +267,9 @@ impl Bitstogram {
         let bit = (x >> m) & 1;
         2 * y + bit
     }
-
-    /// The one batched client loop `respond_batch` and the fused encode
-    /// path drive: per-user derived coin streams with the
-    /// group-assignment seed hoisted, each composite report (inner, then
-    /// outer — the same draw order as `respond`) handed to `emit` in
-    /// user order.
-    fn respond_each(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        mut emit: impl FnMut(BitstogramReport),
-    ) {
-        let group_seed = self.assignment_seed();
-        let num_groups = self.params.num_groups() as u64;
-        let coins = ClientCoins::new(client_seed);
-        for (k, &x) in xs.iter().enumerate() {
-            let i = start_index + k as u64;
-            let mut rng = coins.user(i);
-            let group = Self::group_at(group_seed, i, num_groups);
-            let cell = self.cell_of(group, x);
-            emit(BitstogramReport {
-                inner: self.inner_proto.respond(i, cell, &mut rng),
-                outer: self.outer.respond(i, x, &mut rng),
-            });
-        }
-    }
 }
 
-impl HeavyHitterProtocol for Bitstogram {
+impl Aggregator for Bitstogram {
     type Report = BitstogramReport;
     type Shard = BitstogramShard;
 
@@ -308,17 +282,6 @@ impl HeavyHitterProtocol for Bitstogram {
         }
     }
 
-    fn respond_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-    ) -> Vec<BitstogramReport> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.respond_each(start_index, xs, client_seed, |rep| out.push(rep));
-        out
-    }
-
     fn respond_encode_batch(
         &self,
         start_index: u64,
@@ -327,13 +290,27 @@ impl HeavyHitterProtocol for Bitstogram {
         out: &mut Vec<u8>,
     ) -> Vec<u32> {
         // Fused: write each composite pair frame straight to the wire —
-        // no intermediate report vec.
+        // no intermediate report vec. Per-user derived coin streams with
+        // the group-assignment seed hoisted; inner, then outer — the same
+        // draw order as `respond`.
+        let group_seed = self.assignment_seed();
+        let num_groups = self.params.num_groups() as u64;
+        let coins = ClientCoins::new(client_seed);
         let mut lens = Vec::with_capacity(xs.len());
-        self.respond_each(start_index, xs, client_seed, |rep| {
+        for (k, &x) in xs.iter().enumerate() {
+            let i = start_index + k as u64;
+            let mut rng = coins.user(i);
+            let group = Self::group_at(group_seed, i, num_groups);
+            let rep = BitstogramReport {
+                inner: self
+                    .inner_proto
+                    .respond(i, self.cell_of(group, x), &mut rng),
+                outer: self.outer.respond(i, x, &mut rng),
+            };
             let before = out.len();
             rep.encode_into(out);
             lens.push((out.len() - before) as u32);
-        });
+        }
         lens
     }
 
@@ -349,18 +326,6 @@ impl HeavyHitterProtocol for Bitstogram {
             inner: vec![Vec::new(); self.params.num_groups()],
             outer: self.outer.new_shard(),
         }
-    }
-
-    fn absorb(&self, shard: &mut BitstogramShard, start_index: u64, reports: &[BitstogramReport]) {
-        let group_seed = self.assignment_seed();
-        let num_groups = self.params.num_groups() as u64;
-        for (k, rep) in reports.iter().enumerate() {
-            let i = start_index + k as u64;
-            let group = Self::group_at(group_seed, i, num_groups);
-            shard.inner[group].push((i, rep.inner));
-        }
-        let outer: Vec<HashtogramReport> = reports.iter().map(|r| r.outer).collect();
-        self.outer.absorb(&mut shard.outer, start_index, &outer);
     }
 
     fn absorb_wire(
@@ -413,6 +378,23 @@ impl HeavyHitterProtocol for Bitstogram {
         self.outer.finish_shard(shard.outer);
     }
 
+    fn report_bits(&self) -> usize {
+        // Exact worst-case wire size of the composite message, as for
+        // `SketchReport`.
+        wire::pair_wire_bits(self.inner_proto.report_bits(), self.outer.report_bits())
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.inner_proto.memory_bytes() * self.params.domain_bits as usize
+            + self.outer.memory_bytes()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.params.eps
+    }
+}
+
+impl HeavyHitterProtocol for Bitstogram {
     fn finish(&mut self) -> Vec<(u64, f64)> {
         self.finish_with(&mut FinishScratch::default())
     }
@@ -495,21 +477,6 @@ impl HeavyHitterProtocol for Bitstogram {
                 .then_with(|| a.0.cmp(&b.0))
         });
         est
-    }
-
-    fn report_bits(&self) -> usize {
-        // Exact worst-case wire size of the composite message, as for
-        // `SketchReport`.
-        wire::pair_wire_bits(self.inner_proto.report_bits(), self.outer.report_bits())
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner_proto.memory_bytes() * self.params.domain_bits as usize
-            + self.outer.memory_bytes()
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.params.eps
     }
 
     fn detection_threshold(&self) -> f64 {

@@ -8,7 +8,7 @@
 //! `n > |X|` (the complementary regime noted under Theorem 3.13), and the
 //! small-domain reference the benches use for ground truth.
 
-use crate::traits::{FinishScratch, FrameError, HeavyHitterProtocol, WireFrames};
+use crate::traits::{Aggregator, FinishScratch, FrameError, HeavyHitterProtocol, WireFrames};
 use hh_freq::hashtogram::{Hashtogram, HashtogramParams, HashtogramReport, HashtogramShard};
 use hh_freq::traits::FrequencyOracle;
 use hh_math::par::{par_map_owned, planned_threads};
@@ -85,21 +85,12 @@ impl ScanHeavyHitters {
     }
 }
 
-impl HeavyHitterProtocol for ScanHeavyHitters {
+impl Aggregator for ScanHeavyHitters {
     type Report = HashtogramReport;
     type Shard = HashtogramShard;
 
     fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> HashtogramReport {
         self.oracle.respond(user_index, x, rng)
-    }
-
-    fn respond_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-    ) -> Vec<HashtogramReport> {
-        self.oracle.respond_batch(start_index, xs, client_seed)
     }
 
     fn respond_encode_batch(
@@ -122,10 +113,6 @@ impl HeavyHitterProtocol for ScanHeavyHitters {
         self.oracle.new_shard()
     }
 
-    fn absorb(&self, shard: &mut HashtogramShard, start_index: u64, reports: &[HashtogramReport]) {
-        self.oracle.absorb(shard, start_index, reports);
-    }
-
     fn absorb_wire(
         &self,
         shard: &mut HashtogramShard,
@@ -144,6 +131,20 @@ impl HeavyHitterProtocol for ScanHeavyHitters {
         self.oracle.finish_shard(shard);
     }
 
+    fn report_bits(&self) -> usize {
+        self.oracle.report_bits()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.oracle.memory_bytes()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.params.eps
+    }
+}
+
+impl HeavyHitterProtocol for ScanHeavyHitters {
     fn finish(&mut self) -> Vec<(u64, f64)> {
         self.finish_with(&mut FinishScratch::default())
     }
@@ -184,18 +185,6 @@ impl HeavyHitterProtocol for ScanHeavyHitters {
                 .then_with(|| a.0.cmp(&b.0))
         });
         est
-    }
-
-    fn report_bits(&self) -> usize {
-        self.oracle.report_bits()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.oracle.memory_bytes()
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.params.eps
     }
 
     fn detection_threshold(&self) -> f64 {

@@ -35,4 +35,4 @@ pub mod verify;
 
 pub use params::SketchParams;
 pub use sketch::{ExpanderSketch, SketchReport, SketchShard};
-pub use traits::{HeavyHitterProtocol, WireError, WireReport, WireShard};
+pub use traits::{Aggregator, HeavyHitterProtocol, WireError, WireReport, WireShard};

@@ -14,7 +14,8 @@
 //! The workloads in tests and benches are therefore sized against
 //! [`SketchParams::detection_threshold`], and the *shape* claims (growth
 //! in `n`, `ε`, `β`, `|X|`; the `sqrt(log(1/β))` separation from prior
-//! work) are what EXPERIMENTS.md reproduces, exactly as for the paper.
+//! work) are what the `exp_*` binaries reproduce (README, "Reproducing
+//! the Table 1 experiments"), exactly as for the paper.
 
 use hh_codes::ulrc::UlrcParams;
 use hh_freq::calibrate;

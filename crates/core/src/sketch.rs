@@ -24,7 +24,8 @@
 
 use crate::params::SketchParams;
 use crate::traits::{
-    FinishScratch, FrameError, HeavyHitterProtocol, WireError, WireFrames, WireReport, WireShard,
+    Aggregator, FinishScratch, FrameError, HeavyHitterProtocol, WireError, WireFrames, WireReport,
+    WireShard,
 };
 use hh_codes::ulrc::UniqueListCode;
 use hh_freq::hashtogram::{
@@ -228,32 +229,6 @@ impl ExpanderSketch {
         self.params.cell_id(b, y, z)
     }
 
-    /// The one batched client loop `respond_batch` and the fused encode
-    /// path drive: per-user derived coin streams with the partition
-    /// component seed hoisted out of the loop, each composite report
-    /// (inner, then outer — the same draw order as `respond`) handed to
-    /// `emit` in user order.
-    fn respond_each(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        mut emit: impl FnMut(SketchReport),
-    ) {
-        let part_seed = self.partition_seed();
-        let num_coords = self.params.num_coords as u64;
-        let coins = ClientCoins::new(client_seed);
-        for (k, &x) in xs.iter().enumerate() {
-            let i = start_index + k as u64;
-            let mut rng = coins.user(i);
-            let m = Self::coord_at(part_seed, i, num_coords);
-            let cell = self.cell_of(m, x);
-            let inner = self.inner_proto.respond(i, cell, &mut rng);
-            let outer = self.outer.respond(i, x, &mut rng);
-            emit(SketchReport { inner, outer });
-        }
-    }
-
     /// `Err` when an inner report's row lies outside `W_in`: it would
     /// index past the decode buffer at finish. The same rejection the
     /// outer [`Hashtogram`] absorber applies to its own rows.
@@ -265,8 +240,8 @@ impl ExpanderSketch {
         }
     }
 
-    /// [`ExpanderSketch::check_inner_row`] as a hard assert, for the
-    /// typed and snapshot paths, which have no error channel.
+    /// [`ExpanderSketch::check_inner_row`] as a hard assert, for
+    /// `collect` and the snapshot path, which have no error channel.
     fn assert_inner_row(&self, rep: HashtogramReport) {
         self.check_inner_row(rep).unwrap_or_else(|_| {
             panic!(
@@ -359,7 +334,7 @@ impl ExpanderSketch {
     }
 }
 
-impl HeavyHitterProtocol for ExpanderSketch {
+impl Aggregator for ExpanderSketch {
     type Report = SketchReport;
     type Shard = SketchShard;
 
@@ -371,12 +346,6 @@ impl HeavyHitterProtocol for ExpanderSketch {
         SketchReport { inner, outer }
     }
 
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<SketchReport> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.respond_each(start_index, xs, client_seed, |rep| out.push(rep));
-        out
-    }
-
     fn respond_encode_batch(
         &self,
         start_index: u64,
@@ -385,13 +354,25 @@ impl HeavyHitterProtocol for ExpanderSketch {
         out: &mut Vec<u8>,
     ) -> Vec<u32> {
         // Fused: write each composite pair frame straight to the wire —
-        // no intermediate report vec.
+        // no intermediate report vec. Per-user derived coin streams with
+        // the partition component seed hoisted out of the loop; inner,
+        // then outer — the same draw order as `respond`.
+        let part_seed = self.partition_seed();
+        let num_coords = self.params.num_coords as u64;
+        let coins = ClientCoins::new(client_seed);
         let mut lens = Vec::with_capacity(xs.len());
-        self.respond_each(start_index, xs, client_seed, |rep| {
+        for (k, &x) in xs.iter().enumerate() {
+            let i = start_index + k as u64;
+            let mut rng = coins.user(i);
+            let m = Self::coord_at(part_seed, i, num_coords);
+            let rep = SketchReport {
+                inner: self.inner_proto.respond(i, self.cell_of(m, x), &mut rng),
+                outer: self.outer.respond(i, x, &mut rng),
+            };
             let before = out.len();
             rep.encode_into(out);
             lens.push((out.len() - before) as u32);
-        });
+        }
         lens
     }
 
@@ -410,24 +391,6 @@ impl HeavyHitterProtocol for ExpanderSketch {
             outer: self.outer.new_shard(),
             users: 0,
         }
-    }
-
-    fn absorb(&self, shard: &mut SketchShard, start_index: u64, reports: &[SketchReport]) {
-        // Inner reports buffer per (recomputed) coordinate — finish
-        // tallies them into order-exact integers, so buffer order across
-        // shards is immaterial. A row outside `W_in` panics here, not at
-        // finish.
-        let part_seed = self.partition_seed();
-        let num_coords = self.params.num_coords as u64;
-        for (k, rep) in reports.iter().enumerate() {
-            self.assert_inner_row(rep.inner);
-            let i = start_index + k as u64;
-            let m = Self::coord_at(part_seed, i, num_coords);
-            shard.inner[m].push((i, rep.inner));
-        }
-        let outer: Vec<HashtogramReport> = reports.iter().map(|r| r.outer).collect();
-        self.outer.absorb(&mut shard.outer, start_index, &outer);
-        shard.users += reports.len() as u64;
     }
 
     fn absorb_wire(
@@ -491,6 +454,30 @@ impl HeavyHitterProtocol for ExpanderSketch {
         self.users_seen += shard.users;
     }
 
+    fn report_bits(&self) -> usize {
+        // Exact worst-case wire size of the composite message (still
+        // Θ(log) — the components claim 1 + log₂W bits each).
+        wire::pair_wire_bits(self.inner_proto.report_bits(), self.outer.report_bits())
+    }
+
+    fn memory_bytes(&self) -> usize {
+        // One `W_in`-cell i32 decode buffer (a parallel finish holds one
+        // per worker; this is the serial floor) + the outer oracle sketch
+        // + stand-out lists.
+        self.inner_proto.params().buckets as usize * std::mem::size_of::<i32>()
+            + self.outer.memory_bytes()
+            + self.params.num_buckets as usize
+                * self.params.num_coords
+                * self.params.list_cap
+                * std::mem::size_of::<(u64, u64)>()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.params.eps
+    }
+}
+
+impl HeavyHitterProtocol for ExpanderSketch {
     fn finish(&mut self) -> Vec<(u64, f64)> {
         self.finish_with(&mut FinishScratch::default())
     }
@@ -553,28 +540,6 @@ impl HeavyHitterProtocol for ExpanderSketch {
                 .then_with(|| a.0.cmp(&b.0))
         });
         est
-    }
-
-    fn report_bits(&self) -> usize {
-        // Exact worst-case wire size of the composite message (still
-        // Θ(log) — the components claim 1 + log₂W bits each).
-        wire::pair_wire_bits(self.inner_proto.report_bits(), self.outer.report_bits())
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // One `W_in`-cell i32 decode buffer (a parallel finish holds one
-        // per worker; this is the serial floor) + the outer oracle sketch
-        // + stand-out lists.
-        self.inner_proto.params().buckets as usize * std::mem::size_of::<i32>()
-            + self.outer.memory_bytes()
-            + self.params.num_buckets as usize
-                * self.params.num_coords
-                * self.params.list_cap
-                * std::mem::size_of::<(u64, u64)>()
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.params.eps
     }
 
     fn detection_threshold(&self) -> f64 {
@@ -703,14 +668,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside W")]
-    fn typed_absorb_rejects_an_inner_row_outside_w() {
+    fn collect_rejects_an_inner_row_outside_w() {
         let p = SketchParams::optimal(1 << 10, 16, 1.0, 0.1);
-        let server = ExpanderSketch::new(p.clone(), 8);
+        let mut server = ExpanderSketch::new(p.clone(), 8);
         let mut rng = seeded_rng(1);
         let mut rep = server.respond(0, 7, &mut rng);
         rep.inner.ell = p.inner_cells().next_power_of_two();
-        let mut shard = server.new_shard();
-        server.absorb(&mut shard, 0, &[rep]);
+        server.collect(0, rep);
     }
 
     #[test]

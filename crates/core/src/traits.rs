@@ -1,203 +1,16 @@
 //! The protocol interface shared by `PrivateExpanderSketch` and its
-//! baselines: an explicit encoder/aggregator split.
-//!
-//! # Encoder / aggregator architecture
-//!
-//! A [`HeavyHitterProtocol`] is two machines connected by a wire:
-//!
-//! * the **encoder** (client side): [`HeavyHitterProtocol::respond`] /
-//!   [`HeavyHitterProtocol::respond_batch`] turn a user's input into a
-//!   `Report`, and every `Report` implements [`WireReport`] — an exact
-//!   byte encoding — so the paper's logarithmic-message claim is a
-//!   measured property (`report_bits()` bounds the encoding up to byte
-//!   alignment; pinned by the `wire_conformance` integration tests).
-//!   [`HeavyHitterProtocol::respond_encode_batch`] fuses the two steps,
-//!   sampling straight into a wire buffer with no intermediate report
-//!   vec;
-//! * the **aggregator** (server side): ingestion state is first-class
-//!   and *mergeable*. A [`HeavyHitterProtocol::Shard`] is the
-//!   self-contained partial aggregate one collector node holds;
-//!   [`HeavyHitterProtocol::new_shard`] makes an empty one,
-//!   [`HeavyHitterProtocol::absorb`] folds a contiguous user range of
-//!   reports into it, [`HeavyHitterProtocol::merge`] combines two
-//!   shards, and [`HeavyHitterProtocol::finish_shard`] folds a shard
-//!   into the server. Shards hold exact integer state, so `merge` is
-//!   associative and commutative (observationally) with `new_shard()`
-//!   as identity: any shard tree over any partition of the reports
-//!   leaves the server bit-for-bit identical to serial per-user
-//!   [`HeavyHitterProtocol::collect`] calls. The zero-copy entry point
-//!   [`HeavyHitterProtocol::absorb_wire`] folds borrowed wire frames
-//!   ([`WireFrames`]) into a shard without constructing `Report`
-//!   values — bit-for-bit equal to decode-then-absorb.
-//!
-//! [`HeavyHitterProtocol::collect_batch`]'s default is the one shared
-//! sharding path — absorb chunks on worker threads, merge tree-wise,
-//! fold in — replacing the per-protocol parallel accumulators that each
-//! implementation used to carry. The distributed driver
-//! (`hh_sim::run_heavy_hitter_distributed`) runs the same primitives
-//! across simulated collector fleets, with every report round-tripped
-//! through its wire encoding.
-//!
-//! Reproducibility contract: user `i`'s client coins are always the
-//! stream [`hh_math::rng::client_rng`]`(client_seed, i)` — a pure
-//! function of the run seed and the user index — so the reports (and
-//! therefore the output of `finish`) do not depend on chunk boundaries,
-//! thread count, collector assignment, or merge order. The
-//! `batch_equivalence` and `distributed_merge` integration tests enforce
-//! this bit-for-bit.
+//! baselines: the shared [`Aggregator`] ingest half (see
+//! [`hh_freq::traits`] for the encoder/aggregator architecture) plus
+//! the heavy-hitter finish half.
 
+pub use hh_freq::traits::Aggregator;
 pub use hh_freq::wire::{FrameError, WireError, WireFrames, WireReport, WireShard};
 
 pub use hh_math::par::FinishScratch;
 
-use hh_freq::wire::encode_reports;
-use hh_math::par::{merge_tree, par_chunk_map, shard_chunk_size};
-use hh_math::rng::client_rng;
-use rand::Rng;
-
-/// A one-round LDP heavy-hitters protocol (Definition 3.1), split into a
-/// wire-format encoder and a mergeable aggregator (see the module docs).
-///
-/// The object carries the public randomness and server state;
-/// [`HeavyHitterProtocol::respond`] is the client algorithm and reads only
-/// public state plus the user's own input.
-pub trait HeavyHitterProtocol {
-    /// The single message a user sends, as it crosses the wire.
-    type Report: WireReport;
-
-    /// Self-contained, mergeable partial aggregation state: what one
-    /// collector node holds after ingesting a subset of the reports.
-    ///
-    /// Shards are *durable artifacts*: every shard implements
-    /// [`WireShard`], an exact byte codec, so a collector's partial
-    /// aggregate can be checkpointed to stable storage and a crashed
-    /// node recovered by decoding its last snapshot and replaying the
-    /// reports since (see `hh_sim::stream`).
-    ///
-    /// Shards own their state outright (`'static`), so they can cross
-    /// type-erasure boundaries — `hh_sim`'s object-safe protocol layer
-    /// moves them as `Box<dyn Any>` behind byte-level wire interfaces.
-    type Shard: Send + WireShard + 'static;
-
-    /// Client: user `user_index` holding `x` produces her message.
-    fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> Self::Report;
-
-    /// Client, batched: produce the messages of the contiguous user range
-    /// `start_index .. start_index + xs.len()` holding inputs `xs`.
-    ///
-    /// User `start_index + k` must receive exactly the coins
-    /// [`client_rng`]`(client_seed, start_index + k)` — the default does —
-    /// so any chunking of the population produces identical reports.
-    /// Overrides may hoist per-call work but must preserve this contract.
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<Self::Report> {
-        xs.iter()
-            .enumerate()
-            .map(|(k, &x)| {
-                let i = start_index + k as u64;
-                self.respond(i, x, &mut client_rng(client_seed, i))
-            })
-            .collect()
-    }
-
-    /// Client, fused respond + encode: append the wire frames of the
-    /// contiguous user range `start_index .. start_index + xs.len()` to
-    /// `out`, returning each frame's length.
-    ///
-    /// Byte-for-byte identical to
-    /// [`HeavyHitterProtocol::respond_batch`] followed by per-report
-    /// `encode_into` (the default does exactly that); fused overrides
-    /// sample straight into the wire buffer with no intermediate report
-    /// vec — `out` is typically a pooled buffer reused across batches,
-    /// making the steady-state client phase allocation-free.
-    fn respond_encode_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        encode_reports(&self.respond_batch(start_index, xs, client_seed), out)
-    }
-
-    /// Server: ingest one message. The semantic ground truth every shard
-    /// path must match observationally.
-    fn collect(&mut self, user_index: u64, report: Self::Report);
-
-    /// An empty partial aggregate (the identity of
-    /// [`HeavyHitterProtocol::merge`]).
-    fn new_shard(&self) -> Self::Shard;
-
-    /// Fold the reports of the contiguous user range
-    /// `start_index .. start_index + reports.len()` into `shard`.
-    ///
-    /// Must be observationally identical to per-user
-    /// [`HeavyHitterProtocol::collect`] calls over the same range
-    /// (absorbed state is exact — integer tallies, never floats — so
-    /// ranges may be absorbed in any order across any number of shards).
-    fn absorb(&self, shard: &mut Self::Shard, start_index: u64, reports: &[Self::Report]);
-
-    /// Server, zero-copy: fold borrowed wire frames into `shard` without
-    /// constructing `Report` values — frame `k` is user
-    /// `start_index + k`'s report.
-    ///
-    /// Must leave `shard` bit-for-bit identical to decoding every frame
-    /// and calling [`HeavyHitterProtocol::absorb`] (the default does
-    /// exactly that; the `wire_conformance` proptests pin every override
-    /// against it). A corrupt frame — undecodable bytes, or a decoded
-    /// value outside the protocol's domain — returns a [`FrameError`]
-    /// naming the frame and its byte offset; on `Err` the shard may hold
-    /// a partial absorption and must be discarded.
-    fn absorb_wire(
-        &self,
-        shard: &mut Self::Shard,
-        start_index: u64,
-        frames: &WireFrames<'_>,
-    ) -> Result<(), FrameError> {
-        let mut reports = Vec::with_capacity(frames.len());
-        for (k, frame) in frames.iter().enumerate() {
-            reports.push(Self::Report::decode(frame).map_err(|e| frames.frame_error(k, e))?);
-        }
-        self.absorb(shard, start_index, &reports);
-        Ok(())
-    }
-
-    /// Combine two partial aggregates. Associative and commutative
-    /// (observationally), with [`HeavyHitterProtocol::new_shard`] as
-    /// identity.
-    fn merge(&self, a: Self::Shard, b: Self::Shard) -> Self::Shard;
-
-    /// Fold a partial aggregate into the server state (before
-    /// [`HeavyHitterProtocol::finish`]).
-    fn finish_shard(&mut self, shard: Self::Shard);
-
-    /// Server, batched: ingest the messages of the contiguous user range
-    /// `start_index .. start_index + reports.len()` through the shared
-    /// sharding path — absorb chunks into per-thread shards in parallel,
-    /// merge tree-wise, fold the result in. Must be (and, with the
-    /// default, is) observationally identical to per-user
-    /// [`HeavyHitterProtocol::collect`] calls.
-    fn collect_batch(&mut self, start_index: u64, reports: Vec<Self::Report>)
-    where
-        Self: Sync,
-        Self::Report: Sync,
-    {
-        if reports.is_empty() {
-            return;
-        }
-        let chunk = shard_chunk_size(reports.len());
-        let shards = {
-            let this: &Self = self;
-            par_chunk_map(&reports, chunk, 0, |c, reps| {
-                let mut shard = this.new_shard();
-                this.absorb(&mut shard, start_index + (c * chunk) as u64, reps);
-                shard
-            })
-        };
-        if let Some(shard) = merge_tree(shards, |a, b| self.merge(a, b)) {
-            self.finish_shard(shard);
-        }
-    }
-
+/// A one-round LDP heavy-hitters protocol (Definition 3.1): the shared
+/// [`Aggregator`] ingest half plus the decode to a heavy-hitter list.
+pub trait HeavyHitterProtocol: Aggregator {
     /// Server: run the aggregation/decoding pipeline; returns the
     /// estimated heavy-hitter list `Est = {(x, f̂_S(x))}`, sorted by
     /// `(estimate desc, value asc)` — the tie-break keeps the order
@@ -218,17 +31,6 @@ pub trait HeavyHitterProtocol {
     fn finish_with(&mut self, _scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         self.finish()
     }
-
-    /// Communication per user in bits. The wire encoding satisfies
-    /// `encoded_len() <= report_bits().div_ceil(8)` — pinned by the
-    /// `wire_conformance` integration tests.
-    fn report_bits(&self) -> usize;
-
-    /// Server working-memory estimate in bytes.
-    fn memory_bytes(&self) -> usize;
-
-    /// Total per-user privacy budget consumed.
-    fn epsilon(&self) -> f64;
 
     /// The protocol's detection threshold `Δ`: every element with
     /// `f_S(x) >= Δ` should appear in the output (the quantity the

@@ -17,7 +17,7 @@
 //! measure the rest.
 
 use crate::randomizers::BinaryRandomizedResponse;
-use crate::traits::{FinishScratch, FrequencyOracle, LocalRandomizer, RandomizerInput};
+use crate::traits::{Aggregator, FinishScratch, FrequencyOracle, LocalRandomizer, RandomizerInput};
 use crate::wire::{
     pack_row_bit, read_tally_run, read_uint, tally_run_len, uint_len, unpack_row_bit, varint_len,
     write_tally_run, write_uint, write_varint, FrameError, ShardReader, WireError, WireFrames,
@@ -159,7 +159,7 @@ impl WireShard for BsShard {
     }
 }
 
-impl FrequencyOracle for BassilySmithOracle {
+impl Aggregator for BassilySmithOracle {
     type Report = BsReport;
     type Shard = BsShard;
 
@@ -205,13 +205,6 @@ impl FrequencyOracle for BassilySmithOracle {
         }
     }
 
-    fn absorb(&self, shard: &mut BsShard, _start_index: u64, reports: &[BsReport]) {
-        for rep in reports {
-            shard.tallies[rep.row as usize] += i64::from(rep.bit);
-        }
-        shard.users += reports.len() as u64;
-    }
-
     fn absorb_wire(
         &self,
         shard: &mut BsShard,
@@ -219,8 +212,8 @@ impl FrequencyOracle for BassilySmithOracle {
         frames: &WireFrames<'_>,
     ) -> Result<(), FrameError> {
         // Zero-copy: unpack `row·2 + bit` off each borrowed frame and
-        // fold the ±1 tally. Rows are validated (absorb's slice indexing
-        // would panic on the same corruption).
+        // fold the ±1 tally. Rows are validated (`collect`'s slice
+        // indexing would panic on the same corruption).
         for (k, frame) in frames.iter().enumerate() {
             let (row, bit) =
                 unpack_row_bit(read_uint(frame).map_err(|e| frames.frame_error(k, e))?);
@@ -246,12 +239,31 @@ impl FrequencyOracle for BassilySmithOracle {
 
     fn finish_shard(&mut self, shard: BsShard) {
         assert!(!self.finalized);
+        assert_eq!(
+            shard.tallies.len(),
+            self.tallies.len(),
+            "shard shape mismatch"
+        );
         for (acc, add) in self.tallies.iter_mut().zip(&shard.tallies) {
             *acc += add;
         }
         self.total += shard.users;
     }
 
+    fn report_bits(&self) -> usize {
+        1 + (64 - (self.w - 1).leading_zeros()) as usize
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.w as usize * std::mem::size_of::<f64>()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.eps
+    }
+}
+
+impl FrequencyOracle for BassilySmithOracle {
     fn finalize(&mut self) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
@@ -291,18 +303,6 @@ impl FrequencyOracle for BassilySmithOracle {
             dot += self.acc[j as usize] * self.phi(j, x);
         }
         dot
-    }
-
-    fn report_bits(&self) -> usize {
-        1 + (64 - (self.w - 1).leading_zeros()) as usize
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.w as usize * std::mem::size_of::<f64>()
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.eps
     }
 }
 

@@ -27,7 +27,7 @@
 //! [`crate::randomizers::HadamardResponse`].
 
 use crate::randomizers::BinaryRandomizedResponse;
-use crate::traits::{FrequencyOracle, LocalRandomizer, RandomizerInput};
+use crate::traits::{Aggregator, FrequencyOracle, LocalRandomizer, RandomizerInput};
 use crate::wire::{
     count_run_len, pack_row_bit, read_count_run, read_tally_run, read_uint, tally_run_len,
     uint_len, unpack_row_bit, varint_len, write_count_run, write_tally_run, write_uint,
@@ -243,7 +243,7 @@ pub struct Hashtogram {
     ///
     /// Integers, not debiased floats: integer addition is associative, so
     /// ingesting reports in *any* order — including merging sharded
-    /// partial tallies from parallel `collect_batch` — leaves bit-for-bit
+    /// partial tallies absorbed in parallel — leaves bit-for-bit
     /// identical state. The debias factor is a constant multiplier and is
     /// applied once at finalization.
     tallies: Vec<Vec<i64>>,
@@ -350,31 +350,9 @@ impl Hashtogram {
         crate::randomizers::HadamardResponse::new(self.params.buckets, self.params.eps)
     }
 
-    /// The one batched client loop both [`Hashtogram::respond_batch`]
-    /// and the fused encode path drive: per-user derived coin streams,
-    /// the group-assignment component seed hoisted out of the loop (it
-    /// costs two SplitMix hops per user in the scalar path), each report
-    /// handed to `emit` in user order.
-    fn respond_each(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        mut emit: impl FnMut(HashtogramReport),
-    ) {
-        let assign_seed = self.assignment_seed();
-        let groups = self.params.groups as u64;
-        let coins = ClientCoins::new(client_seed);
-        for (k, &x) in xs.iter().enumerate() {
-            let i = start_index + k as u64;
-            let mut rng = coins.user(i);
-            let group = Self::group_at(assign_seed, i, groups);
-            emit(self.respond_with(group, x, &mut rng));
-        }
-    }
-
     /// The per-user draw body shared by the scalar
-    /// [`FrequencyOracle::respond`] and [`Hashtogram::respond_each`]:
+    /// [`Aggregator::respond`] and the fused
+    /// [`Aggregator::respond_encode_batch`]:
     /// one coin word for the Hadamard row (via the hoisted `row` kernel;
     /// `W` is a power of two, so the draw never rejects) and one ε-RR
     /// bit through the binary word kernel. Both entry points consume
@@ -396,8 +374,8 @@ impl Hashtogram {
     /// The hoisted zero-copy ingester: assignment seed and shapes derived
     /// once per batch. Shared by this oracle's own wire path and by the
     /// composite protocols that wrap it (`ExpanderSketch` / `Bitstogram`
-    /// outer halves), so their per-report folds cannot drift from
-    /// [`Hashtogram::absorb`].
+    /// outer halves), so their per-report folds cannot drift from this
+    /// oracle's [`Aggregator::absorb_wire`].
     pub fn absorber(&self) -> HashtogramAbsorber {
         HashtogramAbsorber {
             assign_seed: self.assignment_seed(),
@@ -466,23 +444,12 @@ impl HashtogramAbsorber {
     }
 }
 
-impl FrequencyOracle for Hashtogram {
+impl Aggregator for Hashtogram {
     type Report = HashtogramReport;
     type Shard = HashtogramShard;
 
     fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> HashtogramReport {
         self.respond_with(self.group_of(user_index), x, rng)
-    }
-
-    fn respond_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-    ) -> Vec<HashtogramReport> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.respond_each(start_index, xs, client_seed, |rep| out.push(rep));
-        out
     }
 
     fn respond_encode_batch(
@@ -492,14 +459,22 @@ impl FrequencyOracle for Hashtogram {
         client_seed: u64,
         out: &mut Vec<u8>,
     ) -> Vec<u32> {
-        // Fused: the same per-user draws as `respond_batch`, written
-        // straight to the wire — no intermediate report vec.
+        // Fused: the scalar path's per-user draws, written straight to
+        // the wire — no intermediate report vec. The group-assignment
+        // component seed is hoisted out of the loop (it costs two
+        // SplitMix hops per user in the scalar path).
+        let assign_seed = self.assignment_seed();
+        let groups = self.params.groups as u64;
+        let coins = ClientCoins::new(client_seed);
         let mut lens = Vec::with_capacity(xs.len());
-        self.respond_each(start_index, xs, client_seed, |rep| {
+        for (k, &x) in xs.iter().enumerate() {
+            let i = start_index + k as u64;
+            let mut rng = coins.user(i);
+            let rep = self.respond_with(Self::group_at(assign_seed, i, groups), x, &mut rng);
             let before = out.len();
             rep.encode_into(out);
             lens.push((out.len() - before) as u32);
-        });
+        }
         lens
     }
 
@@ -516,23 +491,6 @@ impl FrequencyOracle for Hashtogram {
             tallies: vec![0i64; self.params.groups * self.params.buckets as usize],
             group_counts: vec![0u64; self.params.groups],
             users: 0,
-        }
-    }
-
-    fn absorb(&self, shard: &mut HashtogramShard, start_index: u64, reports: &[HashtogramReport]) {
-        // The group is recomputed from the user index under the hoisted
-        // absorber — reports carry payload only. Rows are validated
-        // there: a corrupt report with ell >= W would otherwise alias
-        // into a neighboring group's row of the flat tally (the serial
-        // `collect` path panics on the same corruption via its per-group
-        // indexing), so a bad row panics here too.
-        let absorber = self.absorber();
-        for (k, &rep) in reports.iter().enumerate() {
-            absorber
-                .absorb_one(shard, start_index + k as u64, rep)
-                .unwrap_or_else(|_| {
-                    panic!("report row {} outside W = {}", rep.ell, self.params.buckets)
-                });
         }
     }
 
@@ -597,6 +555,20 @@ impl FrequencyOracle for Hashtogram {
         self.total_users += shard.users;
     }
 
+    fn report_bits(&self) -> usize {
+        1 + (self.params.buckets.trailing_zeros() as usize)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.params.groups * self.params.buckets as usize * std::mem::size_of::<f64>()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.params.eps
+    }
+}
+
+impl FrequencyOracle for Hashtogram {
     fn finalize(&mut self) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
@@ -649,18 +621,6 @@ impl FrequencyOracle for Hashtogram {
     fn estimate(&self, x: u64) -> f64 {
         let mut buf = Vec::with_capacity(self.params.groups);
         self.estimate_into(x, &mut buf)
-    }
-
-    fn report_bits(&self) -> usize {
-        1 + (self.params.buckets.trailing_zeros() as usize)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.params.groups * self.params.buckets as usize * std::mem::size_of::<f64>()
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.params.eps
     }
 }
 
@@ -819,23 +779,40 @@ mod tests {
         let n = 4_000u64;
         let params = HashtogramParams::hashed(n, 1 << 20, 1.0, 0.1);
         let oracle = Hashtogram::new(params.clone(), 21);
-        let reports = oracle.respond_batch(0, &(0..n).map(|i| i % 97).collect::<Vec<_>>(), 22);
+        let xs: Vec<u64> = (0..n).map(|i| i % 97).collect();
+        // Three ragged user ranges, each fused-encoded on its own.
+        let ranges = [(0usize, 700usize), (700, 2_699), (2_699, n as usize)];
+        let chunks: Vec<(u64, Vec<u8>, Vec<u32>)> = ranges
+            .iter()
+            .map(|&(lo, hi)| {
+                let mut bytes = Vec::new();
+                let lens = oracle.respond_encode_batch(lo as u64, &xs[lo..hi], 22, &mut bytes);
+                (lo as u64, bytes, lens)
+            })
+            .collect();
 
         let mut serial = Hashtogram::new(params.clone(), 21);
-        for (i, &rep) in reports.iter().enumerate() {
-            serial.collect(i as u64, rep);
+        for (start, bytes, lens) in &chunks {
+            let frames = WireFrames::new(bytes, lens).unwrap();
+            for (k, frame) in frames.iter().enumerate() {
+                serial.collect(start + k as u64, HashtogramReport::decode(frame).unwrap());
+            }
         }
 
-        // Split in three ragged ranges, absorb out of order, merge.
+        // Absorb the ranges into separate shards, merge out of order.
         let mut sharded = Hashtogram::new(params, 21);
-        let (a, rest) = reports.split_at(700);
-        let (b, c) = rest.split_at(1_999);
-        let mut sh_a = sharded.new_shard();
-        sharded.absorb(&mut sh_a, 0, a);
-        let mut sh_b = sharded.new_shard();
-        sharded.absorb(&mut sh_b, 700, b);
-        let mut sh_c = sharded.new_shard();
-        sharded.absorb(&mut sh_c, 700 + 1_999, c);
+        let mut shards: Vec<HashtogramShard> = chunks
+            .iter()
+            .map(|(start, bytes, lens)| {
+                let mut shard = sharded.new_shard();
+                let frames = WireFrames::new(bytes, lens).unwrap();
+                sharded.absorb_wire(&mut shard, *start, &frames).unwrap();
+                shard
+            })
+            .collect();
+        let sh_c = shards.pop().unwrap();
+        let sh_b = shards.pop().unwrap();
+        let sh_a = shards.pop().unwrap();
         let merged = sharded.merge(sh_c, sharded.merge(sh_a, sh_b));
         sharded.finish_shard(merged);
 

@@ -7,7 +7,7 @@
 //! composition experiments).
 
 use crate::randomizers::GeneralizedRandomizedResponse;
-use crate::traits::{FrequencyOracle, LocalRandomizer, RandomizerInput};
+use crate::traits::{Aggregator, FrequencyOracle, LocalRandomizer, RandomizerInput};
 use crate::wire::{
     count_run_len, read_count_run, read_uint, varint_len, write_count_run, write_uint,
     write_varint, FrameError, ShardReader, WireError, WireFrames, WireShard,
@@ -71,7 +71,7 @@ impl WireShard for KrrShard {
     }
 }
 
-impl FrequencyOracle for KrrOracle {
+impl Aggregator for KrrOracle {
     /// The GRR output itself — wire format is the minimal little-endian
     /// encoding of the value (`ceil(log2 k)` claimed bits).
     type Report = u64;
@@ -120,14 +120,6 @@ impl FrequencyOracle for KrrOracle {
         }
     }
 
-    fn absorb(&self, shard: &mut KrrShard, _start_index: u64, reports: &[u64]) {
-        for &report in reports {
-            assert!(report < self.k);
-            shard.counts[report as usize] += 1;
-        }
-        shard.users += reports.len() as u64;
-    }
-
     fn absorb_wire(
         &self,
         shard: &mut KrrShard,
@@ -162,20 +154,15 @@ impl FrequencyOracle for KrrOracle {
 
     fn finish_shard(&mut self, shard: KrrShard) {
         assert!(!self.finalized);
+        assert_eq!(
+            shard.counts.len(),
+            self.counts.len(),
+            "shard shape mismatch"
+        );
         for (acc, add) in self.counts.iter_mut().zip(&shard.counts) {
             *acc += add;
         }
         self.total += shard.users;
-    }
-
-    fn finalize(&mut self) {
-        self.finalized = true;
-    }
-
-    fn estimate(&self, x: u64) -> f64 {
-        assert!(self.finalized, "estimate before finalize");
-        self.grr
-            .debias(self.counts[x as usize] as f64, self.total as f64)
     }
 
     fn report_bits(&self) -> usize {
@@ -188,6 +175,18 @@ impl FrequencyOracle for KrrOracle {
 
     fn epsilon(&self) -> f64 {
         self.grr.claimed_epsilon()
+    }
+}
+
+impl FrequencyOracle for KrrOracle {
+    fn finalize(&mut self) {
+        self.finalized = true;
+    }
+
+    fn estimate(&self, x: u64) -> f64 {
+        assert!(self.finalized, "estimate before finalize");
+        self.grr
+            .debias(self.counts[x as usize] as f64, self.total as f64)
     }
 }
 

@@ -39,5 +39,5 @@ pub mod wire;
 pub use hashtogram::{
     Hashtogram, HashtogramAbsorber, HashtogramParams, HashtogramReport, HashtogramShard,
 };
-pub use traits::{FrequencyOracle, LocalRandomizer, RandomizerInput};
+pub use traits::{Aggregator, FrequencyOracle, LocalRandomizer, RandomizerInput};
 pub use wire::{FrameError, WireError, WireFrames, WireReport, WireShard};

@@ -6,10 +6,10 @@
 //! per-bit budget of ε/2 yields ε-LDP overall.
 //!
 //! Costs are the story here: Θ(|X|) user time and communication per
-//! report, versus Hashtogram's `O~(1)` — this contrast is experiment
-//! T1.comm in EXPERIMENTS.md.
+//! report, versus Hashtogram's `O~(1)` — the contrast the Table 1
+//! communication rows of `exp_table1_resources` measure.
 
-use crate::traits::FrequencyOracle;
+use crate::traits::{Aggregator, FrequencyOracle};
 use crate::wire::{
     count_run_len, read_count_run, varint_len, write_count_run, write_varint, FrameError,
     ShardReader, WireError, WireFrames, WireShard,
@@ -123,7 +123,7 @@ impl WireShard for RapporShard {
     }
 }
 
-impl FrequencyOracle for Rappor {
+impl Aggregator for Rappor {
     /// The perturbed bitvector, byte-packed — the report *is* its wire
     /// format (`ceil(domain / 8)` bytes against the `domain`-bit claim).
     type Report = Vec<u8>;
@@ -177,18 +177,6 @@ impl FrequencyOracle for Rappor {
         }
     }
 
-    fn absorb(&self, shard: &mut RapporShard, _start_index: u64, reports: &[Vec<u8>]) {
-        for report in reports {
-            assert_eq!(report.len(), (self.domain as usize).div_ceil(8));
-            for j in 0..self.domain {
-                if report[(j / 8) as usize] >> (j % 8) & 1 == 1 {
-                    shard.ones[j as usize] += 1;
-                }
-            }
-        }
-        shard.users += reports.len() as u64;
-    }
-
     fn absorb_wire(
         &self,
         shard: &mut RapporShard,
@@ -225,21 +213,11 @@ impl FrequencyOracle for Rappor {
 
     fn finish_shard(&mut self, shard: RapporShard) {
         assert!(!self.finalized);
+        assert_eq!(shard.ones.len(), self.ones.len(), "shard shape mismatch");
         for (acc, add) in self.ones.iter_mut().zip(&shard.ones) {
             *acc += add;
         }
         self.total += shard.users;
-    }
-
-    fn finalize(&mut self) {
-        self.finalized = true;
-    }
-
-    fn estimate(&self, x: u64) -> f64 {
-        assert!(self.finalized, "estimate before finalize");
-        let c = self.ones[x as usize] as f64;
-        let n = self.total as f64;
-        (c - n * self.q()) / (self.keep - self.q())
     }
 
     fn report_bits(&self) -> usize {
@@ -252,6 +230,19 @@ impl FrequencyOracle for Rappor {
 
     fn epsilon(&self) -> f64 {
         self.eps
+    }
+}
+
+impl FrequencyOracle for Rappor {
+    fn finalize(&mut self) {
+        self.finalized = true;
+    }
+
+    fn estimate(&self, x: u64) -> f64 {
+        assert!(self.finalized, "estimate before finalize");
+        let c = self.ones[x as usize] as f64;
+        let n = self.total as f64;
+        (c - n * self.q()) / (self.keep - self.q())
     }
 }
 

@@ -1,57 +1,54 @@
-//! Core protocol abstractions: local randomizers and the
-//! encoder/aggregator split of the frequency-oracle interface.
+//! Core protocol abstractions: local randomizers, and the one
+//! encoder/aggregator interface both protocol families share.
 //!
 //! # Encoder / aggregator architecture
 //!
-//! A [`FrequencyOracle`] is two machines connected by a wire:
+//! A heavy-hitters protocol (Definition 3.1) and a frequency oracle
+//! (Definition 3.2) are the same machine up to the last step: one round,
+//! one message per user, a server that folds the messages. That shared
+//! half is the [`Aggregator`] trait, and it is two machines connected by
+//! a wire:
 //!
-//! * the **encoder** (client side): [`FrequencyOracle::respond`] /
-//!   [`FrequencyOracle::respond_batch`] turn a user's input into a
-//!   `Report`, and every `Report` implements [`WireReport`] — an exact
-//!   byte encoding, so "logarithmic-size message" is a measured property,
-//!   not a theoretical one. The fused entry point
-//!   [`FrequencyOracle::respond_encode_batch`] samples straight into a
-//!   wire buffer (no intermediate report vec) — byte-identical to
-//!   respond-then-encode;
-//! * the **aggregator** (server side): ingestion state is first-class and
-//!   *mergeable*. A [`FrequencyOracle::Shard`] is a self-contained
-//!   partial aggregate; [`FrequencyOracle::new_shard`] makes an empty
-//!   one, [`FrequencyOracle::absorb`] folds a contiguous range of
-//!   reports into it, [`FrequencyOracle::merge`] combines two shards,
-//!   and [`FrequencyOracle::finish_shard`] folds a shard into the
-//!   server. Shards are exact integer state, so `merge` is associative
-//!   and commutative with `new_shard()` as the identity — any shard
-//!   tree, over any partition of the reports, yields bit-for-bit the
-//!   state of serial per-user [`FrequencyOracle::collect`] calls (the
-//!   `batch_equivalence` and `distributed_merge` integration tests pin
-//!   this). The zero-copy entry point [`FrequencyOracle::absorb_wire`]
-//!   folds borrowed wire frames ([`WireFrames`]) into a shard without
-//!   constructing `Report` values — bit-for-bit equal to
-//!   decode-then-absorb.
+//! * the **encoder** (client side): [`Aggregator::respond`] turns one
+//!   user's input into a `Report`, and every `Report` implements
+//!   [`WireReport`] — an exact byte encoding, so the logarithmic-message
+//!   claims are measured properties (`report_bits()` bounds the
+//!   encoding up to byte alignment; pinned by the `wire_conformance`
+//!   integration tests). The batch entry point
+//!   [`Aggregator::respond_encode_batch`] samples a user range straight
+//!   into a wire buffer (no intermediate report vec) — byte-identical to
+//!   per-user `respond` + `encode_into`;
+//! * the **aggregator** (server side): ingestion state is first-class
+//!   and *mergeable*. An [`Aggregator::Shard`] is the self-contained
+//!   partial aggregate one collector node holds;
+//!   [`Aggregator::new_shard`] makes an empty one,
+//!   [`Aggregator::absorb_wire`] folds borrowed wire frames
+//!   ([`WireFrames`]) of a contiguous user range into it without
+//!   constructing `Report` values, [`Aggregator::merge`] combines two
+//!   shards, and [`Aggregator::finish_shard`] folds a shard into the
+//!   server. Shards hold exact integer state, so `merge` is associative
+//!   and commutative (observationally) with `new_shard()` as identity:
+//!   any shard tree over any partition of the reports leaves the server
+//!   bit-for-bit identical to serial per-user [`Aggregator::collect`]
+//!   calls (the `batch_equivalence` and `distributed_merge` integration
+//!   tests pin this).
 //!
-//! [`FrequencyOracle::collect_batch`] is no longer a per-protocol
-//! parallel accumulator: its default is the one shared sharding path —
-//! absorb chunks on worker threads, merge tree-wise, fold the result in.
-//! Protocols implement the four shard primitives and get batched (and
-//! distributed — see `hh_sim::run_oracle_distributed`) ingestion for
-//! free.
+//! Scalar `respond` + `collect` are the serial reference; the fused
+//! `respond_encode_batch` + `absorb_wire` pair is the one batch path
+//! every driver and the collector runtime (`hh_sim`) run. The families
+//! add only their finish half: [`FrequencyOracle`] answers point
+//! queries, `hh_core::traits::HeavyHitterProtocol` outputs a list.
 //!
-//! Reproducibility contract (unchanged from the batch-first interface):
-//! user `i`'s client coins are always the stream
-//! [`hh_math::rng::client_rng`]`(client_seed, i)` — a pure function of
-//! the run seed and the user index — so reports, and therefore every
-//! aggregate, do not depend on chunk boundaries, thread count, collector
-//! assignment, or merge order.
+//! Reproducibility contract: user `i`'s client coins are always the
+//! stream [`hh_math::rng::client_rng`]`(client_seed, i)` — a pure
+//! function of the run seed and the user index — so reports, and
+//! therefore every aggregate, do not depend on chunk boundaries, thread
+//! count, collector assignment, or merge order.
 
-use crate::wire::{encode_reports, FrameError, WireFrames, WireReport, WireShard};
-use hh_math::par::par_chunk_map;
-use hh_math::rng::client_rng;
+use crate::wire::{FrameError, WireFrames, WireReport, WireShard};
 use rand::Rng;
 
-// The shared sharding helpers live in `hh_math::par` — one definition
-// for this trait, `hh_core::traits`, and the sim drivers, so the
-// defaults cannot drift apart. Re-exported here for compatibility.
-pub use hh_math::par::{merge_tree, shard_chunk_size, FinishScratch, MIN_SHARD_CHUNK};
+pub use hh_math::par::FinishScratch;
 
 /// Input to a local randomizer: a real domain element or the null symbol
 /// `⊥` used by GenProt's public sampling (Algorithm GenProt, step 1).
@@ -115,15 +112,14 @@ pub trait LocalRandomizer {
     }
 }
 
-/// A one-round LDP frequency-oracle protocol (Definition 3.2), split into
-/// a wire-format encoder and a mergeable aggregator (see the module
-/// docs).
+/// The ingest half both protocol families share: a wire-format encoder
+/// and a mergeable aggregator (see the module docs).
 ///
 /// The object holds the *public randomness* (derived from one seed) and
-/// the server state; [`FrequencyOracle::respond`] is the client algorithm
-/// (it reads only public state and the user's own input, never other
-/// users' reports — non-interactivity by construction).
-pub trait FrequencyOracle {
+/// the server state; [`Aggregator::respond`] is the client algorithm (it
+/// reads only public state and the user's own input, never other users'
+/// reports — non-interactivity by construction).
+pub trait Aggregator {
     /// The client's single message to the server, as it crosses the wire.
     type Report: WireReport;
 
@@ -134,129 +130,87 @@ pub trait FrequencyOracle {
     /// [`WireShard`], an exact byte codec, so a collector's partial
     /// aggregate can be checkpointed to stable storage and a crashed
     /// node recovered by decoding its last snapshot and replaying the
-    /// reports since (see `hh_sim::stream`).
+    /// reports since (see `hh_sim::pipeline`).
     ///
     /// Shards own their state outright (`'static`), so they can cross
     /// type-erasure boundaries — `hh_sim`'s object-safe protocol layer
     /// moves them as `Box<dyn Any>` behind byte-level wire interfaces.
     type Shard: Send + WireShard + 'static;
 
-    /// Client-side: user `user_index` holding `x` produces her report.
+    /// Client: user `user_index` holding `x` produces her report.
     fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> Self::Report;
 
-    /// Client-side, batched: reports of the contiguous user range
-    /// `start_index .. start_index + xs.len()`, where user
-    /// `start_index + k` draws her coins from
-    /// [`client_rng`]`(client_seed, start_index + k)` — the same contract
-    /// as `hh_core::traits::HeavyHitterProtocol::respond_batch`.
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<Self::Report> {
-        xs.iter()
-            .enumerate()
-            .map(|(k, &x)| {
-                let i = start_index + k as u64;
-                self.respond(i, x, &mut client_rng(client_seed, i))
-            })
-            .collect()
-    }
-
-    /// Client-side, fused respond + encode: append the wire frames of
-    /// the contiguous user range `start_index .. start_index + xs.len()`
-    /// to `out`, returning each frame's length.
+    /// Client, fused respond + encode: append the wire frames of the
+    /// contiguous user range `start_index .. start_index + xs.len()` to
+    /// `out`, returning each frame's length.
     ///
-    /// Byte-for-byte identical to [`FrequencyOracle::respond_batch`]
-    /// followed by per-report `encode_into` (the default does exactly
-    /// that); fused overrides sample straight into the wire buffer with
-    /// no intermediate report vec, which is what makes the steady-state
-    /// ingest pipeline allocation-free (`out` is typically a pooled
-    /// buffer reused across batches).
+    /// User `start_index + k` must draw exactly the coins
+    /// [`client_rng`](hh_math::rng::client_rng)`(client_seed, start_index + k)`,
+    /// so the bytes equal per-user [`Aggregator::respond`] followed by
+    /// `encode_into` (the `wire_conformance` proptests pin this) and any
+    /// chunking of the population produces identical frames. `out` is
+    /// typically a pooled buffer reused across batches, which makes the
+    /// steady-state client phase allocation-free.
     fn respond_encode_batch(
         &self,
         start_index: u64,
         xs: &[u64],
         client_seed: u64,
         out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        encode_reports(&self.respond_batch(start_index, xs, client_seed), out)
-    }
+    ) -> Vec<u32>;
 
-    /// Server-side: ingest one report. The semantic ground truth every
-    /// shard path must match observationally.
+    /// Server: ingest one report. The semantic ground truth every shard
+    /// path must match observationally.
     fn collect(&mut self, user_index: u64, report: Self::Report);
 
     /// An empty partial aggregate (the identity of
-    /// [`FrequencyOracle::merge`]).
+    /// [`Aggregator::merge`]).
     fn new_shard(&self) -> Self::Shard;
 
-    /// Fold the reports of the contiguous user range
-    /// `start_index .. start_index + reports.len()` into `shard`.
-    ///
-    /// Must be observationally identical to per-user
-    /// [`FrequencyOracle::collect`] calls over the same range (absorbed
-    /// state is exact — integer tallies, never floats — so ranges may be
-    /// absorbed in any order across any number of shards).
-    fn absorb(&self, shard: &mut Self::Shard, start_index: u64, reports: &[Self::Report]);
-
-    /// Server-side, zero-copy: fold borrowed wire frames into `shard`
-    /// without constructing `Report` values — frame `k` is user
+    /// Server, zero-copy: fold borrowed wire frames into `shard` without
+    /// constructing `Report` values — frame `k` is user
     /// `start_index + k`'s report.
     ///
-    /// Must leave `shard` bit-for-bit identical to decoding every frame
-    /// and calling [`FrequencyOracle::absorb`] (the default does exactly
-    /// that; the `wire_conformance` proptests pin every override against
-    /// it). A corrupt frame — undecodable bytes, or a decoded value
-    /// outside the protocol's domain — returns a [`FrameError`] naming
-    /// the frame and its byte offset; on `Err` the shard may hold a
-    /// partial absorption and must be discarded.
+    /// Must be observationally identical to decoding every frame and
+    /// calling [`Aggregator::collect`] per user (absorbed state is exact
+    /// — integer tallies, never floats — so ranges may be absorbed in any
+    /// order across any number of shards). A corrupt frame — undecodable
+    /// bytes, or a decoded value outside the protocol's domain — returns
+    /// a [`FrameError`] naming the frame and its byte offset; on `Err`
+    /// the shard may hold a partial absorption and must be discarded.
     fn absorb_wire(
         &self,
         shard: &mut Self::Shard,
         start_index: u64,
         frames: &WireFrames<'_>,
-    ) -> Result<(), FrameError> {
-        let mut reports = Vec::with_capacity(frames.len());
-        for (k, frame) in frames.iter().enumerate() {
-            reports.push(Self::Report::decode(frame).map_err(|e| frames.frame_error(k, e))?);
-        }
-        self.absorb(shard, start_index, &reports);
-        Ok(())
-    }
+    ) -> Result<(), FrameError>;
 
     /// Combine two partial aggregates. Associative and commutative
-    /// (observationally), with [`FrequencyOracle::new_shard`] as
-    /// identity.
+    /// (observationally), with [`Aggregator::new_shard`] as identity.
     fn merge(&self, a: Self::Shard, b: Self::Shard) -> Self::Shard;
 
-    /// Fold a partial aggregate into the server state (before
-    /// [`FrequencyOracle::finalize`]).
+    /// Fold a partial aggregate into the server state (before the
+    /// family's finish step). A shard of another shape — e.g. a decoded
+    /// snapshot from a different configuration — panics with
+    /// `"shard shape mismatch"` instead of folding in silently.
     fn finish_shard(&mut self, shard: Self::Shard);
 
-    /// Server-side, batched ingest of a contiguous user range through
-    /// the shared sharding path: absorb chunks into per-thread shards in
-    /// parallel, merge them tree-wise, fold the result in. Must be (and,
-    /// with the default, is) observationally identical to per-report
-    /// [`FrequencyOracle::collect`] calls.
-    fn collect_batch(&mut self, start_index: u64, reports: Vec<Self::Report>)
-    where
-        Self: Sync,
-        Self::Report: Sync,
-    {
-        if reports.is_empty() {
-            return;
-        }
-        let chunk = shard_chunk_size(reports.len());
-        let shards = {
-            let this: &Self = self;
-            par_chunk_map(&reports, chunk, 0, |c, reps| {
-                let mut shard = this.new_shard();
-                this.absorb(&mut shard, start_index + (c * chunk) as u64, reps);
-                shard
-            })
-        };
-        if let Some(shard) = merge_tree(shards, |a, b| self.merge(a, b)) {
-            self.finish_shard(shard);
-        }
-    }
+    /// Communication per user in bits (for the Table 1 accounting). The
+    /// wire encoding satisfies
+    /// `encoded_len() <= report_bits().div_ceil(8)` — pinned by the
+    /// `wire_conformance` integration tests.
+    fn report_bits(&self) -> usize;
 
+    /// Server working-memory estimate in bytes (sketch state only).
+    fn memory_bytes(&self) -> usize;
+
+    /// The per-user privacy parameter the protocol consumes.
+    fn epsilon(&self) -> f64;
+}
+
+/// A one-round LDP frequency-oracle protocol (Definition 3.2): the
+/// shared [`Aggregator`] ingest half plus point estimates.
+pub trait FrequencyOracle: Aggregator {
     /// Server-side: finish ingestion (e.g. apply the inverse transform).
     /// Must be called before [`FrequencyOracle::estimate`].
     fn finalize(&mut self);
@@ -279,18 +233,6 @@ pub trait FrequencyOracle {
 
     /// Estimate `f_S(x)`.
     fn estimate(&self, x: u64) -> f64;
-
-    /// Communication per user in bits (for the Table 1 accounting). The
-    /// wire encoding satisfies
-    /// `encoded_len() <= report_bits().div_ceil(8)` — pinned by the
-    /// `wire_conformance` integration tests.
-    fn report_bits(&self) -> usize;
-
-    /// Server working-memory estimate in bytes (sketch state only).
-    fn memory_bytes(&self) -> usize;
-
-    /// The per-user privacy parameter the protocol consumes.
-    fn epsilon(&self) -> f64;
 }
 
 #[cfg(test)]

@@ -54,10 +54,9 @@
 //!   ingest path stays allocation-free.
 //!
 //! The fused client half is `respond_encode_batch` on the protocol
-//! traits: sample straight into the chunk buffer
-//! ([`encode_reports`] framing), never building the intermediate report
-//! vec. `tests/wire_conformance.rs` pins both halves against the
-//! materializing paths bit-for-bit.
+//! traits: sample straight into the chunk buffer, never building the
+//! intermediate report vec. `tests/wire_conformance.rs` pins both halves
+//! against the scalar `respond` + `collect` reference bit-for-bit.
 
 use std::fmt;
 
@@ -174,25 +173,6 @@ pub fn decode_pair<A: WireReport, B: WireReport>(bytes: &[u8]) -> Result<(A, B),
 /// `second_bits` — the `report_bits()` of the composite protocols.
 pub fn pair_wire_bits(first_bits: usize, second_bits: usize) -> usize {
     8 * (1 + first_bits.div_ceil(8) + second_bits.div_ceil(8))
-}
-
-/// Append each report's encoding to `out`, returning the frame lengths —
-/// the framing side of the fused encode path ([`WireFrames`] is the
-/// borrowing side). This is what the default
-/// `respond_encode_batch` trait implementations delegate to; fused
-/// overrides produce byte-identical output without materializing the
-/// report slice first.
-pub fn encode_reports<R: WireReport>(reports: &[R], out: &mut Vec<u8>) -> Vec<u32> {
-    reports
-        .iter()
-        .map(|report| {
-            let before = out.len();
-            report.encode_into(out);
-            let len = out.len() - before;
-            debug_assert_eq!(len, report.encoded_len(), "encoded_len lied");
-            len as u32
-        })
-        .collect()
 }
 
 /// A borrowed view over one chunk of framed wire bytes: the concatenated
@@ -710,10 +690,24 @@ mod tests {
         assert!(r.finish().is_ok());
     }
 
+    /// Frame `reports` the way the fused encoders do: concatenated
+    /// encodings plus each frame's length.
+    fn encode_frames(reports: &[u64]) -> (Vec<u8>, Vec<u32>) {
+        let mut bytes = Vec::new();
+        let lens = reports
+            .iter()
+            .map(|r| {
+                let before = bytes.len();
+                r.encode_into(&mut bytes);
+                (bytes.len() - before) as u32
+            })
+            .collect();
+        (bytes, lens)
+    }
+
     #[test]
     fn wire_frames_iterate_in_order() {
-        let mut bytes = Vec::new();
-        let lens = encode_reports(&[1u64, 300, 70_000], &mut bytes);
+        let (bytes, lens) = encode_frames(&[1u64, 300, 70_000]);
         assert_eq!(lens, vec![1, 2, 3]);
         let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
         assert_eq!(frames.len(), 3);
@@ -760,8 +754,7 @@ mod tests {
 
     #[test]
     fn frame_errors_carry_index_and_offset() {
-        let mut bytes = Vec::new();
-        let lens = encode_reports(&[1u64, 300, 70_000], &mut bytes);
+        let (bytes, lens) = encode_frames(&[1u64, 300, 70_000]);
         let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
         let err = frames.frame_error(2, WireError::Truncated);
         assert_eq!(err.frame, 2);

@@ -3,7 +3,7 @@
 
 use hh_freq::hashtogram::{Hashtogram, HashtogramParams, HashtogramReport};
 use hh_freq::krr::KrrOracle;
-use hh_freq::traits::FrequencyOracle;
+use hh_freq::traits::{Aggregator, FrequencyOracle};
 use hh_freq::wire::WireReport;
 use hh_math::rng::seeded_rng;
 use proptest::prelude::*;

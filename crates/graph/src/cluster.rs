@@ -13,8 +13,8 @@
 //! conductance `≳ 1/2 − λ₀/d` (expander mixing lemma), while cuts along
 //! cluster boundaries have conductance `O(η)`; any `φ` strictly between
 //! separates, and the defaults leave a wide margin. This matches the
-//! guarantee consumed by the decoder (see DESIGN.md §5 for the
-//! substitution note vs. \[22\]'s algorithm).
+//! guarantee consumed by the decoder, which is why it can stand in for
+//! \[22\]'s algorithm.
 
 use crate::graph::Graph;
 use crate::spectral::fiedler_embedding;

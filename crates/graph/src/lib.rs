@@ -15,8 +15,8 @@
 //!    (Definition B.2) are near-disjoint expander copies plus noise edges,
 //!    recover each cluster up to O(η) volume. We implement recursive
 //!    spectral partitioning with conductance sweep cuts
-//!    ([`cluster::spectral_clusters`]) — see DESIGN.md §5 for why this
-//!    substitution preserves the contract Appendix B consumes.
+//!    ([`cluster::spectral_clusters`]); the [`cluster`] module docs say
+//!    why this substitution preserves the contract Appendix B consumes.
 
 pub mod cluster;
 pub mod expander;

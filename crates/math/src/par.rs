@@ -183,20 +183,6 @@ impl FinishScratch {
     }
 }
 
-/// Smallest per-shard chunk the shared sharding path will create:
-/// shard setup/merge is O(state size), so tiny chunks would be all
-/// overhead.
-pub const MIN_SHARD_CHUNK: usize = 4096;
-
-/// The chunk size the shared sharding path uses for `n` reports (one
-/// chunk per available worker, floored at [`MIN_SHARD_CHUNK`]). This is
-/// the one definition both `HeavyHitterProtocol::collect_batch` and
-/// `FrequencyOracle::collect_batch` shard with, so the trait defaults
-/// cannot drift apart.
-pub fn shard_chunk_size(n: usize) -> usize {
-    n.div_ceil(planned_threads(0, n, 1)).max(MIN_SHARD_CHUNK)
-}
-
 /// Fold shards pairwise, level by level (`(s0⊕s1) ⊕ (s2⊕s3) ⊕ …`) —
 /// the one tree reduction the trait defaults, the distributed driver
 /// and the streaming engine all go through. `None` for an empty input.
@@ -553,14 +539,6 @@ mod tests {
     #[should_panic(expected = "one seed per chunk")]
     fn zip_map_rejects_mismatched_seed_count() {
         let _ = par_chunk_zip_map(&[1u64, 2, 3], 2, 1, vec![0u8], |_, _, _| ());
-    }
-
-    #[test]
-    fn shard_chunks_cover_hardware() {
-        let n = 1usize << 20;
-        let chunk = shard_chunk_size(n);
-        assert!(chunk >= MIN_SHARD_CHUNK);
-        assert!(chunk * planned_threads(0, n, 1) >= n);
     }
 
     #[test]

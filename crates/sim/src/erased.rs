@@ -189,7 +189,6 @@ pub struct Erased<P>(pub P);
 impl<P> DynHhProtocol for Erased<P>
 where
     P: HeavyHitterProtocol + Send + Sync,
-    P::Report: Send + Sync,
 {
     fn respond_encode_batch(
         &self,
@@ -268,7 +267,6 @@ where
 impl<O> DynOracle for Erased<O>
 where
     O: FrequencyOracle + Send + Sync,
-    O::Report: Send + Sync,
 {
     fn respond_encode_batch(
         &self,
@@ -348,7 +346,6 @@ where
 pub fn erase_hh<P>(protocol: P) -> Box<dyn DynHhProtocol>
 where
     P: HeavyHitterProtocol + Send + Sync + 'static,
-    P::Report: Send + Sync,
 {
     Box::new(Erased(protocol))
 }
@@ -357,7 +354,6 @@ where
 pub fn erase_oracle<O>(oracle: O) -> Box<dyn DynOracle>
 where
     O: FrequencyOracle + Send + Sync + 'static,
-    O::Report: Send + Sync,
 {
     Box::new(Erased(oracle))
 }
@@ -481,6 +477,18 @@ impl HhFinish<DynShard> for dyn DynHhProtocol + '_ {
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         DynHhProtocol::finish_with(self, scratch)
     }
+
+    fn report_bits(&self) -> usize {
+        DynHhProtocol::report_bits(self)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        DynHhProtocol::memory_bytes(self)
+    }
+
+    fn detection_threshold(&self) -> f64 {
+        DynHhProtocol::detection_threshold(self)
+    }
 }
 
 impl OracleFinish<DynShard> for dyn DynOracle + '_ {
@@ -490,5 +498,17 @@ impl OracleFinish<DynShard> for dyn DynOracle + '_ {
 
     fn finalize_with(&mut self, scratch: &mut FinishScratch) {
         DynOracle::finalize_with(self, scratch);
+    }
+
+    fn estimate(&self, x: u64) -> f64 {
+        DynOracle::estimate(self, x)
+    }
+
+    fn report_bits(&self) -> usize {
+        DynOracle::report_bits(self)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        DynOracle::memory_bytes(self)
     }
 }

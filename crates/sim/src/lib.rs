@@ -11,7 +11,9 @@
 //! * [`run`] executes a protocol over the population and times each
 //!   phase. Three drivers share one reproducibility contract:
 //!   - [`run_heavy_hitter`] / [`run_oracle`] — the serial reference
-//!     path, one user at a time;
+//!     path, one user at a time through scalar `respond` + `collect`
+//!     ([`run_dyn_heavy_hitter`] / [`run_dyn_oracle`] are the wire-path
+//!     serial runs of a type-erased protocol);
 //!   - [`run_heavy_hitter_batched`] / [`run_oracle_batched`] — the
 //!     fused parallel pipeline: chunked `respond_encode_batch` on
 //!     scoped worker threads (each chunk's reports sampled straight
@@ -27,6 +29,10 @@
 //!     [`DistPlan`] (collector count, chunk size, threads,
 //!     [`MergeOrder`] — none affects output); also accounts measured
 //!     wire bytes. Both are thin single-epoch runs of [`pipeline`].
+//!
+//!   The batched and distributed drivers have one body per family and
+//!   take typed and `dyn` protocols alike, through the
+//!   [`stream::HhFinish`] / [`stream::OracleFinish`] bridge.
 //! * [`pipeline`] is the one streaming engine: reports arrive in
 //!   *epochs*, long-lived collector *actor* threads behind bounded
 //!   queues absorb chunks, snapshot their shards to bytes at checkpoint
@@ -75,15 +81,15 @@ pub use erased::{
 pub use metrics::FinishPhase;
 pub use pipeline::{run_pipelined, run_pipelined_all, PipelineConfig, PipelineSession};
 pub use registry::{build_hh, build_oracle, ProtocolSpec};
+/// The batched driver under its former `dyn` name: [`run_heavy_hitter_batched`]
+/// takes `&mut dyn DynHhProtocol` directly.
+pub use run::run_heavy_hitter_batched as run_dyn_heavy_hitter_batched;
 pub use run::{
-    run_dyn_heavy_hitter, run_dyn_heavy_hitter_batched, run_dyn_heavy_hitter_distributed,
-    run_dyn_oracle, run_dyn_oracle_batched, run_dyn_oracle_distributed, run_heavy_hitter,
-    run_heavy_hitter_batched, run_heavy_hitter_distributed, run_oracle, run_oracle_batched,
-    run_oracle_distributed, BatchPlan, DistPlan, DistributedOracleRun, DistributedRun, MergeOrder,
-    OracleRun, ProtocolRun,
+    run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter, run_heavy_hitter_batched,
+    run_heavy_hitter_distributed, run_oracle, run_oracle_batched, run_oracle_distributed,
+    BatchPlan, DistPlan, DistributedOracleRun, DistributedRun, MergeOrder, OracleRun, ProtocolRun,
 };
 pub use stream::{
-    CheckpointReport, HhStream, MaterializingIngest, OracleStream, RecoveryReport, StreamIngest,
-    StreamPlan, StreamStats,
+    CheckpointReport, HhStream, OracleStream, RecoveryReport, StreamIngest, StreamPlan, StreamStats,
 };
 pub use workload::{StreamWorkload, Workload};

@@ -18,7 +18,7 @@
 //!
 //! let spec = ProtocolSpec { n: 10_000, domain: 1 << 16, eps: 4.0, beta: 0.1, seed: 7 };
 //! let mut server = build_hh("expander_sketch", &spec).expect("registered");
-//! let run = hh_sim::run_dyn_heavy_hitter_batched(
+//! let run = hh_sim::run_heavy_hitter_batched(
 //!     server.as_mut(), &[1, 2, 3], 9, &hh_sim::BatchPlan::default());
 //! assert_eq!(run.n, 3);
 //! ```

@@ -59,10 +59,22 @@
 //! crash recovery and mid-stream queries — runs on the same runtime
 //! ([`crate::pipeline`]); this module's drivers share its ingestion
 //! path.
+//!
+//! # Typed and type-erased protocols
+//!
+//! The batched and distributed drivers have one body per family: they
+//! ingest through the [`HhStream`] / [`OracleStream`] adapter and fold
+//! the result in through the [`HhFinish`] / [`OracleFinish`] bridge, both
+//! of which cover a typed protocol and a `dyn`
+//! [`DynHhProtocol`] / [`DynOracle`] alike. Only the serial drivers come
+//! in two forms: the typed ones run scalar `respond` + `collect` (the
+//! ground truth), the `dyn` ones run the wire path one user at a time.
 
-use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream};
+use crate::erased::{DynHhProtocol, DynOracle};
 use crate::pipeline::{run_pipelined_all, PipelineConfig};
-use crate::stream::{HhStream, OracleStream, StreamIngest, StreamPlan, StreamStats};
+use crate::stream::{
+    HhFinish, HhStream, OracleFinish, OracleStream, StreamIngest, StreamPlan, StreamStats,
+};
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::WireFrames;
@@ -121,7 +133,7 @@ pub struct ProtocolRun {
     /// (Table 1 "User time" is this divided by `n`). Batched driver:
     /// wall-clock time of the parallel respond phase.
     pub client_total: Duration,
-    /// Server-side ingestion time (collect / collect_batch).
+    /// Server-side ingestion time (collect, or absorb + merge + fold).
     pub server_ingest: Duration,
     /// Server-side aggregation/decoding time (finish).
     pub server_finish: Duration,
@@ -196,18 +208,19 @@ pub fn run_heavy_hitter<P: HeavyHitterProtocol>(
 
 /// Run a heavy-hitter protocol through the batched, parallel pipeline.
 ///
-/// Output is bit-for-bit identical to [`run_heavy_hitter`] with the same
-/// `seed`, for every `plan` (chunk size and thread count only change the
-/// schedule, never the result).
-pub fn run_heavy_hitter_batched<P>(
+/// Takes a typed [`HeavyHitterProtocol`] or a `dyn` [`DynHhProtocol`]
+/// alike (the [`HhFinish`] bridge). Output is bit-for-bit identical to
+/// [`run_heavy_hitter`] with the same `seed`, for every `plan` (chunk
+/// size and thread count only change the schedule, never the result).
+pub fn run_heavy_hitter_batched<P, S>(
     server: &mut P,
     data: &[u64],
     seed: u64,
     plan: &BatchPlan,
 ) -> ProtocolRun
 where
-    P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
+    P: ?Sized + HhFinish<S>,
+    for<'p> HhStream<'p, P>: StreamIngest<Shard = S> + Sync,
 {
     let out = batched_ingest(&HhStream(&*server), data, seed, plan);
     let t1 = Instant::now();
@@ -475,16 +488,17 @@ impl DistributedRun {
 /// Output is bit-for-bit identical to [`run_heavy_hitter`] with the
 /// same `seed`, for every `plan` — collector count, chunk size, thread
 /// count and merge order only change the schedule, never the result
-/// (pinned by the `distributed_merge` integration tests).
-pub fn run_heavy_hitter_distributed<P>(
+/// (pinned by the `distributed_merge` integration tests). Takes typed
+/// and `dyn` protocols alike, as [`run_heavy_hitter_batched`] does.
+pub fn run_heavy_hitter_distributed<P, S>(
     server: &mut P,
     data: &[u64],
     seed: u64,
     plan: &DistPlan,
 ) -> DistributedRun
 where
-    P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
+    P: ?Sized + HhFinish<S>,
+    for<'p> HhStream<'p, P>: StreamIngest<Shard = S> + Sync,
 {
     plan.validate();
     let (merged, stats) = one_shot_fleet(&HhStream(&*server), data, seed, plan);
@@ -577,9 +591,10 @@ pub fn run_oracle<O: FrequencyOracle>(
 
 /// Run a frequency oracle through the batched, parallel pipeline.
 ///
-/// Output is bit-for-bit identical to [`run_oracle`] with the same seed,
-/// for every `plan`.
-pub fn run_oracle_batched<O>(
+/// Takes a typed [`FrequencyOracle`] or a `dyn` [`DynOracle`] alike (the
+/// [`OracleFinish`] bridge). Output is bit-for-bit identical to
+/// [`run_oracle`] with the same seed, for every `plan`.
+pub fn run_oracle_batched<O, S>(
     oracle: &mut O,
     data: &[u64],
     queries: &[u64],
@@ -587,8 +602,8 @@ pub fn run_oracle_batched<O>(
     plan: &BatchPlan,
 ) -> OracleRun
 where
-    O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
+    O: ?Sized + OracleFinish<S>,
+    for<'o> OracleStream<'o, O>: StreamIngest<Shard = S> + Sync,
 {
     // Same fused pipeline as `run_heavy_hitter_batched`: respond
     // straight into wire buffers, then zero-copy absorb into per-chunk
@@ -652,8 +667,9 @@ impl DistributedOracleRun {
 /// oracle-level analogue of [`run_heavy_hitter_distributed`] (the same
 /// single-epoch run of the collector runtime), with the same wire
 /// round-trip and merge guarantees: answers are bit-for-bit identical
-/// to [`run_oracle`] for every `plan`.
-pub fn run_oracle_distributed<O>(
+/// to [`run_oracle`] for every `plan`. Takes typed and `dyn` oracles
+/// alike.
+pub fn run_oracle_distributed<O, S>(
     oracle: &mut O,
     data: &[u64],
     queries: &[u64],
@@ -661,8 +677,8 @@ pub fn run_oracle_distributed<O>(
     plan: &DistPlan,
 ) -> DistributedOracleRun
 where
-    O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
+    O: ?Sized + OracleFinish<S>,
+    for<'o> OracleStream<'o, O>: StreamIngest<Shard = S> + Sync,
 {
     plan.validate();
     let (merged, stats) = one_shot_fleet(&OracleStream(&*oracle), data, seed, plan);
@@ -741,73 +757,6 @@ pub fn run_dyn_heavy_hitter(
     }
 }
 
-/// Run a type-erased heavy-hitter protocol through the batched parallel
-/// pipeline — the dyn twin of [`run_heavy_hitter_batched`] (same shared
-/// ingest path, same bit-for-bit output).
-pub fn run_dyn_heavy_hitter_batched(
-    server: &mut dyn DynHhProtocol,
-    data: &[u64],
-    seed: u64,
-    plan: &BatchPlan,
-) -> ProtocolRun {
-    let out = batched_ingest(&DynHhStream(&*server), data, seed, plan);
-    let t1 = Instant::now();
-    if let Some(shard) = out.shard {
-        server.finish_shard(shard);
-    }
-    let server_ingest = out.ingest_total + t1.elapsed();
-    let t2 = Instant::now();
-    let estimates = server.finish_with(&mut FinishScratch::with_threads(plan.threads));
-    let server_finish = t2.elapsed();
-    ProtocolRun {
-        estimates,
-        n: data.len(),
-        client_total: out.client_total,
-        server_ingest,
-        server_finish,
-        threads: out.threads,
-        report_bits: server.report_bits(),
-        memory_bytes: server.memory_bytes(),
-        detection_threshold: server.detection_threshold(),
-    }
-}
-
-/// Run a type-erased heavy-hitter protocol across a simulated collector
-/// fleet — the dyn twin of [`run_heavy_hitter_distributed`] (the same
-/// single-epoch run of the collector runtime).
-pub fn run_dyn_heavy_hitter_distributed(
-    server: &mut dyn DynHhProtocol,
-    data: &[u64],
-    seed: u64,
-    plan: &DistPlan,
-) -> DistributedRun {
-    plan.validate();
-    let (merged, stats) = one_shot_fleet(&DynHhStream(&*server), data, seed, plan);
-
-    let t2 = Instant::now();
-    server.finish_shard(merged);
-    let server_merge = stats.merge_total + t2.elapsed();
-
-    let t3 = Instant::now();
-    let estimates = server.finish_with(&mut FinishScratch::with_threads(plan.threads));
-    let server_finish = t3.elapsed();
-
-    DistributedRun {
-        estimates,
-        n: data.len(),
-        collectors: plan.collectors,
-        wire_bytes: stats.wire_bytes,
-        client_total: stats.client_total,
-        server_ingest: stats.ingest_total,
-        server_merge,
-        server_finish,
-        threads: stats.threads,
-        report_bits: server.report_bits(),
-        memory_bytes: server.memory_bytes(),
-        detection_threshold: server.detection_threshold(),
-    }
-}
-
 /// Run a type-erased frequency oracle serially — the dyn twin of
 /// [`run_oracle`].
 pub fn run_dyn_oracle(
@@ -850,72 +799,6 @@ pub fn run_dyn_oracle(
         server_build,
         query_total,
         threads: 1,
-        report_bits: oracle.report_bits(),
-        memory_bytes: oracle.memory_bytes(),
-    }
-}
-
-/// Run a type-erased frequency oracle through the batched parallel
-/// pipeline — the dyn twin of [`run_oracle_batched`].
-pub fn run_dyn_oracle_batched(
-    oracle: &mut dyn DynOracle,
-    data: &[u64],
-    queries: &[u64],
-    seed: u64,
-    plan: &BatchPlan,
-) -> OracleRun {
-    let out = batched_ingest(&DynOracleStream(&*oracle), data, seed, plan);
-    let t1 = Instant::now();
-    if let Some(shard) = out.shard {
-        oracle.finish_shard(shard);
-    }
-    oracle.finalize_with(&mut FinishScratch::with_threads(plan.threads));
-    let server_build = out.ingest_total + t1.elapsed();
-    let t3 = Instant::now();
-    let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
-    let query_total = t3.elapsed();
-    OracleRun {
-        answers,
-        n: data.len(),
-        client_total: out.client_total,
-        server_build,
-        query_total,
-        threads: out.threads,
-        report_bits: oracle.report_bits(),
-        memory_bytes: oracle.memory_bytes(),
-    }
-}
-
-/// Run a type-erased frequency oracle across a simulated collector
-/// fleet — the dyn twin of [`run_oracle_distributed`].
-pub fn run_dyn_oracle_distributed(
-    oracle: &mut dyn DynOracle,
-    data: &[u64],
-    queries: &[u64],
-    seed: u64,
-    plan: &DistPlan,
-) -> DistributedOracleRun {
-    plan.validate();
-    let (merged, stats) = one_shot_fleet(&DynOracleStream(&*oracle), data, seed, plan);
-
-    let t1 = Instant::now();
-    oracle.finish_shard(merged);
-    oracle.finalize_with(&mut FinishScratch::with_threads(plan.threads));
-    let server_build = stats.ingest_total + stats.merge_total + t1.elapsed();
-
-    let t2 = Instant::now();
-    let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
-    let query_total = t2.elapsed();
-
-    DistributedOracleRun {
-        answers,
-        n: data.len(),
-        collectors: plan.collectors,
-        wire_bytes: stats.wire_bytes,
-        client_total: stats.client_total,
-        server_build,
-        query_total,
-        threads: stats.threads,
         report_bits: oracle.report_bits(),
         memory_bytes: oracle.memory_bytes(),
     }

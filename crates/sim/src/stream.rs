@@ -31,8 +31,8 @@
 
 use crate::run::{DistPlan, MergeOrder};
 use hh_core::traits::HeavyHitterProtocol;
-use hh_freq::traits::FrequencyOracle;
-use hh_freq::wire::{FrameError, WireError, WireFrames, WireReport, WireShard};
+use hh_freq::traits::{Aggregator, FrequencyOracle};
+use hh_freq::wire::{FrameError, WireError, WireFrames, WireShard};
 use hh_math::par::{merge_tree, FinishScratch};
 use std::time::Duration;
 
@@ -99,9 +99,7 @@ impl StreamPlan {
 /// reports only ever appear as encoded frames, and the shard codec runs
 /// through `&self` (not an associated-type bound), so a `dyn`-boxed
 /// protocol behind [`crate::erased::DynHhProtocol`] drives the same
-/// runtime as a monomorphized one. Code that needs typed `Report`
-/// values (the wire conformance tests) bounds on
-/// [`MaterializingIngest`] instead.
+/// runtime as a monomorphized one.
 pub trait StreamIngest {
     /// The mergeable, durable partial aggregate.
     type Shard: Send;
@@ -147,21 +145,6 @@ pub trait StreamIngest {
     }
 }
 
-/// The typed, report-materializing extension of [`StreamIngest`]: the
-/// pre-zero-copy pipeline (respond to a report vec, absorb decoded
-/// reports). The runtime never calls these — they are the reference the
-/// wire conformance tests compare the zero-copy path against, and are
-/// not object-safe (a type-erased protocol has no `Report` type).
-pub trait MaterializingIngest: StreamIngest {
-    /// The client message type crossing the wire.
-    type Report: WireReport + Send + Sync;
-
-    /// Reports of the contiguous user range starting at `start_index`.
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<Self::Report>;
-    /// Fold a contiguous user range of reports into `shard`.
-    fn absorb(&self, shard: &mut Self::Shard, start_index: u64, reports: &[Self::Report]);
-}
-
 /// [`StreamIngest`] over a borrowed heavy-hitter protocol: a typed
 /// [`HeavyHitterProtocol`], or a `dyn`
 /// [`DynHhProtocol`](crate::erased::DynHhProtocol) (spelled
@@ -193,48 +176,84 @@ impl<O: ?Sized> Clone for OracleStream<'_, O> {
 impl<O: ?Sized> Copy for OracleStream<'_, O> {}
 
 /// The finish half of a heavy-hitter server — typed or type-erased —
-/// that a mid-stream query folds the durable view into.
+/// that the batched and distributed drivers and mid-stream queries fold
+/// an ingested aggregate into, plus the accessors a run record reads.
+/// One bridge per family is what lets each of those have one body for
+/// typed and `dyn` protocols alike.
 pub trait HhFinish<S> {
     /// Fold a partial aggregate into the server state.
     fn finish_shard(&mut self, shard: S);
     /// The estimated heavy-hitter list, decoded through `scratch`.
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)>;
+    /// Communication per user in bits.
+    fn report_bits(&self) -> usize;
+    /// Server working-memory estimate in bytes.
+    fn memory_bytes(&self) -> usize;
+    /// The protocol's detection threshold Δ.
+    fn detection_threshold(&self) -> f64;
 }
 
-/// The finish half of a frequency oracle — typed or type-erased — that a
-/// mid-stream query folds the durable view into.
+/// The finish half of a frequency oracle — typed or type-erased — that
+/// the drivers and mid-stream queries fold an ingested aggregate into
+/// (see [`HhFinish`]).
 pub trait OracleFinish<S> {
     /// Fold a partial aggregate into the oracle state.
     fn finish_shard(&mut self, shard: S);
     /// Finalize through `scratch`, so the caller can `estimate`.
     fn finalize_with(&mut self, scratch: &mut FinishScratch);
+    /// Estimate `f_S(x)` (after `finalize_with`).
+    fn estimate(&self, x: u64) -> f64;
+    /// Communication per user in bits.
+    fn report_bits(&self) -> usize;
+    /// Server working-memory estimate in bytes.
+    fn memory_bytes(&self) -> usize;
 }
 
 impl<P: HeavyHitterProtocol> HhFinish<P::Shard> for P {
     fn finish_shard(&mut self, shard: P::Shard) {
-        HeavyHitterProtocol::finish_shard(self, shard);
+        Aggregator::finish_shard(self, shard);
     }
 
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         HeavyHitterProtocol::finish_with(self, scratch)
     }
+
+    fn report_bits(&self) -> usize {
+        Aggregator::report_bits(self)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        Aggregator::memory_bytes(self)
+    }
+
+    fn detection_threshold(&self) -> f64 {
+        HeavyHitterProtocol::detection_threshold(self)
+    }
 }
 
 impl<O: FrequencyOracle> OracleFinish<O::Shard> for O {
     fn finish_shard(&mut self, shard: O::Shard) {
-        FrequencyOracle::finish_shard(self, shard);
+        Aggregator::finish_shard(self, shard);
     }
 
     fn finalize_with(&mut self, scratch: &mut FinishScratch) {
         FrequencyOracle::finalize_with(self, scratch);
     }
+
+    fn estimate(&self, x: u64) -> f64 {
+        FrequencyOracle::estimate(self, x)
+    }
+
+    fn report_bits(&self) -> usize {
+        Aggregator::report_bits(self)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        Aggregator::memory_bytes(self)
+    }
 }
 
-impl<'a, P> StreamIngest for HhStream<'a, P>
-where
-    P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
-{
+impl<P: HeavyHitterProtocol + Sync> StreamIngest for HhStream<'_, P> {
     type Shard = P::Shard;
     const CLIENT_LABEL: u64 = HH_CLIENT_LABEL;
 
@@ -279,27 +298,7 @@ where
     }
 }
 
-impl<'a, P> MaterializingIngest for HhStream<'a, P>
-where
-    P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
-{
-    type Report = P::Report;
-
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<P::Report> {
-        self.0.respond_batch(start_index, xs, client_seed)
-    }
-
-    fn absorb(&self, shard: &mut P::Shard, start_index: u64, reports: &[P::Report]) {
-        self.0.absorb(shard, start_index, reports);
-    }
-}
-
-impl<'a, O> StreamIngest for OracleStream<'a, O>
-where
-    O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
-{
+impl<O: FrequencyOracle + Sync> StreamIngest for OracleStream<'_, O> {
     type Shard = O::Shard;
     const CLIENT_LABEL: u64 = ORACLE_CLIENT_LABEL;
 
@@ -341,22 +340,6 @@ where
 
     fn decode_shard(&self, bytes: &[u8]) -> Result<O::Shard, WireError> {
         O::Shard::decode_shard(bytes)
-    }
-}
-
-impl<'a, O> MaterializingIngest for OracleStream<'a, O>
-where
-    O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
-{
-    type Report = O::Report;
-
-    fn respond_batch(&self, start_index: u64, xs: &[u64], client_seed: u64) -> Vec<O::Report> {
-        self.0.respond_batch(start_index, xs, client_seed)
-    }
-
-    fn absorb(&self, shard: &mut O::Shard, start_index: u64, reports: &[O::Report]) {
-        self.0.absorb(shard, start_index, reports);
     }
 }
 

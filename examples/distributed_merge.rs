@@ -16,7 +16,7 @@
 use ldp_heavy_hitters::core::verify;
 use ldp_heavy_hitters::prelude::*;
 use ldp_heavy_hitters::sim::registry::{build_hh, ProtocolSpec};
-use ldp_heavy_hitters::sim::{run_dyn_heavy_hitter, run_dyn_heavy_hitter_distributed};
+use ldp_heavy_hitters::sim::{run_dyn_heavy_hitter, run_heavy_hitter_distributed};
 
 fn main() {
     let n: usize = 1 << 17;
@@ -61,7 +61,7 @@ fn main() {
         ..DistPlan::default()
     };
     let mut fleet = build_hh("expander_sketch", &spec).expect("registered protocol");
-    let distributed = run_dyn_heavy_hitter_distributed(fleet.as_mut(), &data, 100, &plan);
+    let distributed = run_heavy_hitter_distributed(fleet.as_mut(), &data, 100, &plan);
 
     assert_eq!(
         distributed.estimates, reference.estimates,

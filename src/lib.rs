@@ -8,8 +8,9 @@
 //! the GenProt approximate→pure transformation, and the matching lower
 //! bound).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the architecture, and
-//! `EXPERIMENTS.md` for the reproduction of every quantitative claim.
+//! See `README.md` for a tour: its "Architecture" section covers the
+//! encoder/aggregator design, and "Reproducing the Table 1 experiments"
+//! lists the commands behind every quantitative claim.
 //!
 //! ```no_run
 //! use ldp_heavy_hitters::prelude::*;
@@ -38,7 +39,7 @@ pub use hh_structure as structure;
 /// Most-used items in one import.
 pub mod prelude {
     pub use hh_core::baselines::{Bitstogram, BitstogramParams, ScanHeavyHitters, ScanParams};
-    pub use hh_core::traits::HeavyHitterProtocol;
+    pub use hh_core::traits::{Aggregator, HeavyHitterProtocol};
     pub use hh_core::{ExpanderSketch, SketchParams};
     pub use hh_freq::hashtogram::{Hashtogram, HashtogramParams};
     pub use hh_freq::traits::{FrequencyOracle, LocalRandomizer, RandomizerInput};

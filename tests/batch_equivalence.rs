@@ -26,7 +26,6 @@ fn assert_equivalent<P, F>(
     protocol: &str,
 ) where
     P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
     F: Fn() -> P,
 {
     let serial = {
@@ -162,25 +161,41 @@ mod shard_algebra {
 
     const N: usize = 4_000;
 
-    fn setup(
-        seed: u64,
-    ) -> (
-        ScanHeavyHitters,
-        Vec<<ScanHeavyHitters as HeavyHitterProtocol>::Report>,
-    ) {
+    type Shard = <ScanHeavyHitters as Aggregator>::Shard;
+
+    /// The server, its users' inputs, and their client seed.
+    fn setup(seed: u64) -> (ScanHeavyHitters, Vec<u64>, u64) {
         let params = ScanParams::new(N as u64, 256, 4.0, 0.1);
         let input = Workload::planted(256, vec![(9, 0.35)]).generate(N, seed);
         let server = ScanHeavyHitters::new(params, seed ^ 0x5A);
-        let reports = server.respond_batch(0, &input, seed ^ 0xC3);
-        (server, reports)
+        (server, input, seed ^ 0xC3)
     }
 
     fn serial_finish(seed: u64) -> Vec<(u64, f64)> {
-        let (mut server, reports) = setup(seed);
-        for (i, &rep) in reports.iter().enumerate() {
+        let (mut server, input, client_seed) = setup(seed);
+        for (i, &x) in input.iter().enumerate() {
+            let rep = server.respond(i as u64, x, &mut client_rng(client_seed, i as u64));
             server.collect(i as u64, rep);
         }
         server.finish()
+    }
+
+    /// Users `lo..hi` fused-encoded and absorbed into a fresh shard.
+    fn absorb_range(
+        server: &ScanHeavyHitters,
+        input: &[u64],
+        client_seed: u64,
+        lo: usize,
+        hi: usize,
+    ) -> Shard {
+        let mut bytes = Vec::new();
+        let lens = server.respond_encode_batch(lo as u64, &input[lo..hi], client_seed, &mut bytes);
+        let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
+        let mut shard = server.new_shard();
+        server
+            .absorb_wire(&mut shard, lo as u64, &frames)
+            .expect("lossless chunk");
+        shard
     }
 
     proptest! {
@@ -194,17 +209,12 @@ mod shard_algebra {
             tree in 0u8..3,
         ) {
             let truth = serial_finish(seed);
-            let (mut server, reports) = setup(seed);
+            let (mut server, input, client_seed) = setup(seed);
             // Partition the population into three ragged ranges and
             // absorb each into its own shard.
-            let (ra, rest) = reports.split_at(cut_a);
-            let (rb, rc) = rest.split_at(cut_b - cut_a);
-            let mut sa = server.new_shard();
-            server.absorb(&mut sa, 0, ra);
-            let mut sb = server.new_shard();
-            server.absorb(&mut sb, cut_a as u64, rb);
-            let mut sc = server.new_shard();
-            server.absorb(&mut sc, cut_b as u64, rc);
+            let sa = absorb_range(&server, &input, client_seed, 0, cut_a);
+            let sb = absorb_range(&server, &input, client_seed, cut_a, cut_b);
+            let sc = absorb_range(&server, &input, client_seed, cut_b, N);
             // Three distinct merge trees/orders.
             let merged = match tree {
                 0 => server.merge(server.merge(sa, sb), sc),
@@ -218,9 +228,8 @@ mod shard_algebra {
         #[test]
         fn new_shard_is_the_merge_identity(seed in 0u64..1000, left in 0u8..2) {
             let truth = serial_finish(seed);
-            let (mut server, reports) = setup(seed);
-            let mut shard = server.new_shard();
-            server.absorb(&mut shard, 0, &reports);
+            let (mut server, input, client_seed) = setup(seed);
+            let shard = absorb_range(&server, &input, client_seed, 0, N);
             let merged = if left == 0 {
                 server.merge(server.new_shard(), shard)
             } else {
@@ -230,31 +239,4 @@ mod shard_algebra {
             prop_assert_eq!(server.finish(), truth);
         }
     }
-}
-
-#[test]
-fn direct_trait_batch_calls_equal_per_user_calls() {
-    // The trait-level contract, independent of the drivers: respond_batch
-    // must equal per-user respond on the derived streams, and
-    // collect_batch must leave observationally identical server state.
-    use ldp_heavy_hitters::math::rng::client_rng;
-    let n = 1usize << 13;
-    let input = Workload::planted(1 << 16, vec![(0xBEE, 0.3)]).generate(n, 76);
-    let params = ScanParams::new(n as u64, 1 << 10, 2.0, 0.1);
-    let input: Vec<u64> = input.iter().map(|&x| x & 0x3FF).collect();
-    let client_seed = 0xABCD_EF01u64;
-
-    let server = ScanHeavyHitters::new(params.clone(), 111);
-    let batch = server.respond_batch(0, &input, client_seed);
-    let mut via_batch_server = ScanHeavyHitters::new(params.clone(), 111);
-    via_batch_server.collect_batch(0, batch);
-    let via_batch = via_batch_server.finish();
-
-    let mut serial_server = ScanHeavyHitters::new(params, 111);
-    for (i, &x) in input.iter().enumerate() {
-        let mut rng = client_rng(client_seed, i as u64);
-        let rep = serial_server.respond(i as u64, x, &mut rng);
-        serial_server.collect(i as u64, rep);
-    }
-    assert_eq!(via_batch, serial_server.finish());
 }

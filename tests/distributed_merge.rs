@@ -28,7 +28,6 @@ const ORDERS: [MergeOrder; 3] = [
 fn assert_distributed_equivalent<P, F>(make: F, input: &[u64], seed: u64, protocol: &str)
 where
     P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
     F: Fn() -> P,
 {
     let serial = {
@@ -143,7 +142,6 @@ fn assert_oracle_distributed_equivalent<O, F>(
     oracle_name: &str,
 ) where
     O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
     F: Fn() -> O,
 {
     let serial = {

@@ -15,7 +15,7 @@ use ldp_heavy_hitters::sim::registry::{
     build_hh, build_oracle, hh_names, oracle_names, ProtocolSpec,
 };
 use ldp_heavy_hitters::sim::{
-    run_dyn_heavy_hitter, run_dyn_heavy_hitter_batched, run_dyn_oracle, run_dyn_oracle_batched,
+    run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter_batched, run_oracle_batched,
     run_pipelined, DynHhStream, PipelineConfig, StreamPlan,
 };
 
@@ -100,7 +100,7 @@ fn every_hh_name_constructs_runs_and_matches_direct_construction() {
         // Batched dyn driver (shared fused pipeline).
         let batched = {
             let mut server = build_hh(name, &s).expect("registered name builds");
-            run_dyn_heavy_hitter_batched(
+            run_heavy_hitter_batched(
                 server.as_mut(),
                 &data,
                 seed,
@@ -135,7 +135,7 @@ fn every_oracle_name_constructs_runs_and_matches_direct_construction() {
         );
         let batched = {
             let mut oracle = build_oracle(name, &s).expect("registered name builds");
-            run_dyn_oracle_batched(
+            run_oracle_batched(
                 oracle.as_mut(),
                 &data,
                 &queries,

@@ -64,6 +64,27 @@ fn round_trip<S: WireShard>(sa: &S, sb: &S, protocol: &str) -> (S, S) {
     (da, db)
 }
 
+/// Two shards over the ragged user ranges `0..cut` and `cut..`, each
+/// fused-encoded and absorbed through the wire path.
+fn two_shards<A: Aggregator>(
+    server: &A,
+    input: &[u64],
+    client_seed: u64,
+    cut: usize,
+) -> (A::Shard, A::Shard) {
+    let absorb = |lo: usize, hi: usize| {
+        let mut bytes = Vec::new();
+        let lens = server.respond_encode_batch(lo as u64, &input[lo..hi], client_seed, &mut bytes);
+        let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
+        let mut shard = server.new_shard();
+        server
+            .absorb_wire(&mut shard, lo as u64, &frames)
+            .expect("lossless chunk");
+        shard
+    };
+    (absorb(0, cut), absorb(cut, input.len()))
+}
+
 /// Heavy-hitter side: `finish` over merged decoded shards must equal
 /// `finish` over merged never-encoded shards, bit-for-bit.
 fn conform_hh<P, F>(make: F, input: &[u64], protocol: &str)
@@ -72,16 +93,8 @@ where
     F: Fn() -> P,
 {
     let server = make();
-    let reports = server.respond_batch(0, input, 0xC0FE);
     let cut = input.len() / 3 + 1;
-    let two_shards = || {
-        let (a, b) = reports.split_at(cut);
-        let mut sa = server.new_shard();
-        server.absorb(&mut sa, 0, a);
-        let mut sb = server.new_shard();
-        server.absorb(&mut sb, cut as u64, b);
-        (sa, sb)
-    };
+    let two_shards = || two_shards(&server, input, 0xC0FE, cut);
     let reference = {
         let (sa, sb) = two_shards();
         let mut s = make();
@@ -128,16 +141,8 @@ where
     F: Fn() -> O,
 {
     let oracle = make();
-    let reports = oracle.respond_batch(0, input, 0x0C0FE);
     let cut = input.len() / 3 + 1;
-    let two_shards = || {
-        let (a, b) = reports.split_at(cut);
-        let mut sa = oracle.new_shard();
-        oracle.absorb(&mut sa, 0, a);
-        let mut sb = oracle.new_shard();
-        oracle.absorb(&mut sb, cut as u64, b);
-        (sa, sb)
-    };
+    let two_shards = || two_shards(&oracle, input, 0x0C0FE, cut);
     let answers = |shard: O::Shard| {
         let mut o = make();
         o.finish_shard(shard);
@@ -260,6 +265,37 @@ fn rappor_shards_conform() {
         &inputs(n as usize, 100, 44),
         &[33u64, 7],
         "rappor",
+    );
+}
+
+/// Fold a decoded snapshot of `other`'s shard — a configuration of
+/// another shape — into `server`. With one collector the snapshot
+/// reaches `finish_shard` without a merge, so `finish_shard` itself must
+/// reject it rather than zip-truncate into a wrong aggregate.
+fn fold_foreign_snapshot<A: Aggregator>(other: A, mut server: A) {
+    let (shard, _) = two_shards(&other, &[0, 1, 2, 3], 7, 4);
+    let snapshot = A::Shard::decode_shard(&shard.encode_shard()).expect("snapshot decodes");
+    server.finish_shard(snapshot);
+}
+
+#[test]
+#[should_panic(expected = "shard shape mismatch")]
+fn krr_oracle_rejects_a_foreign_shard_shape() {
+    fold_foreign_snapshot(KrrOracle::new(8, 1.0), KrrOracle::new(16, 1.0));
+}
+
+#[test]
+#[should_panic(expected = "shard shape mismatch")]
+fn rappor_rejects_a_foreign_shard_shape() {
+    fold_foreign_snapshot(Rappor::new(8, 1.0), Rappor::new(16, 1.0));
+}
+
+#[test]
+#[should_panic(expected = "shard shape mismatch")]
+fn bassily_smith_oracle_rejects_a_foreign_shard_shape() {
+    fold_foreign_snapshot(
+        BassilySmithOracle::new(1 << 10, 1.0, 64, 5),
+        BassilySmithOracle::new(1 << 10, 1.0, 128, 5),
     );
 }
 

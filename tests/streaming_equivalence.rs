@@ -133,7 +133,6 @@ fn grid_config(shape: usize) -> PipelineConfig {
 fn assert_stream_equivalent<P, F>(make: F, input: &[u64], seed: u64, protocol: &str)
 where
     P: HeavyHitterProtocol + Sync,
-    P::Report: Send + Sync,
     F: Fn() -> P,
 {
     let serial = {
@@ -179,7 +178,6 @@ fn assert_oracle_stream_equivalent<O, F>(
     oracle_name: &str,
 ) where
     O: FrequencyOracle + Sync,
-    O::Report: Send + Sync,
     F: Fn() -> O,
 {
     let serial = {

@@ -47,6 +47,15 @@ where
     }
 }
 
+/// The scalar reference client: user `i` runs `respond` on her own coin
+/// stream `client_rng(client_seed, i)`.
+fn scalar_reports<A: Aggregator>(protocol: &A, xs: &[u64], client_seed: u64) -> Vec<A::Report> {
+    xs.iter()
+        .enumerate()
+        .map(|(i, &x)| protocol.respond(i as u64, x, &mut client_rng(client_seed, i as u64)))
+        .collect()
+}
+
 fn inputs(n: usize, domain: u64, seed: u64) -> Vec<u64> {
     Workload::planted(domain, vec![(domain / 3, 0.3)]).generate(n, seed)
 }
@@ -58,7 +67,7 @@ fn expander_sketch_reports_conform() {
     let server = ExpanderSketch::new(params, 1);
     let xs = inputs(n as usize, 1 << 16, 2);
     conform(
-        &server.respond_batch(0, &xs, 3),
+        &scalar_reports(&server, &xs, 3),
         server.report_bits(),
         "expander_sketch",
     );
@@ -71,7 +80,7 @@ fn bitstogram_reports_conform() {
     let server = Bitstogram::new(params, 4);
     let xs = inputs(n as usize, 1 << 16, 5);
     conform(
-        &server.respond_batch(0, &xs, 6),
+        &scalar_reports(&server, &xs, 6),
         server.report_bits(),
         "bitstogram",
     );
@@ -83,7 +92,7 @@ fn scan_reports_conform() {
     let server = ScanHeavyHitters::new(ScanParams::new(n, 512, 2.0, 0.1), 7);
     let xs = inputs(n as usize, 512, 8);
     conform(
-        &server.respond_batch(0, &xs, 9),
+        &scalar_reports(&server, &xs, 9),
         server.report_bits(),
         "scan",
     );
@@ -95,7 +104,7 @@ fn bassily_smith_hh_reports_conform() {
     let server = BassilySmithHeavyHitters::new(BsHhParams::optimal(n, 1 << 10, 2.0, 0.2), 10);
     let xs = inputs(n as usize, 1 << 10, 11);
     conform(
-        &server.respond_batch(0, &xs, 12),
+        &scalar_reports(&server, &xs, 12),
         server.report_bits(),
         "bassily_smith_hh",
     );
@@ -115,7 +124,7 @@ fn hashtogram_oracle_reports_conform() {
         let oracle = Hashtogram::new(params, 13);
         let xs = inputs(n as usize, domain, 14);
         conform(
-            &oracle.respond_batch(0, &xs, 15),
+            &scalar_reports(&oracle, &xs, 15),
             oracle.report_bits(),
             name,
         );
@@ -128,7 +137,7 @@ fn bassily_smith_oracle_reports_conform() {
     let oracle = BassilySmithOracle::new(1 << 20, 1.0, n, 16);
     let xs = inputs(n as usize, 1 << 20, 17);
     conform(
-        &oracle.respond_batch(0, &xs, 18),
+        &scalar_reports(&oracle, &xs, 18),
         oracle.report_bits(),
         "bassily_smith_oracle",
     );
@@ -140,7 +149,7 @@ fn krr_oracle_reports_conform() {
     let oracle = KrrOracle::new(24, 1.0);
     let xs = inputs(n as usize, 24, 19);
     conform(
-        &oracle.respond_batch(0, &xs, 20),
+        &scalar_reports(&oracle, &xs, 20),
         oracle.report_bits(),
         "krr",
     );
@@ -153,7 +162,7 @@ fn rappor_reports_conform() {
     let oracle = Rappor::new(100, 1.0);
     let xs = inputs(n as usize, 100, 21);
     conform(
-        &oracle.respond_batch(0, &xs, 22),
+        &scalar_reports(&oracle, &xs, 22),
         oracle.report_bits(),
         "rappor",
     );
@@ -246,11 +255,12 @@ fn sketch_rejects_an_inner_row_outside_w_at_ingest() {
 
 mod zero_copy_ingest {
     //! Property: the fused client path (`respond_encode_batch`) writes
-    //! byte-identical wire chunks to respond-then-encode, and the
-    //! zero-copy server path (`absorb_wire`) leaves shards bit-for-bit
-    //! equal to decode-then-absorb — for every protocol and oracle, over
-    //! random inputs, chunk boundaries, chunk processing orders, and
-    //! shard assignments.
+    //! byte-identical wire chunks to scalar `respond` + `encode_into`,
+    //! and the zero-copy server path (`absorb_wire` into shards, merged
+    //! and folded in with `finish_shard`) is observationally equal to
+    //! per-user `collect` of the decoded frames — for every protocol and
+    //! oracle, over random inputs, chunk boundaries, chunk processing
+    //! orders, and shard assignments.
 
     use super::inputs;
     use ldp_heavy_hitters::core::baselines::{
@@ -260,19 +270,34 @@ mod zero_copy_ingest {
     use ldp_heavy_hitters::freq::bassily_smith::BassilySmithOracle;
     use ldp_heavy_hitters::freq::krr::KrrOracle;
     use ldp_heavy_hitters::freq::rappor::Rappor;
-    use ldp_heavy_hitters::freq::wire::encode_reports;
     use ldp_heavy_hitters::prelude::*;
-    use ldp_heavy_hitters::sim::{HhStream, MaterializingIngest, OracleStream};
     use proptest::prelude::*;
     use rand::Rng;
 
+    /// A heavy-hitter server's observable output: its `finish` list, bit
+    /// for bit.
+    fn hh_output<P: HeavyHitterProtocol>(server: &mut P) -> Vec<(u64, u64)> {
+        server
+            .finish()
+            .into_iter()
+            .map(|(x, f)| (x, f.to_bits()))
+            .collect()
+    }
+
+    /// An oracle's observable output: the estimate of every domain
+    /// element, bit for bit.
+    fn oracle_output<O: FrequencyOracle>(oracle: &mut O, domain: u64) -> Vec<u64> {
+        oracle.finalize();
+        (0..domain).map(|x| oracle.estimate(x).to_bits()).collect()
+    }
+
     /// The shared schedule of one property case: random chunk
     /// boundaries, a shuffled chunk processing order, and a random
-    /// two-shard split, applied identically to the fused and the
-    /// materializing pipeline. Shards are compared bit-for-bit through
-    /// their snapshot encoding.
-    fn assert_fused_matches_materialized<I: MaterializingIngest>(
-        ingest: &I,
+    /// two-shard split. `make` builds a fresh server (one for the wire
+    /// path, one for the scalar reference); `observe` reads its output.
+    fn assert_wire_path_matches_scalar<A: Aggregator, T: PartialEq + std::fmt::Debug>(
+        make: impl Fn() -> A,
+        observe: impl Fn(&mut A) -> T,
         xs: &[u64],
         chunk_size: usize,
         client_seed: u64,
@@ -287,44 +312,49 @@ mod zero_copy_ingest {
             order.swap(i, j);
         }
 
-        let mut wire_shards = [ingest.new_shard(), ingest.new_shard()];
-        let mut ref_shards = [ingest.new_shard(), ingest.new_shard()];
+        let mut wire = make();
+        let mut reference = make();
+        let mut shards = [wire.new_shard(), wire.new_shard()];
         for &c in &order {
             let lo = c * chunk_size;
             let hi = (lo + chunk_size).min(xs.len());
             let start = lo as u64;
-            let slice = &xs[lo..hi];
 
-            // Fused client path vs respond-then-encode: byte-identical.
+            // Fused client path vs scalar respond + encode: byte-identical.
             let mut bytes = Vec::new();
-            let lens = ingest.respond_encode_batch(start, slice, client_seed, &mut bytes);
-            let reports = ingest.respond_batch(start, slice, client_seed);
-            let mut ref_bytes = Vec::new();
-            let ref_lens = encode_reports(&reports, &mut ref_bytes);
+            let lens = wire.respond_encode_batch(start, &xs[lo..hi], client_seed, &mut bytes);
+            let (mut ref_bytes, mut ref_lens) = (Vec::new(), Vec::new());
+            for (k, &x) in xs[lo..hi].iter().enumerate() {
+                let i = start + k as u64;
+                let before = ref_bytes.len();
+                reference
+                    .respond(i, x, &mut client_rng(client_seed, i))
+                    .encode_into(&mut ref_bytes);
+                ref_lens.push((ref_bytes.len() - before) as u32);
+            }
             assert_eq!(bytes, ref_bytes, "{protocol}: fused encoding diverged");
             assert_eq!(lens, ref_lens, "{protocol}: fused framing diverged");
 
-            // Zero-copy absorb vs decode-then-absorb, same target shard.
+            // Zero-copy absorb into a random shard vs per-user collect.
             let frames = WireFrames::new(&bytes, &lens)
                 .unwrap_or_else(|e| panic!("{protocol}: chunk {c} misframed: {e}"));
             let which = rng.gen_range(0..2u64) as usize;
-            ingest
-                .absorb_wire(&mut wire_shards[which], start, &frames)
+            wire.absorb_wire(&mut shards[which], start, &frames)
                 .unwrap_or_else(|e| panic!("{protocol}: chunk {c} failed to absorb: {e}"));
-            let decoded: Vec<I::Report> = frames
-                .iter()
-                .map(|f| I::Report::decode(f).expect("frame decodes"))
-                .collect();
-            ingest.absorb(&mut ref_shards[which], start, &decoded);
+            for (k, frame) in frames.iter().enumerate() {
+                reference.collect(
+                    start + k as u64,
+                    A::Report::decode(frame).expect("frame decodes"),
+                );
+            }
         }
-        let [wa, wb] = wire_shards;
-        let [ra, rb] = ref_shards;
-        let wire = ingest.merge(wa, wb);
-        let reference = ingest.merge(ra, rb);
+        let [a, b] = shards;
+        let merged = wire.merge(a, b);
+        wire.finish_shard(merged);
         assert_eq!(
-            ingest.encode_shard(&wire),
-            ingest.encode_shard(&reference),
-            "{protocol}: absorb_wire shard diverged from decode+absorb"
+            observe(&mut wire),
+            observe(&mut reference),
+            "{protocol}: absorb_wire + merge + finish_shard diverged from per-user collect"
         );
     }
 
@@ -332,7 +362,7 @@ mod zero_copy_ingest {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         #[test]
-        fn all_protocols_absorb_wire_equals_decode_absorb(
+        fn all_protocols_absorb_wire_equals_decode_collect(
             n in 100usize..350,
             chunk_size in 1usize..160,
             data_seed in 0u64..1_000,
@@ -341,61 +371,65 @@ mod zero_copy_ingest {
         ) {
             // Heavy-hitter protocols.
             let p = SketchParams::optimal(n as u64, 12, 2.0, 0.2);
-            let server = ExpanderSketch::new(p, 71);
-            assert_fused_matches_materialized(
-                &HhStream(&server), &inputs(n, 1 << 12, data_seed),
+            assert_wire_path_matches_scalar(
+                || ExpanderSketch::new(p.clone(), 71), hh_output,
+                &inputs(n, 1 << 12, data_seed),
                 chunk_size, client_seed, order_seed, "expander_sketch",
             );
 
             let p = BitstogramParams::optimal(n as u64, 12, 2.0, 0.3);
-            let server = Bitstogram::new(p, 72);
-            assert_fused_matches_materialized(
-                &HhStream(&server), &inputs(n, 1 << 12, data_seed ^ 1),
+            assert_wire_path_matches_scalar(
+                || Bitstogram::new(p.clone(), 72), hh_output,
+                &inputs(n, 1 << 12, data_seed ^ 1),
                 chunk_size, client_seed, order_seed, "bitstogram",
             );
 
-            let server = ScanHeavyHitters::new(ScanParams::new(n as u64, 256, 2.0, 0.1), 73);
-            assert_fused_matches_materialized(
-                &HhStream(&server), &inputs(n, 256, data_seed ^ 2),
+            assert_wire_path_matches_scalar(
+                || ScanHeavyHitters::new(ScanParams::new(n as u64, 256, 2.0, 0.1), 73), hh_output,
+                &inputs(n, 256, data_seed ^ 2),
                 chunk_size, client_seed, order_seed, "scan",
             );
 
-            let server = BassilySmithHeavyHitters::new(
-                BsHhParams::optimal(n as u64, 1 << 10, 2.0, 0.2), 74,
-            );
-            assert_fused_matches_materialized(
-                &HhStream(&server), &inputs(n, 1 << 10, data_seed ^ 3),
+            assert_wire_path_matches_scalar(
+                || BassilySmithHeavyHitters::new(BsHhParams::optimal(n as u64, 1 << 10, 2.0, 0.2), 74),
+                hh_output,
+                &inputs(n, 1 << 10, data_seed ^ 3),
                 chunk_size, client_seed, order_seed, "bassily_smith_hh",
             );
 
             // Frequency oracles.
-            let oracle = Hashtogram::new(HashtogramParams::hashed(n as u64, 1 << 20, 1.0, 0.1), 75);
-            assert_fused_matches_materialized(
-                &OracleStream(&oracle), &inputs(n, 1 << 20, data_seed ^ 4),
+            assert_wire_path_matches_scalar(
+                || Hashtogram::new(HashtogramParams::hashed(n as u64, 1 << 20, 1.0, 0.1), 75),
+                |o| oracle_output(o, 1 << 20),
+                &inputs(n, 1 << 20, data_seed ^ 4),
                 chunk_size, client_seed, order_seed, "hashtogram_hashed",
             );
 
-            let oracle = Hashtogram::new(HashtogramParams::direct(200, 1.0, 0.1), 76);
-            assert_fused_matches_materialized(
-                &OracleStream(&oracle), &inputs(n, 200, data_seed ^ 5),
+            assert_wire_path_matches_scalar(
+                || Hashtogram::new(HashtogramParams::direct(200, 1.0, 0.1), 76),
+                |o| oracle_output(o, 200),
+                &inputs(n, 200, data_seed ^ 5),
                 chunk_size, client_seed, order_seed, "hashtogram_direct",
             );
 
-            let oracle = BassilySmithOracle::new(1 << 16, 1.0, 256, 77);
-            assert_fused_matches_materialized(
-                &OracleStream(&oracle), &inputs(n, 1 << 16, data_seed ^ 6),
+            assert_wire_path_matches_scalar(
+                || BassilySmithOracle::new(1 << 16, 1.0, 256, 77),
+                |o| oracle_output(o, 1 << 16),
+                &inputs(n, 1 << 16, data_seed ^ 6),
                 chunk_size, client_seed, order_seed, "bassily_smith_oracle",
             );
 
-            let oracle = KrrOracle::new(24, 1.0);
-            assert_fused_matches_materialized(
-                &OracleStream(&oracle), &inputs(n, 24, data_seed ^ 7),
+            assert_wire_path_matches_scalar(
+                || KrrOracle::new(24, 1.0),
+                |o| oracle_output(o, 24),
+                &inputs(n, 24, data_seed ^ 7),
                 chunk_size, client_seed, order_seed, "krr",
             );
 
-            let oracle = Rappor::new(100, 1.0);
-            assert_fused_matches_materialized(
-                &OracleStream(&oracle), &inputs(n, 100, data_seed ^ 8),
+            assert_wire_path_matches_scalar(
+                || Rappor::new(100, 1.0),
+                |o| oracle_output(o, 100),
+                &inputs(n, 100, data_seed ^ 8),
                 chunk_size, client_seed, order_seed, "rappor",
             );
         }
