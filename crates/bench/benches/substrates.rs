@@ -1,7 +1,9 @@
 //! Criterion bench for the substrate layers: hashing, WHT,
 //! Reed–Solomon, ULRC encode/decode, expander construction, clustering,
-//! and the batch-pipeline primitives (fused respond_encode_batch,
-//! sharded absorb_wire, par_chunk_map).
+//! and the ingest primitives the collector runtime is built from (fused
+//! respond_encode_batch, absorb_wire into per-chunk shards with a tree
+//! merge, par_chunk_map), each timed in isolation from the runtime's
+//! queues and actor threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hh_codes::ulrc::{UlrcParams, UniqueListCode};

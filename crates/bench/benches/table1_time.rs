@@ -40,7 +40,8 @@ fn bench_server(c: &mut Criterion) {
     let n = 1u64 << 14;
     let data = Workload::planted(1 << 24, vec![(0xBEEF, 0.4)]).generate(n as usize, 5);
     // Full runs through both drivers — the serial reference and the
-    // batched parallel pipeline (identical output; see batch_equivalence).
+    // batched driver, a one-shot collector-fleet run (identical output;
+    // see batch_equivalence).
     group.bench_function("expander_sketch/serial", |b| {
         b.iter(|| {
             let mut server = ExpanderSketch::new(SketchParams::optimal(n, 24, 2.0, 0.1), 6);

@@ -12,8 +12,8 @@ use hh_sim::{run_oracle, run_oracle_batched, BatchPlan, Workload};
 
 /// Whether `--serial` was passed (re-derived from argv on each call):
 /// routes measurement through the serial reference driver instead of the
-/// batched pipeline (identical output either way; see the batch
-/// equivalence tests).
+/// batched driver, a one-shot collector-fleet run (identical output
+/// either way; see the batch equivalence tests).
 fn serial_mode() -> bool {
     std::env::args().any(|a| a == "--serial")
 }
@@ -54,7 +54,7 @@ fn main() {
         if serial_mode() {
             "serial (--serial)"
         } else {
-            "batched parallel pipeline (default)"
+            "batched: one-shot collector fleet (default)"
         }
     );
 

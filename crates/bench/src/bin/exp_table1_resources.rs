@@ -19,11 +19,10 @@
 //! flags):
 //!
 //! * `--serial` — drive the table rows through the serial reference
-//!   runner instead of the batched parallel pipeline (the default), for
-//!   before/after comparison.
-//! * `--distributed` — drive the table rows through the distributed
-//!   collector-fleet pipeline (8 nodes, tree merge): every report is
-//!   round-tripped through its wire encoding on the way to a collector.
+//!   runner instead of the batched driver (the default: a one-shot run
+//!   of the collector fleet, one collector per worker thread, every
+//!   report round-tripped through its wire encoding on the way to a
+//!   collector), for before/after comparison.
 //! * `--stream` — additionally stream through the collector runtime
 //!   (drifting workload, per-epoch checkpoints, one collector crash +
 //!   recovery) and report snapshot bytes/collector, checkpoint +
@@ -53,29 +52,22 @@ use hh_math::FinishScratch;
 use hh_sim::registry::{build_hh, build_oracle, ProtocolSpec};
 use hh_sim::{
     run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter_batched, run_heavy_hitter_distributed,
-    run_oracle_batched, run_oracle_distributed, run_pipelined, BatchPlan, DistPlan, DynHhProtocol,
-    DynHhStream, FinishPhase, PipelineConfig, PipelineSession, ProtocolRun, StreamIngest,
-    StreamPlan, StreamWorkload, Workload,
+    run_oracle_distributed, run_pipelined, BatchPlan, DistPlan, DynHhProtocol, DynHhStream,
+    FinishPhase, OracleRun, PipelineConfig, PipelineSession, ProtocolRun, StreamIngest, StreamPlan,
+    StreamWorkload, Workload,
 };
 use std::time::Instant;
 
-/// Which pipeline drives the table rows.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-enum Driver {
-    Serial,
-    #[default]
-    Batched,
-    Distributed,
-}
-
 /// The accepted command line, for the usage line printed on a bad one.
-const USAGE: &str = "usage: exp_table1_resources [--serial | --distributed] [--stream] \
-                     [--finish-bench] [--quick] [--json] [--json-out <path>]";
+const USAGE: &str = "usage: exp_table1_resources [--serial] [--stream] [--finish-bench] \
+                     [--quick] [--json] [--json-out <path>]";
 
 /// The parsed command line.
 #[derive(Debug, Default, PartialEq)]
 struct Args {
-    driver: Driver,
+    /// Drive the table rows through the serial reference driver instead
+    /// of the batched one.
+    serial: bool,
     stream: bool,
     finish_bench: bool,
     quick: bool,
@@ -88,12 +80,11 @@ struct Args {
 /// instead of silently measuring nothing.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut out = Args::default();
-    let (mut serial, mut distributed, mut json) = (false, false, false);
+    let mut json = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--serial" => serial = true,
-            "--distributed" => distributed = true,
+            "--serial" => out.serial = true,
             "--stream" => out.stream = true,
             "--finish-bench" => out.finish_bench = true,
             "--quick" => out.quick = true,
@@ -110,12 +101,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             other => return Err(format!("unrecognised argument {other:?}")),
         }
     }
-    out.driver = match (serial, distributed) {
-        (true, true) => return Err("--serial and --distributed are mutually exclusive".into()),
-        (true, false) => Driver::Serial,
-        (false, true) => Driver::Distributed,
-        (false, false) => Driver::Batched,
-    };
     if json && out.json_out.is_none() {
         out.json_out = Some("BENCH_table1.json".to_string());
     }
@@ -127,61 +112,41 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(out)
 }
 
-/// A table row's timing plus the measured wire accounting.
-struct RowRun {
-    run: ProtocolRun,
-    /// Mean measured wire bytes per user (end-to-end in distributed
-    /// mode, sampled from real reports otherwise).
-    wire_bytes_per_user: f64,
-}
-
-/// How many leading users the non-distributed rows sample to measure
-/// mean wire bytes (the distributed driver measures end-to-end instead).
+/// How many leading users the `--serial` rows sample to measure mean
+/// wire bytes (the fleet measures end-to-end instead).
 const WIRE_SAMPLE_CAP: usize = 1 << 13;
 /// Client seed of the wire-size sample (any fixed value works — report
 /// sizes concentrate; fixed so reruns print identical columns).
 const WIRE_SAMPLE_SEED: u64 = 0x317E;
 
 /// Mean encoded report size over a leading sample of the population,
-/// measured through the fused wire path.
-fn sample_wire_bytes(server: &dyn DynHhProtocol, data: &[u64]) -> f64 {
+/// measured through the fused wire path `encode` (`respond_encode_batch`
+/// from user 0 at [`WIRE_SAMPLE_SEED`]).
+fn sample_wire_bytes(data: &[u64], encode: impl FnOnce(&[u64], &mut Vec<u8>)) -> f64 {
     let sample = &data[..data.len().min(WIRE_SAMPLE_CAP)];
     let mut buf = Vec::new();
-    server.respond_encode_batch(0, sample, WIRE_SAMPLE_SEED, &mut buf);
+    encode(sample, &mut buf);
     buf.len() as f64 / sample.len().max(1) as f64
 }
 
-fn drive(server: &mut dyn DynHhProtocol, data: &[u64], seed: u64, driver: Driver) -> RowRun {
-    match driver {
-        Driver::Serial | Driver::Batched => {
-            let wire_bytes_per_user = sample_wire_bytes(&*server, data);
-            let run = if driver == Driver::Serial {
-                run_dyn_heavy_hitter(server, data, seed)
-            } else {
-                run_heavy_hitter_batched(server, data, seed, &BatchPlan::default())
-            };
-            RowRun {
-                run,
-                wire_bytes_per_user,
-            }
-        }
-        Driver::Distributed => {
-            let d = run_heavy_hitter_distributed(server, data, seed, &DistPlan::default());
-            RowRun {
-                wire_bytes_per_user: d.wire_bytes_per_user(),
-                run: ProtocolRun {
-                    estimates: d.estimates,
-                    n: d.n,
-                    client_total: d.client_total,
-                    server_ingest: d.server_ingest + d.server_merge,
-                    server_finish: d.server_finish,
-                    threads: d.threads,
-                    report_bits: d.report_bits,
-                    memory_bytes: d.memory_bytes,
-                    detection_threshold: d.detection_threshold,
-                },
-            }
-        }
+/// One table row's run and its mean wire bytes per user: measured end
+/// to end through the fleet by default, sampled under `--serial`.
+fn drive(
+    server: &mut dyn DynHhProtocol,
+    data: &[u64],
+    seed: u64,
+    serial: bool,
+) -> (ProtocolRun, f64) {
+    if serial {
+        let wire = sample_wire_bytes(data, |xs, buf| {
+            server.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
+        });
+        (run_dyn_heavy_hitter(server, data, seed), wire)
+    } else {
+        let plan = BatchPlan::default().fleet(data.len());
+        let d = run_heavy_hitter_distributed(server, data, seed, &plan);
+        let wire = d.wire_bytes_per_user();
+        (d.into(), wire)
     }
 }
 
@@ -651,7 +616,7 @@ fn main() {
         eprintln!("exp_table1_resources: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let (driver, quick) = (args.driver, args.quick);
+    let (serial, quick) = (args.serial, args.quick);
 
     banner(
         "T1.time / T1.mem / T1.comm — Table 1 resource rows",
@@ -659,11 +624,10 @@ fn main() {
     );
     println!(
         "driver: {}\n",
-        match driver {
-            Driver::Serial => "serial (--serial)",
-            Driver::Batched => "batched parallel pipeline (default)",
-            Driver::Distributed =>
-                "distributed collector fleet (--distributed; 8 nodes, wire round-trip, tree merge)",
+        if serial {
+            "serial (--serial)"
+        } else {
+            "batched: one-shot collector fleet (default; wire round-trip, tree merge)"
         }
     );
     let bits = 20u32;
@@ -702,15 +666,15 @@ fn main() {
 
         for &(display, name, build_seed, run_seed, pub_rand) in hh_rows {
             let mut s = build_hh(name, &spec(build_seed)).expect("registered protocol");
-            let row = drive(s.as_mut(), &data, run_seed, driver);
+            let (run, wire) = drive(s.as_mut(), &data, run_seed, serial);
             t.row(&[
                 display.into(),
                 format!("2^{logn}"),
-                fmt_dur(row.run.server_time()),
-                fmt_dur(row.run.user_time()),
-                format!("{} KiB", row.run.memory_bytes / 1024),
-                row.run.report_bits.to_string(),
-                format!("{:.2}", row.wire_bytes_per_user),
+                fmt_dur(run.server_time()),
+                fmt_dur(run.user_time()),
+                format!("{} KiB", run.memory_bytes / 1024),
+                run.report_bits.to_string(),
+                format!("{wire:.2}"),
                 pub_rand.into(),
             ]);
         }
@@ -720,72 +684,50 @@ fn main() {
         // slice and extrapolate.
         let mut o = build_oracle("bassily_smith", &spec(5)).expect("registered oracle");
         let queries: Vec<u64> = (0..512u64).collect();
-        // (server_build, client_total, query_total, wire B/user) under
-        // the same driver as the other rows.
-        let (server_build, client_total, query_total, wire, mem, bits_claim) = match driver {
-            Driver::Serial | Driver::Batched => {
-                let sample = &data[..data.len().min(WIRE_SAMPLE_CAP)];
-                let mut buf = Vec::new();
-                o.respond_encode_batch(0, sample, WIRE_SAMPLE_SEED, &mut buf);
-                let wire = buf.len() as f64 / sample.len().max(1) as f64;
-                let run = if driver == Driver::Serial {
-                    run_dyn_oracle(o.as_mut(), &data, &queries, 6)
-                } else {
-                    run_oracle_batched(o.as_mut(), &data, &queries, 6, &BatchPlan::default())
-                };
-                (
-                    run.server_build,
-                    run.client_total,
-                    run.query_total,
-                    wire,
-                    run.memory_bytes,
-                    run.report_bits,
-                )
-            }
-            Driver::Distributed => {
-                let run =
-                    run_oracle_distributed(o.as_mut(), &data, &queries, 6, &DistPlan::default());
-                (
-                    run.server_build,
-                    run.client_total,
-                    run.query_total,
-                    run.wire_bytes_per_user(),
-                    run.memory_bytes,
-                    run.report_bits,
-                )
-            }
+        // Under the same driver as the other rows.
+        let (run, wire): (OracleRun, f64) = if serial {
+            let wire = sample_wire_bytes(&data, |xs, buf| {
+                o.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
+            });
+            (run_dyn_oracle(o.as_mut(), &data, &queries, 6), wire)
+        } else {
+            let plan = BatchPlan::default().fleet(data.len());
+            let d = run_oracle_distributed(o.as_mut(), &data, &queries, 6, &plan);
+            let wire = d.wire_bytes_per_user();
+            (d.into(), wire)
         };
-        let full_scan = query_total.as_secs_f64() / 512.0 * (1u64 << bits) as f64;
+        let full_scan = run.query_total.as_secs_f64() / 512.0 * (1u64 << bits) as f64;
         t.row(&[
             "bassily-smith [4]".into(),
             format!("2^{logn}"),
             format!(
                 "{} (+{} scan-extrapolated)",
-                fmt_dur(server_build),
+                fmt_dur(run.server_build),
                 fmt_dur(std::time::Duration::from_secs_f64(full_scan))
             ),
             fmt_dur(std::time::Duration::from_nanos(
-                (client_total.as_nanos() as u64) / n,
+                (run.client_total.as_nanos() as u64) / n,
             )),
-            format!("{} KiB", mem / 1024),
-            bits_claim.to_string(),
+            format!("{} KiB", run.memory_bytes / 1024),
+            run.report_bits.to_string(),
             format!("{wire:.2}"),
             "64 bits (hash-compressed Phi)".into(),
         ]);
     }
     t.print();
     println!("\nnotes:");
-    if driver == Driver::Batched {
-        println!("  - batched driver: user(mean) is the parallel respond phase's wall-clock / n,");
-        println!("    a lower bound on per-user compute at >1 thread; use --serial for the");
-        println!("    paper's per-user cost metric.");
+    if !serial {
+        println!("  - batched driver: user(mean) is the encode phase's wall-clock / n, a lower");
+        println!("    bound on per-user compute at >1 thread; use --serial for the paper's");
+        println!("    per-user cost metric.");
     }
     println!("  - all rows dispatch through hh_sim::registry (type-erased protocols);");
     println!("    the serial driver ingests per-user through the same wire path.");
     println!("  - claim bits is report_bits() (the protocol's worst-case message claim);");
     println!("    wire B/user is the measured mean size of the actual encoded reports");
-    println!("    (end-to-end through the collector fleet under --distributed). The");
-    println!("    wire_conformance tests pin wire <= ceil(claim / 8) bytes per report.");
+    println!("    (end-to-end through the collector fleet; a leading sample under");
+    println!("    --serial). The wire_conformance tests pin wire <= ceil(claim / 8)");
+    println!("    bytes per report.");
     println!("  - [4]'s Table-1 entries (n^1.5 user, n^2.5 server, n^1.5 public coins)");
     println!("    assume explicitly materialized public randomness; our implementation");
     println!("    hash-compresses Phi (the option their footnote 2 concedes), so the");
@@ -966,16 +908,15 @@ mod tests {
     #[test]
     fn no_flags_is_the_batched_table() {
         assert_eq!(parse(&[]), Ok(Args::default()));
-        assert_eq!(Args::default().driver, Driver::Batched);
+        assert!(!Args::default().serial);
     }
 
     #[test]
     fn known_flags_parse() {
-        let args = parse(&["--distributed", "--quick", "--finish-bench"]).expect("valid");
-        assert_eq!(args.driver, Driver::Distributed);
+        let args = parse(&["--serial", "--quick", "--finish-bench"]).expect("valid");
+        assert!(args.serial);
         assert!(args.quick && args.finish_bench && !args.stream);
         assert_eq!(args.json_out, None);
-        assert_eq!(parse(&["--serial"]).expect("valid").driver, Driver::Serial);
     }
 
     #[test]
@@ -990,21 +931,18 @@ mod tests {
 
     #[test]
     fn removed_and_unknown_flags_are_rejected() {
-        for flag in [
-            "--pipeline",
-            "--ingest-bench",
-            "--client-bench",
-            "--bogus",
-            "quick",
-        ] {
-            let err = parse(&["--quick", flag]).expect_err(flag);
-            assert!(err.contains(flag), "{flag}: {err}");
+        // Removed modes fail as unknown flags, next to any valid one.
+        let removed = "--pipeline --ingest-bench --client-bench --distributed";
+        for flag in removed.split_whitespace().chain(["--bogus", "quick"]) {
+            for valid in ["--quick", "--serial"] {
+                let err = parse(&[valid, flag]).expect_err(flag);
+                assert!(err.contains(flag), "{flag}: {err}");
+            }
         }
     }
 
     #[test]
     fn bad_combinations_are_rejected() {
-        assert!(parse(&["--serial", "--distributed"]).is_err());
         assert!(parse(&["--json-out"]).is_err());
         assert!(parse(&["--json-out", "--quick"]).is_err());
     }

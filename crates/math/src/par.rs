@@ -1,5 +1,6 @@
-//! Deterministic parallel chunk mapping — the substrate of the batched
-//! execution pipeline.
+//! Deterministic parallel chunk mapping — the substrate of the parallel
+//! server-side decodes (`finish_with`) and of the collector runtime's
+//! buffer pool and tree merge.
 //!
 //! [`par_chunk_map`] partitions a slice into fixed-size chunks and maps a
 //! function over them on a small pool of scoped worker threads, returning
@@ -184,8 +185,9 @@ impl FinishScratch {
 }
 
 /// Fold shards pairwise, level by level (`(s0⊕s1) ⊕ (s2⊕s3) ⊕ …`) —
-/// the one tree reduction the trait defaults, the distributed driver
-/// and the streaming engine all go through. `None` for an empty input.
+/// the one tree reduction the collector runtime (and with it every
+/// batched and distributed driver) merges its shards with. `None` for
+/// an empty input.
 pub fn merge_tree<S>(mut shards: Vec<S>, mut merge: impl FnMut(S, S) -> S) -> Option<S> {
     while shards.len() > 1 {
         let mut next = Vec::with_capacity(shards.len().div_ceil(2));

@@ -42,12 +42,13 @@ pub fn seeded_rng(seed: u64) -> SmallRng {
 
 /// The per-user client coin stream of the batch execution contract.
 ///
-/// Every driver (serial or batched) gives user `i` the stream
-/// `client_rng(client_seed, i)`, so a user's coins depend only on the run
-/// seed and her own index — never on chunk boundaries, thread count, or
-/// the order other users are processed. This is what makes
-/// `run_heavy_hitter_batched` bit-for-bit equivalent to the serial runner
-/// at any parallelism.
+/// Every driver (serial, batched, distributed or streaming) gives user
+/// `i` the stream `client_rng(client_seed, i)`, so a user's coins depend
+/// only on the run seed and her own index — never on chunk boundaries,
+/// thread count, collector count, or the order other users are
+/// processed. This is what makes the collector-fleet drivers
+/// (`run_heavy_hitter_batched` among them) bit-for-bit equivalent to the
+/// serial runner at any parallelism.
 ///
 /// The stream is SplitMix64 from `derive_seed(client_seed, user_index)`
 /// (see [`crate::sampler::ClientRng`]); batch encoders amortize the

@@ -9,26 +9,24 @@
 //! * [`workload`] generates the distributed inputs (planted heavy
 //!   hitters, Zipf skew, the URL-telemetry mixture);
 //! * [`run`] executes a protocol over the population and times each
-//!   phase. Three drivers share one reproducibility contract:
+//!   phase. Three drivers share one reproducibility contract and two
+//!   ingest paths, the serial reference and the collector runtime:
 //!   - [`run_heavy_hitter`] / [`run_oracle`] — the serial reference
 //!     path, one user at a time through scalar `respond` + `collect`
 //!     ([`run_dyn_heavy_hitter`] / [`run_dyn_oracle`] are the wire-path
 //!     serial runs of a type-erased protocol);
-//!   - [`run_heavy_hitter_batched`] / [`run_oracle_batched`] — the
-//!     fused parallel pipeline: chunked `respond_encode_batch` on
-//!     scoped worker threads (each chunk's reports sampled straight
-//!     into a wire buffer), zero-copy `absorb_wire` ingest into
-//!     per-chunk shards merged tree-wise, then the unchanged `finish`.
-//!     Configured by [`BatchPlan`] (chunk size, thread count — neither
-//!     affects output);
 //!   - [`run_heavy_hitter_distributed`] / [`run_oracle_distributed`] —
-//!     a simulated collector fleet: every report crosses the wire as a
-//!     fused-encoded frame, chunks are routed to one of `k` collector
-//!     nodes, folded there from borrowed frames, and the shards are
-//!     merged (tree-wise by default) before `finish`. Configured by
-//!     [`DistPlan`] (collector count, chunk size, threads,
-//!     [`MergeOrder`] — none affects output); also accounts measured
-//!     wire bytes. Both are thin single-epoch runs of [`pipeline`].
+//!     a simulated collector fleet, a single-epoch run of [`pipeline`]:
+//!     every report crosses the wire as a fused-encoded frame, chunks
+//!     are routed to one of `k` collector nodes, folded there from
+//!     borrowed frames, and the shards are merged (tree-wise by
+//!     default) before `finish`. Configured by [`DistPlan`] (collector
+//!     count, chunk size, threads, [`MergeOrder`] — none affects
+//!     output); also accounts measured wire bytes;
+//!   - [`run_heavy_hitter_batched`] / [`run_oracle_batched`] — the same
+//!     fleet run, one-shot on the fleet [`BatchPlan::fleet`] derives
+//!     from a [`BatchPlan`] (chunk size, thread count — neither affects
+//!     output): one collector per worker thread, tree merge.
 //!
 //!   The batched and distributed drivers have one body per family and
 //!   take typed and `dyn` protocols alike, through the

@@ -1,6 +1,7 @@
 //! Protocol execution with the Table 1 resource accounting: a serial
-//! reference driver, a batched parallel driver, and a distributed
-//! collector-fleet driver — all with identical output.
+//! reference driver and a collector-fleet driver, whose one-shot run on
+//! a fleet sized to the machine is the batched driver — all with
+//! identical output.
 //!
 //! # The reproducibility contract
 //!
@@ -15,32 +16,19 @@
 //! `batch_equivalence` and `distributed_merge` integration tests pin
 //! this down protocol by protocol.
 //!
-//! # The batched pipeline
-//!
-//! [`run_heavy_hitter_batched`] executes in three phases, all wire-native
-//! (the same fused path the collector runtime runs):
-//!
-//! 1. **respond + encode** — the population is partitioned into chunks
-//!    of [`BatchPlan::chunk_size`]; scoped worker threads run the fused
-//!    `respond_encode_batch` over the chunks, sampling each user's
-//!    report straight into a per-chunk wire buffer (no intermediate
-//!    `Report` vec — the buffered state is a few bytes per user);
-//! 2. **ingest** — each chunk's borrowed frames are folded into a fresh
-//!    shard in parallel (`absorb_wire`, zero-copy — no decoded report
-//!    vec either), the shards merge tree-wise, and the result folds into
-//!    the server;
-//! 3. **finish** — unchanged single-threaded aggregation/decoding.
-//!
-//! # The distributed pipeline
+//! # The collector fleet
 //!
 //! [`run_heavy_hitter_distributed`] simulates a collector fleet. It is
 //! a thin wrapper over the collector runtime
 //! ([`crate::pipeline::run_pipelined_all`]) run as a single epoch:
 //!
-//! 1. **respond + encode** — as above, but each chunk's reports are
-//!    immediately serialized through their [`WireReport`](hh_core::traits::WireReport) encoding (the
-//!    clients' messages as they would leave the device) and sent to
-//!    their collector; total wire bytes are accounted;
+//! 1. **respond + encode** — the population is partitioned into chunks
+//!    of [`DistPlan::chunk_size`]; encoder workers run the fused
+//!    `respond_encode_batch`, sampling each user's report straight into
+//!    its [`WireReport`](hh_core::traits::WireReport) encoding (the
+//!    client's message as it would leave the device — no intermediate
+//!    `Report` vec), and send each chunk to its collector; total wire
+//!    bytes are accounted;
 //! 2. **collect** — chunk `c`'s bytes are routed to collector
 //!    `c % collectors`; each collector actor folds its chunks' borrowed
 //!    wire frames straight into its own shard while the rest are still
@@ -55,10 +43,13 @@
 //!    serial path (`FinishScratch::serial`). Thread count never changes
 //!    output.
 //!
-//! Open-ended, multi-epoch ingestion — with durable shard snapshots,
-//! crash recovery and mid-stream queries — runs on the same runtime
-//! ([`crate::pipeline`]); this module's drivers share its ingestion
-//! path.
+//! The batched drivers ([`run_heavy_hitter_batched`],
+//! [`run_oracle_batched`]) are this run on the fleet
+//! [`BatchPlan::fleet`] derives: one collector per worker thread the
+//! input gets, tree merge. Open-ended, multi-epoch ingestion — with
+//! durable shard snapshots, crash recovery and mid-stream queries —
+//! runs on the same runtime ([`crate::pipeline`]), so there is one
+//! ingest path.
 //!
 //! # Typed and type-erased protocols
 //!
@@ -78,7 +69,7 @@ use crate::stream::{
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::WireFrames;
-use hh_math::par::{merge_tree, par_chunk_map, par_map_owned, planned_threads, FinishScratch};
+use hh_math::par::{planned_threads, FinishScratch};
 use hh_math::rng::{client_rng, derive_seed};
 use std::time::{Duration, Instant};
 
@@ -120,6 +111,20 @@ impl BatchPlan {
             "BatchPlan.chunk_size must be >= 1 (got 0)"
         );
     }
+
+    /// The collector fleet a batched run of `n` users executes on: one
+    /// collector per worker thread the input gets (as many as its chunks,
+    /// at most the plan's thread policy), the plan's chunk size and
+    /// thread policy, and a tree merge.
+    pub fn fleet(&self, n: usize) -> DistPlan {
+        self.validate();
+        DistPlan {
+            collectors: planned_threads(self.threads, n, self.chunk_size),
+            chunk_size: self.chunk_size,
+            threads: self.threads,
+            merge: MergeOrder::Tree,
+        }
+    }
 }
 
 /// Measured resources of one heavy-hitter protocol run.
@@ -129,15 +134,19 @@ pub struct ProtocolRun {
     pub estimates: Vec<(u64, f64)>,
     /// Number of users simulated.
     pub n: usize,
-    /// Client-side time. Serial driver: summed per-user `respond` time
+    /// Client-side time. Serial drivers: summed per-user `respond` time
     /// (Table 1 "User time" is this divided by `n`). Batched driver:
-    /// wall-clock time of the parallel respond phase.
+    /// wall-clock time of the session's encode + enqueue phase,
+    /// including time blocked on full collector queues (backpressure).
     pub client_total: Duration,
-    /// Server-side ingestion time (collect, or absorb + merge + fold).
+    /// Server-side ingestion time. Serial drivers: summed per-user
+    /// collect. Batched driver: the collectors' summed decode + absorb
+    /// busy time plus the merge and fold.
     pub server_ingest: Duration,
     /// Server-side aggregation/decoding time (finish).
     pub server_finish: Duration,
-    /// Worker threads used by the respond phase (1 for the serial driver).
+    /// Threads the run used: 1 for the serial drivers; encoder workers
+    /// plus collector actors for the batched driver.
     pub threads: usize,
     /// Per-user communication in bits.
     pub report_bits: usize,
@@ -145,11 +154,13 @@ pub struct ProtocolRun {
     pub memory_bytes: usize,
     /// The protocol's detection threshold Δ.
     pub detection_threshold: f64,
+    /// Wall-clock time of the whole run, from driver entry to return.
+    pub wall: Duration,
 }
 
 impl ProtocolRun {
     /// Mean per-user client time (serial driver) / mean wall-clock cost
-    /// per user of the respond phase (batched driver).
+    /// per user of the encode phase (batched driver).
     pub fn user_time(&self) -> Duration {
         self.client_total / self.n.max(1) as u32
     }
@@ -159,9 +170,30 @@ impl ProtocolRun {
         self.server_ingest + self.server_finish
     }
 
-    /// End-to-end time of the run (client phase + server phases).
+    /// End-to-end wall-clock time of the run ([`Self::wall`]). Not the
+    /// sum of the phase times: the batched driver's ingest overlaps its
+    /// client phase and is summed over collector threads.
     pub fn total_time(&self) -> Duration {
-        self.client_total + self.server_ingest + self.server_finish
+        self.wall
+    }
+}
+
+impl From<DistributedRun> for ProtocolRun {
+    /// A fleet run's record in the batched drivers' shape: the
+    /// collectors' ingest and the merge count as server ingest.
+    fn from(d: DistributedRun) -> Self {
+        Self {
+            estimates: d.estimates,
+            n: d.n,
+            client_total: d.client_total,
+            server_ingest: d.server_ingest + d.server_merge,
+            server_finish: d.server_finish,
+            threads: d.threads,
+            report_bits: d.report_bits,
+            memory_bytes: d.memory_bytes,
+            detection_threshold: d.detection_threshold,
+            wall: d.wall,
+        }
     }
 }
 
@@ -176,6 +208,7 @@ pub fn run_heavy_hitter<P: HeavyHitterProtocol>(
     data: &[u64],
     seed: u64,
 ) -> ProtocolRun {
+    let start = Instant::now();
     let mut client_total = Duration::ZERO;
     let mut server_ingest = Duration::ZERO;
     let client_seed = derive_seed(seed, HH_CLIENT_LABEL);
@@ -203,10 +236,13 @@ pub fn run_heavy_hitter<P: HeavyHitterProtocol>(
         report_bits: server.report_bits(),
         memory_bytes: server.memory_bytes(),
         detection_threshold: server.detection_threshold(),
+        wall: start.elapsed(),
     }
 }
 
-/// Run a heavy-hitter protocol through the batched, parallel pipeline.
+/// Run a heavy-hitter protocol as one batch: a one-shot run of
+/// [`run_heavy_hitter_distributed`] on the fleet [`BatchPlan::fleet`]
+/// derives for this input.
 ///
 /// Takes a typed [`HeavyHitterProtocol`] or a `dyn` [`DynHhProtocol`]
 /// alike (the [`HhFinish`] bridge). Output is bit-for-bit identical to
@@ -222,133 +258,7 @@ where
     P: ?Sized + HhFinish<S>,
     for<'p> HhStream<'p, P>: StreamIngest<Shard = S> + Sync,
 {
-    let out = batched_ingest(&HhStream(&*server), data, seed, plan);
-    let t1 = Instant::now();
-    if let Some(shard) = out.shard {
-        server.finish_shard(shard);
-    }
-    let server_ingest = out.ingest_total + t1.elapsed();
-    let t2 = Instant::now();
-    // The finish phase honors the plan's thread policy, like the
-    // respond/absorb phases (output is thread-count-invariant).
-    let estimates = server.finish_with(&mut FinishScratch::with_threads(plan.threads));
-    let server_finish = t2.elapsed();
-    ProtocolRun {
-        estimates,
-        n: data.len(),
-        client_total: out.client_total,
-        server_ingest,
-        server_finish,
-        threads: out.threads,
-        report_bits: server.report_bits(),
-        memory_bytes: server.memory_bytes(),
-        detection_threshold: server.detection_threshold(),
-    }
-}
-
-/// Outcome of [`batched_ingest`]: the merged shard (if any data) and the
-/// phase timings.
-struct BatchedIngest<S> {
-    shard: Option<S>,
-    client_total: Duration,
-    ingest_total: Duration,
-    threads: usize,
-}
-
-/// The shared fused batched pipeline over any [`StreamIngest`] — typed
-/// or type-erased: parallel `respond_encode_batch` into per-chunk wire
-/// buffers, then zero-copy sharded `absorb_wire` with a tree merge.
-fn batched_ingest<I: StreamIngest + Sync>(
-    ingest: &I,
-    data: &[u64],
-    seed: u64,
-    plan: &BatchPlan,
-) -> BatchedIngest<I::Shard> {
-    plan.validate();
-    let client_seed = derive_seed(seed, I::CLIENT_LABEL);
-    let threads = effective_threads(plan, data.len());
-    // Fused respond + encode: each chunk's reports are sampled straight
-    // into a wire buffer — no intermediate report vec, and the buffered
-    // frames are a few bytes per user instead of a full `Report`.
-    let t0 = Instant::now();
-    let chunks = par_chunk_map(data, plan.chunk_size, plan.threads, |c, xs| {
-        let mut bytes = Vec::new();
-        let frame_lens =
-            ingest.respond_encode_batch((c * plan.chunk_size) as u64, xs, client_seed, &mut bytes);
-        (bytes, frame_lens)
-    });
-    let client_total = t0.elapsed();
-    // Zero-copy ingest: fold the chunks' borrowed frames into per-worker
-    // shards in parallel (`absorb_wire` — no decoded report vec), merge
-    // tree-wise. Identical output to serial per-user ingest: shards are
-    // exact and order-exact.
-    let t1 = Instant::now();
-    let shard = absorb_chunks_sharded(ingest, chunks, plan, threads);
-    BatchedIngest {
-        shard,
-        client_total,
-        ingest_total: t1.elapsed(),
-        threads,
-    }
-}
-
-/// The thread count the respond phase will actually use — delegated to
-/// the scheduler's own policy so the reported number cannot drift from
-/// [`par_chunk_map`]'s behavior.
-fn effective_threads(plan: &BatchPlan, n: usize) -> usize {
-    planned_threads(plan.threads, n, plan.chunk_size)
-}
-
-/// One encoded wire chunk as the batched drivers buffer it: the
-/// concatenated frame bytes and each frame's length.
-type WireChunkBuf = (Vec<u8>, Vec<u32>);
-
-/// The zero-copy ingest phase of the batched drivers: fold encoded wire
-/// chunks into shards in parallel and merge them tree-wise.
-///
-/// Contiguous chunks are grouped so at most ~one shard per worker is
-/// ever alive — a shard can be O(domain) state, not O(chunk) (a hashed
-/// Hashtogram holds its full `groups × buckets` tally), so one shard
-/// per *chunk* would make peak memory scale with `n / chunk_size`.
-/// Grouping does not change output: absorption is order-exact, and
-/// groups preserve chunk order.
-///
-/// The in-process pipeline is lossless, so corruption is a bug — the
-/// panic carries the failing chunk's start user and (via `FrameError`)
-/// the frame index and byte offset.
-fn absorb_chunks_sharded<I: StreamIngest + Sync>(
-    ingest: &I,
-    chunks: Vec<WireChunkBuf>,
-    plan: &BatchPlan,
-    workers: usize,
-) -> Option<I::Shard> {
-    let chunk_size = plan.chunk_size;
-    let per_group = chunks.len().div_ceil(workers.max(1)).max(1);
-    let mut groups: Vec<(usize, Vec<WireChunkBuf>)> = Vec::new();
-    let mut it = chunks.into_iter();
-    let mut first_chunk = 0usize;
-    loop {
-        let group: Vec<_> = it.by_ref().take(per_group).collect();
-        if group.is_empty() {
-            break;
-        }
-        let len = group.len();
-        groups.push((first_chunk, group));
-        first_chunk += len;
-    }
-    let shards = par_map_owned(groups, plan.threads, |_, (first_chunk, group)| {
-        let mut shard = ingest.new_shard();
-        for (j, (bytes, frame_lens)) in group.into_iter().enumerate() {
-            let start = ((first_chunk + j) * chunk_size) as u64;
-            let frames = WireFrames::new(&bytes, &frame_lens)
-                .unwrap_or_else(|e| panic!("chunk starting at user {start} is misframed: {e}"));
-            ingest
-                .absorb_wire(&mut shard, start, &frames)
-                .unwrap_or_else(|e| panic!("chunk starting at user {start}: {e}"));
-        }
-        shard
-    });
-    merge_tree(shards, |a, b| ingest.merge(a, b))
+    run_heavy_hitter_distributed(server, data, seed, &plan.fleet(data.len())).into()
 }
 
 /// The shared collector-fleet ingest over any [`StreamIngest`] — typed
@@ -460,6 +370,8 @@ pub struct DistributedRun {
     pub memory_bytes: usize,
     /// The protocol's detection threshold Δ.
     pub detection_threshold: f64,
+    /// Wall-clock time of the whole run, from driver entry to return.
+    pub wall: Duration,
 }
 
 impl DistributedRun {
@@ -473,9 +385,11 @@ impl DistributedRun {
         self.server_ingest + self.server_merge + self.server_finish
     }
 
-    /// End-to-end time of the run.
+    /// End-to-end wall-clock time of the run ([`Self::wall`]). Not the
+    /// sum of the phase times: collector ingest overlaps the client
+    /// phase and is summed over collector threads.
     pub fn total_time(&self) -> Duration {
-        self.client_total + self.server_time()
+        self.wall
     }
 }
 
@@ -500,6 +414,7 @@ where
     P: ?Sized + HhFinish<S>,
     for<'p> HhStream<'p, P>: StreamIngest<Shard = S> + Sync,
 {
+    let start = Instant::now();
     plan.validate();
     let (merged, stats) = one_shot_fleet(&HhStream(&*server), data, seed, plan);
 
@@ -526,6 +441,7 @@ where
         report_bits: server.report_bits(),
         memory_bytes: server.memory_bytes(),
         detection_threshold: server.detection_threshold(),
+        wall: start.elapsed(),
     }
 }
 
@@ -543,7 +459,7 @@ pub struct OracleRun {
     pub server_build: Duration,
     /// Total query time.
     pub query_total: Duration,
-    /// Worker threads used by the respond phase (1 for the serial driver).
+    /// Threads the run used, as in [`ProtocolRun::threads`].
     pub threads: usize,
     /// Per-user communication bits.
     pub report_bits: usize,
@@ -589,7 +505,9 @@ pub fn run_oracle<O: FrequencyOracle>(
     }
 }
 
-/// Run a frequency oracle through the batched, parallel pipeline.
+/// Run a frequency oracle as one batch: a one-shot run of
+/// [`run_oracle_distributed`] on the fleet [`BatchPlan::fleet`] derives
+/// for this input.
 ///
 /// Takes a typed [`FrequencyOracle`] or a `dyn` [`DynOracle`] alike (the
 /// [`OracleFinish`] bridge). Output is bit-for-bit identical to
@@ -605,29 +523,7 @@ where
     O: ?Sized + OracleFinish<S>,
     for<'o> OracleStream<'o, O>: StreamIngest<Shard = S> + Sync,
 {
-    // Same fused pipeline as `run_heavy_hitter_batched`: respond
-    // straight into wire buffers, then zero-copy absorb into per-chunk
-    // shards merged tree-wise.
-    let out = batched_ingest(&OracleStream(&*oracle), data, seed, plan);
-    let t1 = Instant::now();
-    if let Some(shard) = out.shard {
-        oracle.finish_shard(shard);
-    }
-    oracle.finalize_with(&mut FinishScratch::with_threads(plan.threads));
-    let server_build = out.ingest_total + t1.elapsed();
-    let t3 = Instant::now();
-    let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
-    let query_total = t3.elapsed();
-    OracleRun {
-        answers,
-        n: data.len(),
-        client_total: out.client_total,
-        server_build,
-        query_total,
-        threads: out.threads,
-        report_bits: oracle.report_bits(),
-        memory_bytes: oracle.memory_bytes(),
-    }
+    run_oracle_distributed(oracle, data, queries, seed, &plan.fleet(data.len())).into()
 }
 
 /// Measured resources of one distributed frequency-oracle run.
@@ -660,6 +556,22 @@ impl DistributedOracleRun {
     /// Mean measured wire bytes per user.
     pub fn wire_bytes_per_user(&self) -> f64 {
         self.wire_bytes as f64 / self.n.max(1) as f64
+    }
+}
+
+impl From<DistributedOracleRun> for OracleRun {
+    /// A fleet run's record in the batched drivers' shape.
+    fn from(d: DistributedOracleRun) -> Self {
+        Self {
+            answers: d.answers,
+            n: d.n,
+            client_total: d.client_total,
+            server_build: d.server_build,
+            query_total: d.query_total,
+            threads: d.threads,
+            report_bits: d.report_bits,
+            memory_bytes: d.memory_bytes,
+        }
     }
 }
 
@@ -718,6 +630,7 @@ pub fn run_dyn_heavy_hitter(
     data: &[u64],
     seed: u64,
 ) -> ProtocolRun {
+    let start = Instant::now();
     let client_seed = derive_seed(seed, HH_CLIENT_LABEL);
     let mut client_total = Duration::ZERO;
     let mut server_ingest = Duration::ZERO;
@@ -754,6 +667,7 @@ pub fn run_dyn_heavy_hitter(
         report_bits: server.report_bits(),
         memory_bytes: server.memory_bytes(),
         detection_threshold: server.detection_threshold(),
+        wall: start.elapsed(),
     }
 }
 
@@ -905,14 +819,44 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_is_bounded() {
+    fn fleet_has_one_collector_per_worker_thread() {
         let plan = BatchPlan {
             chunk_size: 100,
             threads: 8,
         };
-        assert_eq!(effective_threads(&plan, 100), 1);
-        assert_eq!(effective_threads(&plan, 250), 3);
-        assert_eq!(effective_threads(&plan, 10_000), 8);
-        assert_eq!(effective_threads(&plan, 0), 1);
+        assert_eq!(plan.fleet(100).collectors, 1);
+        assert_eq!(plan.fleet(250).collectors, 3);
+        assert_eq!(plan.fleet(10_000).collectors, 8);
+        assert_eq!(plan.fleet(0).collectors, 1);
+        let fleet = plan.fleet(10_000);
+        assert_eq!((fleet.chunk_size, fleet.threads), (100, 8));
+        assert_eq!(fleet.merge, MergeOrder::Tree);
+    }
+
+    #[test]
+    fn total_time_is_the_wall_clock_of_the_call() {
+        let n = 20_000usize;
+        let data = Workload::zipf(1 << 12, 1.2).generate(n, 21);
+        let make = || ScanHeavyHitters::new(ScanParams::new(n as u64, 1 << 12, 2.0, 0.1), 22);
+        let t = Instant::now();
+        let run =
+            run_heavy_hitter_distributed(&mut make(), &data, 23, &DistPlan::with_collectors(8));
+        let outer = t.elapsed();
+        assert!(
+            run.total_time() <= outer,
+            "{:?} > {outer:?}",
+            run.total_time()
+        );
+        assert!(run.total_time() >= run.server_finish);
+        let plan = BatchPlan::with_chunk_size(1 << 11);
+        let t = Instant::now();
+        let run = run_heavy_hitter_batched(&mut make(), &data, 23, &plan);
+        let outer = t.elapsed();
+        assert!(
+            run.total_time() <= outer,
+            "{:?} > {outer:?}",
+            run.total_time()
+        );
+        assert!(run.total_time() >= run.server_finish);
     }
 }

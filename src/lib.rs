@@ -19,9 +19,11 @@
 //! let data: Vec<u64> = Workload::zipf(1 << 32, 1.2).generate(n as usize, 1);
 //! let params = SketchParams::optimal(n, 32, 2.0, 0.05);
 //! let mut server = ExpanderSketch::new(params, 42);
-//! // The batched parallel pipeline: chunked client respond on worker
-//! // threads, sharded server ingest, then finish. Bit-for-bit identical
-//! // to the serial `run_heavy_hitter` at any chunk/thread count.
+//! // The batched driver: a one-shot run of the collector fleet — fused
+//! // client respond + encode on worker threads, one collector per
+//! // worker absorbing the wire chunks, tree merge, then finish.
+//! // Bit-for-bit identical to the serial `run_heavy_hitter` at any
+//! // chunk/thread count.
 //! let run = run_heavy_hitter_batched(&mut server, &data, 7, &BatchPlan::default());
 //! let heavy_hitters: Vec<(u64, f64)> = run.estimates;
 //! ```

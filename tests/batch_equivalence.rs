@@ -3,7 +3,7 @@
 //! `finish()` output bit-for-bit identical to the serial `run_heavy_hitter`
 //! for the same seed — across 1, 2 and 8 chunks, and across thread counts.
 //!
-//! This is the acceptance gate of the batched pipeline: chunking and
+//! This is the acceptance gate of the batched driver: chunking and
 //! parallelism are pure schedule changes, never result changes. It holds
 //! because (a) user `i`'s client coins are a pure function of
 //! `(seed, i)` in both drivers, and (b) servers ingest reports through

@@ -151,6 +151,46 @@ fn every_oracle_name_constructs_runs_and_matches_direct_construction() {
 }
 
 #[test]
+fn empty_population_runs_agree_on_every_driver() {
+    // No user reports: the batched and distributed drivers fold an
+    // empty fleet shard, the serial ones fold nothing, and every
+    // registered protocol must answer bit-for-bit the same either way.
+    let s = spec(3_000);
+    let seed = 558;
+    let queries = [17u64, 3, 250];
+    let hh_bits = |est: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+        est.into_iter().map(|(x, f)| (x, f.to_bits())).collect()
+    };
+    let answer_bits = |a: Vec<f64>| -> Vec<u64> { a.into_iter().map(f64::to_bits).collect() };
+    let dist = DistPlan::with_collectors(3);
+    for name in hh_names() {
+        let build = || build_hh(name, &s).expect("registered name builds");
+        let typed = hh_bits(typed_hh_estimates(name, &s, &[], seed));
+        let serial = run_dyn_heavy_hitter(build().as_mut(), &[], seed).estimates;
+        let batched =
+            run_heavy_hitter_batched(build().as_mut(), &[], seed, &BatchPlan::default()).estimates;
+        let distributed =
+            run_heavy_hitter_distributed(build().as_mut(), &[], seed, &dist).estimates;
+        assert_eq!(hh_bits(serial), typed, "{name}: serial");
+        assert_eq!(hh_bits(batched), typed, "{name}: batched");
+        assert_eq!(hh_bits(distributed), typed, "{name}: distributed");
+    }
+    for name in oracle_names() {
+        let build = || build_oracle(name, &s).expect("registered name builds");
+        let typed = answer_bits(typed_oracle_answers(name, &s, &[], &queries, seed));
+        let serial = run_dyn_oracle(build().as_mut(), &[], &queries, seed).answers;
+        let batched =
+            run_oracle_batched(build().as_mut(), &[], &queries, seed, &BatchPlan::default())
+                .answers;
+        let distributed =
+            run_oracle_distributed(build().as_mut(), &[], &queries, seed, &dist).answers;
+        assert_eq!(answer_bits(serial), typed, "{name}: serial");
+        assert_eq!(answer_bits(batched), typed, "{name}: batched");
+        assert_eq!(answer_bits(distributed), typed, "{name}: distributed");
+    }
+}
+
+#[test]
 fn registry_protocols_stream_through_the_pipelined_runtime() {
     // Registry + pipelined runtime end to end: a short crash-recovery
     // stream per registered heavy hitter, pinned against the dyn serial
