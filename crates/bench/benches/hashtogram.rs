@@ -60,5 +60,40 @@ fn bench_finalize_and_estimate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_respond, bench_finalize_and_estimate);
+/// The scan's finish kernel: one full-domain `estimate_run` at the
+/// perfbench `scan_stream` shape (|X| = 2^16, W = 4096, R = 9).
+fn bench_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hashtogram/server");
+    let domain = 1u64 << 16;
+    let params = HashtogramParams {
+        domain,
+        eps: 4.0,
+        groups: 9,
+        buckets: 4096,
+        hashed: true,
+    };
+    let mut oracle = Hashtogram::new(params, 5);
+    let mut rng = seeded_rng(6);
+    for i in 0..1u64 << 16 {
+        let rep = oracle.respond(i, (i * i) % domain, &mut rng);
+        oracle.collect(i, rep);
+    }
+    oracle.finalize();
+    let mut out = vec![0.0; domain as usize];
+    let mut tile = Vec::new();
+    group.bench_function("sweep", |b| {
+        b.iter(|| {
+            oracle.estimate_run(0, &mut out, &mut tile);
+            out[0]
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_respond,
+    bench_finalize_and_estimate,
+    bench_sweep
+);
 criterion_main!(benches);

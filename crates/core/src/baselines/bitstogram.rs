@@ -416,10 +416,9 @@ impl HeavyHitterProtocol for Bitstogram {
                 oracle.collect(user, rep);
             }
             oracle.finalize();
-            let mut buf = Vec::new();
-            (0..p.inner_cells())
-                .map(|c| oracle.estimate_into(c, &mut buf))
-                .collect::<Vec<f64>>()
+            let mut table = vec![0.0; p.inner_cells() as usize];
+            oracle.estimate_run(0, &mut table, &mut Vec::new());
+            table
         });
         // Reconstruct candidates repetition by repetition — the bit-wise
         // vote over the estimate tables is cheap and order-sensitive

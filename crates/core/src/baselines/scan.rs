@@ -157,27 +157,35 @@ impl HeavyHitterProtocol for ScanHeavyHitters {
         let keep = self.params.detection_threshold() / 2.0;
         let domain = self.params.domain;
         // Split the exhaustive domain scan into one contiguous span per
-        // worker; spans are reassembled in domain order, so the output is
-        // identical to the serial scan.
+        // worker, each one tiled sweep of the oracle; spans are
+        // reassembled in domain order, so the output is identical to the
+        // serial scan.
         let workers = planned_threads(threads, domain as usize, 1);
         let span = (domain as usize).div_ceil(workers).max(1) as u64;
-        let spans: Vec<(u64, Vec<f64>)> = (0..workers as u64)
-            .map(|w| (w * span, scratch.take_f64()))
+        let spans: Vec<(u64, Vec<f64>, Vec<f64>)> = (0..workers as u64)
+            .map(|w| {
+                (
+                    (w * span).min(domain),
+                    scratch.take_f64(),
+                    scratch.take_f64(),
+                )
+            })
             .collect();
         let oracle = &self.oracle;
-        let parts = par_map_owned(spans, threads, |_, (start, mut buf)| {
-            let part: Vec<(u64, f64)> = (start..(start + span).min(domain))
-                .filter_map(|x| {
-                    let f = oracle.estimate_into(x, &mut buf);
-                    (f >= keep).then_some((x, f))
-                })
+        let parts = par_map_owned(spans, threads, |_, (start, mut ests, mut tile)| {
+            ests.resize(((start + span).min(domain) - start) as usize, 0.0);
+            oracle.estimate_run(start, &mut ests, &mut tile);
+            let part: Vec<(u64, f64)> = (start..)
+                .zip(ests.iter().copied())
+                .filter(|&(_, f)| f >= keep)
                 .collect();
-            (part, buf)
+            (part, ests, tile)
         });
         let mut est = Vec::new();
-        for (part, buf) in parts {
+        for (part, ests, tile) in parts {
             est.extend_from_slice(&part);
-            scratch.put_f64(buf);
+            scratch.put_f64(ests);
+            scratch.put_f64(tile);
         }
         est.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
@@ -255,6 +263,51 @@ mod tests {
         let est = server.finish();
         // Every element is n/8-heavy and should be reported.
         assert_eq!(est.len(), domain as usize, "got {est:?}");
+    }
+
+    #[test]
+    fn finish_with_matches_per_x_reference_scan() {
+        // A hashed-profile domain that splits unevenly into tiles and
+        // worker spans.
+        let n = 20_000u64;
+        let domain = 1_000u64;
+        let params = ScanParams::new(n, domain, 4.0, 0.05);
+        assert!(params.oracle_params().hashed);
+        let mut rng = seeded_rng(5);
+        let data: Vec<u64> = (0..n)
+            .map(|i| {
+                if i % 4 == 0 {
+                    17
+                } else {
+                    rng.gen_range(0..domain)
+                }
+            })
+            .collect();
+        let mut lists = Vec::new();
+        for threads in [1, 2] {
+            let mut server = ScanHeavyHitters::new(params.clone(), 6);
+            let mut rng = seeded_rng(7);
+            for (i, &x) in data.iter().enumerate() {
+                let rep = server.respond(i as u64, x, &mut rng);
+                server.collect(i as u64, rep);
+            }
+            let got = server.finish_with(&mut FinishScratch::with_threads(threads));
+            // The reference: one point query per element, filtered and
+            // ordered as the scan promises.
+            let keep = params.detection_threshold() / 2.0;
+            let mut want: Vec<(u64, f64)> = (0..domain)
+                .map(|x| (x, server.oracle().estimate(x)))
+                .filter(|&(_, f)| f >= keep)
+                .collect();
+            want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            assert!(!want.is_empty());
+            let bits = |l: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                l.iter().map(|&(x, f)| (x, f.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "threads {threads}");
+            lists.push(bits(&got));
+        }
+        assert_eq!(lists[0], lists[1]);
     }
 
     #[test]

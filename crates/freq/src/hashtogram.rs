@@ -392,24 +392,81 @@ impl Hashtogram {
         self.rr.debias_factor()
     }
 
-    /// [`FrequencyOracle::estimate`] writing the per-group estimates
-    /// into a caller-owned buffer — bit-for-bit the same answer, no
-    /// per-query allocation. The sweep entry point the scan-style
-    /// protocols drive with a pooled [`FinishScratch`] buffer.
+    /// [`FrequencyOracle::estimate`] using a caller-owned workspace —
+    /// the length-1 case of [`Hashtogram::estimate_run`], so point
+    /// queries and sweeps share one estimate definition.
     pub fn estimate_into(&self, x: u64, buf: &mut Vec<f64>) -> f64 {
+        let mut out = [0.0];
+        self.estimate_run(x, &mut out, buf);
+        out[0]
+    }
+
+    /// Estimates of the contiguous run `start..start + out.len()`, in
+    /// order — bit-for-bit [`FrequencyOracle::estimate`] at each `x`,
+    /// the sweep the domain-scanning decoders drive. `tile` is reusable
+    /// workspace (a pooled [`FinishScratch`] buffer on the finish path).
+    ///
+    /// The run is swept `SWEEP_TILE` (256) elements at a time, group-major:
+    /// for each group, stepped bucket indices and signs
+    /// ([`PairwiseHash::hash_run`], [`SignHash::sign_run`]) fill that
+    /// group's column of the tile, then each `x` takes the median of its
+    /// row. Per-group values use the per-query expression in the same
+    /// order, so every `f64` matches the point query's.
+    pub fn estimate_run(&self, start: u64, out: &mut [f64], tile: &mut Vec<f64>) {
         assert!(self.finalized, "estimate before finalize");
-        assert!(x < self.params.domain);
+        assert!(
+            start
+                .checked_add(out.len() as u64)
+                .is_some_and(|end| end <= self.params.domain),
+            "run {start}+{} outside domain",
+            out.len()
+        );
+        let groups = self.params.groups;
         let n = self.total_users as f64;
-        buf.clear();
-        buf.extend((0..self.params.groups).map(|r| {
-            let b = self.bucket(r as u32, x);
-            let s = self.sign(r as u32, x) as f64;
-            let raw = self.acc[r][b as usize] * s;
-            // Rescale the group subsample to the full population.
-            let m = self.group_counts[r].max(1) as f64;
-            raw * (n / m)
-        }));
-        median_in_place(buf)
+        tile.clear();
+        tile.resize(groups * out.len().min(SWEEP_TILE), 0.0);
+        for (t, chunk) in out.chunks_mut(SWEEP_TILE).enumerate() {
+            let x0 = start + (t * SWEEP_TILE) as u64;
+            let len = chunk.len();
+            let tile = &mut tile[..len * groups];
+            for r in 0..groups {
+                // Rescale the group subsample to the full population.
+                let scale = n / self.group_counts[r].max(1) as f64;
+                let column = tile[r..].iter_mut().step_by(groups);
+                if self.params.hashed {
+                    let buckets = self.bucket_hashes[r].hash_run(x0, len);
+                    let signs = self.sign_hashes[r].sign_run(x0, len);
+                    fill_column(column, &self.acc[r], scale, buckets, signs);
+                } else {
+                    let signs = std::iter::repeat(1);
+                    fill_column(column, &self.acc[r], scale, x0.., signs);
+                }
+            }
+            for (est, row) in chunk.iter_mut().zip(tile.chunks_exact_mut(groups)) {
+                *est = median_in_place(row);
+            }
+        }
+    }
+}
+
+/// Domain elements per tile of [`Hashtogram::estimate_run`]: the
+/// `groups × SWEEP_TILE` values of a tile (18 KiB at `R = 9`) stay in
+/// L1 from the column fills to the row medians.
+const SWEEP_TILE: usize = 256;
+
+/// One group's column of an [`Hashtogram::estimate_run`] tile: the
+/// sign-corrected bucket value rescaled to the population,
+/// `(acc[b]·s)·(n/m)`.
+#[inline]
+fn fill_column<'a>(
+    column: impl Iterator<Item = &'a mut f64>,
+    acc: &[f64],
+    scale: f64,
+    buckets: impl Iterator<Item = u64>,
+    signs: impl Iterator<Item = i64>,
+) {
+    for ((cell, b), s) in column.zip(buckets).zip(signs) {
+        *cell = (acc[b as usize] * s as f64) * scale;
     }
 }
 
@@ -855,6 +912,104 @@ mod tests {
         let rep = oracle.respond(0, 3, &mut rng);
         oracle.finalize();
         oracle.collect(0, rep);
+    }
+
+    /// Test-local reference estimate, independent of the sweep: Horner
+    /// over the hash coefficients in `u128`, `%` range reduction, and a
+    /// stable `sort_by` median.
+    fn reference_estimate(o: &Hashtogram, x: u64) -> f64 {
+        let p = u128::from(hh_hash::MERSENNE_P);
+        let horner = |c: &[u64]| {
+            c.iter()
+                .rev()
+                .fold(0u128, |acc, &c| (acc * u128::from(x) + u128::from(c)) % p) as u64
+        };
+        let n = o.total_users as f64;
+        let mut vals: Vec<f64> = (0..o.params.groups)
+            .map(|r| {
+                let (b, s) = if o.params.hashed {
+                    let b = horner(o.bucket_hashes[r].as_kwise().coefficients()) % o.params.buckets;
+                    let parity = horner(o.sign_hashes[r].as_kwise().coefficients()) % (1 << 32) % 2;
+                    (b, if parity == 0 { 1.0 } else { -1.0 })
+                } else {
+                    (x, 1.0)
+                };
+                let m = o.group_counts[r].max(1) as f64;
+                (o.acc[r][b as usize] * s) * (n / m)
+            })
+            .collect();
+        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let k = vals.len();
+        if k % 2 == 1 {
+            vals[k / 2]
+        } else {
+            0.5 * (vals[k / 2 - 1] + vals[k / 2])
+        }
+    }
+
+    #[test]
+    fn estimate_run_matches_reference_bit_for_bit() {
+        const T: usize = SWEEP_TILE;
+        let domain = (3 * T + 37) as u64; // not a multiple of the tile
+        let heavy = [(5, 0.2), (T as u64 + 1, 0.1)];
+        let mut oracles = vec![
+            run(
+                HashtogramParams::hashed(4_000, domain, 1.0, 0.05),
+                &planted_data(4_000, domain, &heavy, 31),
+                32,
+            ),
+            run(
+                HashtogramParams::direct(domain, 1.0, 0.05),
+                &planted_data(4_000, domain, &heavy, 33),
+                34,
+            ),
+            // Sparse and empty states: exact-zero buckets make ±0.0 ties
+            // whose median only a stable sort order pins.
+            run(
+                HashtogramParams::hashed(4_000, domain, 1.0, 0.05),
+                &[3, 3, 9],
+                35,
+            ),
+            run(HashtogramParams::hashed(4_000, domain, 1.0, 0.05), &[], 36),
+        ];
+        // An even group count takes the two-middle-values median.
+        let mut even = HashtogramParams::direct(domain, 1.0, 0.05);
+        even.groups = 4;
+        oracles.push(run(even, &planted_data(2_000, domain, &heavy, 37), 38));
+        let d = domain as usize;
+        let runs = [
+            (0, d),
+            (0, 1),
+            (7, 1),
+            (d - 1, 1),
+            (3, T - 1),
+            (T + 7, T),
+            (1, T + 1),
+            (d - (T + 1), T + 1),
+            (T, 2 * T + 37),
+        ];
+        let mut tile = Vec::new();
+        for oracle in &oracles {
+            let reference: Vec<u64> = (0..domain)
+                .map(|x| reference_estimate(oracle, x).to_bits())
+                .collect();
+            for &(start, len) in &runs {
+                let mut out = vec![f64::NAN; len];
+                oracle.estimate_run(start as u64, &mut out, &mut tile);
+                let got: Vec<u64> = out.iter().map(|f| f.to_bits()).collect();
+                assert_eq!(got, reference[start..start + len], "run {start}+{len}");
+            }
+            for x in [0, 1, domain / 2, domain - 1] {
+                assert_eq!(oracle.estimate(x).to_bits(), reference[x as usize]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside domain")]
+    fn estimate_run_rejects_runs_past_the_domain() {
+        let oracle = run(HashtogramParams::direct(16, 1.0, 0.1), &[1, 2], 39);
+        oracle.estimate_run(10, &mut [0.0; 7], &mut Vec::new());
     }
 
     #[test]

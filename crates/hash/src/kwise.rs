@@ -9,7 +9,8 @@ use rand::Rng;
 /// Realized as a uniformly random polynomial of degree `k − 1` over
 /// `F_p = GF(2^61 − 1)`; over the field this family is *exactly* `k`-wise
 /// independent, and the final `mod range` step introduces at most `range/p`
-/// pointwise bias.
+/// pointwise bias. When `range` is a power of two the reduction is the
+/// mask `& (range − 1)`, which equals `% range` on every `u64`.
 ///
 /// Inputs must be below `p = 2^61 − 1` (asserted); every domain in the
 /// workspace satisfies this.
@@ -56,10 +57,47 @@ impl KWiseHash {
         acc
     }
 
+    /// Polynomial coefficients, constant term first (read-only, for
+    /// reference evaluations).
+    pub fn coefficients(&self) -> &[u64] {
+        &self.coeffs
+    }
+
+    /// Reduce a field value into `[0, range)`: a mask on power-of-two
+    /// ranges (every hot range is one), `%` otherwise — the same value.
+    #[inline]
+    fn reduce(&self, v: u64) -> u64 {
+        if self.range.is_power_of_two() {
+            v & (self.range - 1)
+        } else {
+            v % self.range
+        }
+    }
+
     /// Hash into `[0, range)`.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        self.eval_field(x) % self.range
+        self.reduce(self.eval_field(x))
+    }
+
+    /// [`KWiseHash::hash`] over the run `start..start + len` of a
+    /// degree-1 hash, stepped as `v(x + 1) = v(x) + c₁ mod p`: one field
+    /// addition per input, and the same canonical field value as
+    /// Horner's rule, hence the same hashes. The `< p` domain check runs
+    /// once, on the run's end.
+    pub fn hash_run(&self, start: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
+        assert_eq!(self.coeffs.len(), 2, "stepped runs need a degree-1 hash");
+        assert!(
+            start
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= MERSENNE_P),
+            "run {start}+{len} outside F_p domain"
+        );
+        let first = if len == 0 { 0 } else { self.eval_field(start) };
+        let step = self.coeffs[1];
+        std::iter::successors(Some(first), move |&v| Some(PrimeField::add(v, step)))
+            .take(len)
+            .map(|v| self.reduce(v))
     }
 }
 
@@ -87,6 +125,16 @@ impl PairwiseHash {
     pub fn hash(&self, x: u64) -> u64 {
         self.inner.hash(x)
     }
+
+    /// [`PairwiseHash::hash`] over a run (see [`KWiseHash::hash_run`]).
+    pub fn hash_run(&self, start: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
+        self.inner.hash_run(start, len)
+    }
+
+    /// The underlying polynomial hash.
+    pub fn as_kwise(&self) -> &KWiseHash {
+        &self.inner
+    }
 }
 
 /// Pairwise independent ±1 sign hash (used by count-sketch style oracles).
@@ -108,12 +156,24 @@ impl SignHash {
     /// Returns −1 or +1.
     #[inline]
     pub fn sign(&self, x: u64) -> i64 {
-        if self.inner.hash(x) & 1 == 0 {
-            1
-        } else {
-            -1
-        }
+        parity_sign(self.inner.hash(x))
     }
+
+    /// [`SignHash::sign`] over a run (see [`KWiseHash::hash_run`]).
+    pub fn sign_run(&self, start: u64, len: usize) -> impl Iterator<Item = i64> + '_ {
+        self.inner.hash_run(start, len).map(parity_sign)
+    }
+
+    /// The underlying polynomial hash.
+    pub fn as_kwise(&self) -> &KWiseHash {
+        &self.inner
+    }
+}
+
+/// `+1` for an even hash, `−1` for an odd one.
+#[inline]
+fn parity_sign(h: u64) -> i64 {
+    1 - 2 * (h & 1) as i64
 }
 
 #[cfg(test)]
@@ -233,5 +293,67 @@ mod tests {
     fn rejects_out_of_field_inputs() {
         let h = KWiseHash::new(1, 2, 10);
         let _ = h.hash(u64::MAX);
+    }
+
+    #[test]
+    fn power_of_two_mask_equals_modulo() {
+        for range in [2u64, 16, 4096, 1 << 32] {
+            for seed in 0..200u64 {
+                let h = KWiseHash::new(seed, 2, range);
+                for x in [0u64, 1, 7, 4095, 65_535, 1 << 40, MERSENNE_P - 1] {
+                    assert_eq!(h.hash(x), h.eval_field(x) % range, "range {range}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn other_ranges_keep_modulo() {
+        let range = 1000u64;
+        let h = KWiseHash::new(5, 2, range);
+        let mut mask_differs = false;
+        for x in 0..1000u64 {
+            let v = h.eval_field(x);
+            assert_eq!(h.hash(x), v % range);
+            mask_differs |= v & (range - 1) != v % range;
+        }
+        assert!(mask_differs, "a mask would have agreed by accident");
+    }
+
+    #[test]
+    fn stepped_runs_equal_per_input_hashes() {
+        for seed in 0..20u64 {
+            let h = PairwiseHash::new(seed, 4096);
+            let odd = PairwiseHash::new(seed, 1000);
+            let s = SignHash::new(seed);
+            for start in [0u64, 1, 17, 4093, 1 << 33, MERSENNE_P - 300] {
+                let len = 257usize;
+                let xs = start..start + len as u64;
+                assert!(h.hash_run(start, len).eq(xs.clone().map(|x| h.hash(x))));
+                assert!(odd.hash_run(start, len).eq(xs.clone().map(|x| odd.hash(x))));
+                assert!(s.sign_run(start, len).eq(xs.map(|x| s.sign(x))));
+            }
+        }
+        let h = PairwiseHash::new(3, 16);
+        assert_eq!(h.hash_run(5, 0).count(), 0);
+        // A run ending exactly at p covers the last field element.
+        assert_eq!(
+            h.hash_run(MERSENNE_P - 1, 1).next(),
+            Some(h.hash(MERSENNE_P - 1))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside F_p domain")]
+    fn stepped_run_past_p_panics() {
+        let h = PairwiseHash::new(1, 16);
+        let _ = h.hash_run(MERSENNE_P - 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside F_p domain")]
+    fn sign_run_past_p_panics() {
+        let s = SignHash::new(1);
+        let _ = s.sign_run(u64::MAX - 1, 4);
     }
 }

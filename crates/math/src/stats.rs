@@ -10,17 +10,40 @@ pub fn median(xs: &[f64]) -> f64 {
     median_in_place(&mut v)
 }
 
-/// [`median`] over a caller-owned buffer, sorting it in place — the
+/// [`median`] over a caller-owned buffer, which it may reorder — the
 /// allocation-free twin the finish path's buffered estimate sweeps use
 /// (bit-for-bit the same result).
+///
+/// The reference is a stable sort: among equal values (`−0.0` and
+/// `+0.0` compare equal) the one earlier in input order sorts first.
+/// Short inputs — a median over an oracle's groups — skip the sort and
+/// select by stable rank: element `i` lands at position
+/// `#{j < i : x_j ≤ x_i} + #{j > i : x_j < x_i}` of the stable sort,
+/// so the selected elements are the sorted buffer's middle ones.
 pub fn median_in_place(xs: &mut [f64]) -> f64 {
     assert!(!xs.is_empty(), "median of empty slice");
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
     let n = xs.len();
+    if n > 16 {
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+        return if n % 2 == 1 {
+            xs[n / 2]
+        } else {
+            0.5 * (xs[n / 2 - 1] + xs[n / 2])
+        };
+    }
+    assert!(
+        n == 1 || !xs.iter().any(|v| v.is_nan()),
+        "NaN in median input"
+    );
+    let rank = |i: usize| {
+        let v = xs[i];
+        xs[..i].iter().filter(|&&u| u <= v).count() + xs[i + 1..].iter().filter(|&&u| u < v).count()
+    };
+    let at = |k: usize| xs[(0..n).find(|&i| rank(i) == k).expect("ranks permute 0..n")];
     if n % 2 == 1 {
-        xs[n / 2]
+        at(n / 2)
     } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
+        0.5 * (at(n / 2 - 1) + at(n / 2))
     }
 }
 
@@ -116,6 +139,34 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[7.0]), 7.0);
+    }
+
+    #[test]
+    fn rank_selection_equals_stable_sort() {
+        // Values from a tiny pool with both zeros, so ties — and ±0.0
+        // ties in particular — are common; lengths cover both paths.
+        use rand::Rng;
+        let pool = [-0.0, 0.0, 1.5, -2.0, 0.0, -0.0, 3.25];
+        let mut rng = crate::rng::seeded_rng(1);
+        for _ in 0..20_000 {
+            let n = rng.gen_range(1..=20);
+            let xs: Vec<f64> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let want = if n % 2 == 1 {
+                sorted[n / 2]
+            } else {
+                0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+            };
+            let got = median_in_place(&mut xs.clone());
+            assert_eq!(got.to_bits(), want.to_bits(), "{xs:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in median input")]
+    fn median_rejects_nan() {
+        median_in_place(&mut [1.0, f64::NAN, 2.0]);
     }
 
     #[test]
