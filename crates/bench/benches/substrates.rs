@@ -39,6 +39,19 @@ fn bench_hashing(c: &mut Criterion) {
             });
         });
     }
+    // One 64-input tile through the interleaved chains, at the group
+    // hash's independence for |X| = 2^20.
+    let k = 40usize;
+    let h = KWiseHash::new(2, k, 1 << 20);
+    group.bench_with_input(BenchmarkId::new("kwise_hash_into", k), &k, |b, _| {
+        let mut xs: Vec<u64> = (0..64).collect();
+        let mut out = [0u64; 64];
+        b.iter(|| {
+            xs.iter_mut().for_each(|x| *x += 64);
+            h.hash_into(&xs, &mut out);
+            out[63]
+        });
+    });
     group.finish();
 }
 

@@ -31,6 +31,18 @@ fn bench_client(c: &mut Criterion) {
             });
         });
     }
+    // The fused batch client at the sketch's bench shape: 2^16 users
+    // at |X| = 2^20 through `respond_encode_batch`.
+    let n = 1u64 << 16;
+    let sketch = ExpanderSketch::new(SketchParams::optimal(n, 20, 2.0, 0.1), 1);
+    let xs = Workload::planted(1 << 20, vec![(0xBEEF, 0.3)]).generate(n as usize, 6);
+    let mut bytes = Vec::new();
+    group.bench_with_input(BenchmarkId::new("expander_sketch_batch", n), &n, |b, _| {
+        b.iter(|| {
+            bytes.clear();
+            sketch.respond_encode_batch(0, &xs, 7, &mut bytes).len()
+        });
+    });
     group.finish();
 }
 

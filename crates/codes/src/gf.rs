@@ -128,13 +128,17 @@ impl Gf {
         self.exp[idx]
     }
 
-    /// Evaluate polynomial `coeffs` (constant term first) at `x` (Horner).
-    pub fn poly_eval(&self, coeffs: &[u16], x: u16) -> u16 {
-        let mut acc = 0u16;
-        for &c in coeffs.iter().rev() {
-            acc = self.add(self.mul(acc, x), c);
-        }
-        acc
+    /// Evaluate the polynomial with coefficients `coeffs` (constant term
+    /// first) at `x` (Horner).
+    pub fn poly_eval<I>(&self, coeffs: I, x: u16) -> u16
+    where
+        I: IntoIterator<Item = u16>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        coeffs
+            .into_iter()
+            .rev()
+            .fold(0, |acc, c| self.add(self.mul(acc, x), c))
     }
 }
 
@@ -207,8 +211,8 @@ mod tests {
         let f = Gf::new(4);
         // p(x) = 3 + 5x + 7x² at x = 2: compute manually.
         let want = f.add(3, f.add(f.mul(5, 2), f.mul(7, f.mul(2, 2))));
-        assert_eq!(f.poly_eval(&[3, 5, 7], 2), want);
-        assert_eq!(f.poly_eval(&[], 9), 0);
+        assert_eq!(f.poly_eval([3, 5, 7], 2), want);
+        assert_eq!(f.poly_eval([], 9), 0);
     }
 
     proptest! {

@@ -68,23 +68,46 @@ impl ReedSolomon {
 
     /// Encode `k` message symbols (each `< 2^m`) into `n` codeword symbols.
     pub fn encode(&self, msg: &[u16]) -> Vec<u16> {
+        self.check_message(msg.iter().copied());
+        (0..self.n)
+            .map(|pos| self.eval_at(msg.iter().copied(), pos))
+            .collect()
+    }
+
+    /// Codeword symbol `pos` alone: [`ReedSolomon::encode`]`(msg)[pos]`
+    /// without building the rest of the codeword. `msg` yields the `k`
+    /// message symbols, constant term first.
+    pub fn encode_at<I>(&self, msg: I, pos: usize) -> u16
+    where
+        I: IntoIterator<Item = u16>,
+        I::IntoIter: DoubleEndedIterator + ExactSizeIterator + Clone,
+    {
+        let msg = msg.into_iter();
+        self.check_message(msg.clone());
+        self.eval_at(msg, pos)
+    }
+
+    /// Panics unless `msg` is `k` symbols, each `< 2^m`.
+    fn check_message(&self, msg: impl ExactSizeIterator<Item = u16>) {
         assert_eq!(
             msg.len(),
             self.k,
             "message must have k = {} symbols",
             self.k
         );
-        for &s in msg {
+        for s in msg {
             assert!(
                 s < self.gf.size(),
                 "symbol {s} outside GF(2^{})",
                 self.gf.bits()
             );
         }
-        self.points
-            .iter()
-            .map(|&x| self.gf.poly_eval(msg, x))
-            .collect()
+    }
+
+    /// The message polynomial evaluated at `α^pos` (Horner): codeword
+    /// symbol `pos`, the one evaluation both encoders share.
+    fn eval_at(&self, msg: impl DoubleEndedIterator<Item = u16>, pos: usize) -> u16 {
+        self.gf.poly_eval(msg, self.points[pos])
     }
 
     /// Decode a received word with `None` marking erasures.

@@ -168,16 +168,18 @@ impl UniqueListCode {
     }
 
     /// Message symbols of `x` (little-endian `gf_bits` chunks).
-    fn message_symbols(&self, x: u64) -> Vec<u16> {
+    fn message_symbols(
+        &self,
+        x: u64,
+    ) -> impl DoubleEndedIterator<Item = u16> + ExactSizeIterator + Clone {
         assert!(
             self.params.domain_bits == 64 || x < (1u64 << self.params.domain_bits),
             "x = {x} outside the {}-bit domain",
             self.params.domain_bits
         );
-        let mask = (1u64 << self.params.gf_bits) - 1;
-        (0..self.rs.message_len())
-            .map(|i| ((x >> (i as u32 * self.params.gf_bits)) & mask) as u16)
-            .collect()
+        let bits = self.params.gf_bits;
+        let mask = (1u64 << bits) - 1;
+        (0..self.rs.message_len() as u32).map(move |i| ((x >> (i * bits)) & mask) as u16)
     }
 
     fn symbols_to_message(&self, syms: &[u16]) -> u64 {
@@ -189,11 +191,16 @@ impl UniqueListCode {
     /// Pack `(rs symbol, neighbor hash values)` into `z < Z`.
     pub fn pack_z(&self, sym: u16, neighbor_ys: &[u64]) -> u64 {
         debug_assert_eq!(neighbor_ys.len(), self.params.degree);
-        let mut acc = 0u64;
-        for &y in neighbor_ys.iter().rev() {
+        self.pack_z_rev(sym, neighbor_ys.iter().rev().copied())
+    }
+
+    /// [`UniqueListCode::pack_z`] with the neighbor hash values supplied
+    /// last neighbor first — the order the mixed-radix packing consumes.
+    fn pack_z_rev(&self, sym: u16, ys_rev: impl Iterator<Item = u64>) -> u64 {
+        let acc = ys_rev.fold(0u64, |acc, y| {
             debug_assert!(y < self.params.y_range);
-            acc = acc * self.params.y_range + y;
-        }
+            acc * self.params.y_range + y
+        });
         (acc << self.params.gf_bits) | u64::from(sym)
     }
 
@@ -211,32 +218,20 @@ impl UniqueListCode {
         (sym, ys)
     }
 
-    /// `E~nc(x)_m` packed as `z` (everything except the leading `h_m(x)`).
+    /// `E~nc(x)_m` packed as `z` (everything except the leading `h_m(x)`):
+    /// the outer codeword's symbol `m` alone — one Horner evaluation of
+    /// `x`'s digits — packed with the neighbors' coordinate hashes, with
+    /// no allocation.
     pub fn enc_tilde(&self, x: u64, m: usize) -> u64 {
-        let cw = self.rs.encode(&self.message_symbols(x));
-        self.enc_tilde_with_codeword(&cw, x, m)
-    }
-
-    fn enc_tilde_with_codeword(&self, cw: &[u16], x: u64, m: usize) -> u64 {
-        let neighbor_ys: Vec<u64> = self
-            .graph
-            .neighbors(m)
-            .iter()
-            .map(|&mp| self.coord_hash(mp as usize, x))
-            .collect();
-        self.pack_z(cw[m], &neighbor_ys)
+        let sym = self.rs.encode_at(self.message_symbols(x), m);
+        let ys_rev = self.graph.neighbors(m).iter().rev();
+        self.pack_z_rev(sym, ys_rev.map(|&mp| self.coord_hash(mp as usize, x)))
     }
 
     /// Full encoding `Enc(x) = ((h_1(x), z_1), …, (h_M(x), z_M))`.
     pub fn encode(&self, x: u64) -> Vec<(u64, u64)> {
-        let cw = self.rs.encode(&self.message_symbols(x));
         (0..self.params.num_coords)
-            .map(|m| {
-                (
-                    self.coord_hash(m, x),
-                    self.enc_tilde_with_codeword(&cw, x, m),
-                )
-            })
+            .map(|m| (self.coord_hash(m, x), self.enc_tilde(x, m)))
             .collect()
     }
 
@@ -581,6 +576,49 @@ mod tests {
     fn rejects_out_of_domain_message() {
         let c = code(16, 17);
         let _ = c.encode(0x1_0000);
+    }
+
+    /// Reference `E~nc(x)_m`, built the long way: the full outer
+    /// codeword from test-local digits, then `pack_z` of its symbol `m`.
+    fn reference_enc_tilde(c: &UniqueListCode, x: u64, m: usize) -> u64 {
+        let p = c.params();
+        let digits: Vec<u16> = (0..c.rs.message_len())
+            .map(|i| ((x >> (i as u32 * p.gf_bits)) % (1 << p.gf_bits)) as u16)
+            .collect();
+        let cw = c.rs.encode(&digits);
+        let ys: Vec<u64> = c
+            .expander()
+            .neighbors(m)
+            .iter()
+            .map(|&mp| c.coord_hash(mp as usize, x))
+            .collect();
+        c.pack_z(cw[m], &ys)
+    }
+
+    #[test]
+    fn single_symbol_enc_tilde_equals_full_encode() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        for (c, bits) in [
+            (code(16, 30), 16u32),
+            (wide_code(20, 32), 20),
+            (code(24, 33), 24),
+        ] {
+            let top = (1u64 << bits) - 1;
+            let mut xs = vec![0, top];
+            xs.extend((0..50).map(|_| rng.gen_range(0..=top)));
+            for &x in &xs {
+                for m in 0..c.params().num_coords {
+                    assert_eq!(c.enc_tilde(x, m), reference_enc_tilde(&c, x, m), "x = {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn enc_tilde_rejects_out_of_domain_message() {
+        let c = code(16, 34);
+        let _ = c.enc_tilde(0x1_0000, 0);
     }
 
     #[test]

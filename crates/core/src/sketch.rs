@@ -130,6 +130,9 @@ impl WireShard for SketchShard {
     }
 }
 
+/// Users per tile of the batch client's group-hash pass.
+const G_TILE: usize = 64;
+
 /// `PrivateExpanderSketch`: public randomness + server state.
 pub struct ExpanderSketch {
     params: SketchParams,
@@ -223,7 +226,12 @@ impl ExpanderSketch {
 
     /// The inner-oracle cell a user holding `x` in coordinate `m` reports.
     pub fn cell_of(&self, m: usize, x: u64) -> u64 {
-        let b = self.bucket_of(x);
+        self.cell_in_bucket(self.bucket_of(x), m, x)
+    }
+
+    /// [`ExpanderSketch::cell_of`] given `b = g(x)`, which the batch path
+    /// hashes a tile at a time.
+    fn cell_in_bucket(&self, b: u64, m: usize, x: u64) -> u64 {
         let y = self.ulrc.coord_hash(m, x);
         let z = self.ulrc.enc_tilde(x, m);
         self.params.cell_id(b, y, z)
@@ -354,24 +362,33 @@ impl Aggregator for ExpanderSketch {
         out: &mut Vec<u8>,
     ) -> Vec<u32> {
         // Fused: write each composite pair frame straight to the wire —
-        // no intermediate report vec. Per-user derived coin streams with
-        // the partition component seed hoisted out of the loop; inner,
-        // then outer — the same draw order as `respond`.
+        // no intermediate report vec. The group hash g runs over tiles of
+        // `G_TILE` users through the interleaved `hash_into`; then per-user
+        // derived coin streams with the partition component seed hoisted
+        // out of the loop; inner, then outer — the same draw order as
+        // `respond`.
         let part_seed = self.partition_seed();
         let num_coords = self.params.num_coords as u64;
         let coins = ClientCoins::new(client_seed);
         let mut lens = Vec::with_capacity(xs.len());
-        for (k, &x) in xs.iter().enumerate() {
-            let i = start_index + k as u64;
-            let mut rng = coins.user(i);
-            let m = Self::coord_at(part_seed, i, num_coords);
-            let rep = SketchReport {
-                inner: self.inner_proto.respond(i, self.cell_of(m, x), &mut rng),
-                outer: self.outer.respond(i, x, &mut rng),
-            };
-            let before = out.len();
-            rep.encode_into(out);
-            lens.push((out.len() - before) as u32);
+        let mut buckets = [0u64; G_TILE];
+        for (t, tile) in xs.chunks(G_TILE).enumerate() {
+            let buckets = &mut buckets[..tile.len()];
+            self.group_hash.hash_into(tile, buckets);
+            for (k, (&x, &b)) in tile.iter().zip(buckets.iter()).enumerate() {
+                let i = start_index + (t * G_TILE + k) as u64;
+                let mut rng = coins.user(i);
+                let m = Self::coord_at(part_seed, i, num_coords);
+                let rep = SketchReport {
+                    inner: self
+                        .inner_proto
+                        .respond(i, self.cell_in_bucket(b, m, x), &mut rng),
+                    outer: self.outer.respond(i, x, &mut rng),
+                };
+                let before = out.len();
+                rep.encode_into(out);
+                lens.push((out.len() - before) as u32);
+            }
         }
         lens
     }

@@ -12,6 +12,13 @@ use rand::Rng;
 /// pointwise bias. When `range` is a power of two the reduction is the
 /// mask `& (range − 1)`, which equals `% range` on every `u64`.
 ///
+/// Evaluation is Horner's rule with lazy Mersenne reduction: the
+/// accumulator stays below `2^62` but is not canonical between steps,
+/// and one [`PrimeField::reduce64`] at the end returns the canonical
+/// field value — the value a fully reduced Horner chain gives, hence
+/// the same hash. [`KWiseHash::hash_into`] runs four independent chains
+/// side by side, hiding the multiply latency a single chain waits on.
+///
 /// Inputs must be below `p = 2^61 − 1` (asserted); every domain in the
 /// workspace satisfies this.
 #[derive(Debug, Clone)]
@@ -19,6 +26,25 @@ pub struct KWiseHash {
     /// Polynomial coefficients, constant term first.
     coeffs: Vec<u64>,
     range: u64,
+}
+
+/// Independent Horner chains [`KWiseHash::hash_into`] interleaves.
+const LANES: usize = 4;
+
+/// One lazily reduced Horner step `acc·x + c` over `F_p`, congruent mod
+/// `p` and kept below `2^62`. With `acc < 2^62` and `x, c < 2^61` the
+/// product is below `2^123`; its 61-bit fold plus `c` is below `2^63`,
+/// and a second fold brings it under `2^61 + 4`.
+#[inline(always)]
+fn lazy_horner_step(acc: u64, x: u64, c: u64) -> u64 {
+    let prod = u128::from(acc) * u128::from(x);
+    let v = ((prod as u64) & MERSENNE_P) + (prod >> 61) as u64 + c;
+    (v & MERSENNE_P) + (v >> 61)
+}
+
+#[inline]
+fn assert_in_field(x: u64) {
+    assert!(x < MERSENNE_P, "input {x} outside F_p domain");
 }
 
 impl KWiseHash {
@@ -45,16 +71,26 @@ impl KWiseHash {
         self.range
     }
 
-    /// Raw polynomial evaluation in `F_p` (before range reduction).
+    /// Raw polynomial evaluation in `F_p` (before range reduction), as a
+    /// canonical value in `[0, p)`.
     #[inline]
     pub fn eval_field(&self, x: u64) -> u64 {
-        assert!(x < MERSENNE_P, "input {x} outside F_p domain");
+        assert_in_field(x);
         // Horner's rule, highest coefficient first.
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = PrimeField::add(PrimeField::mul(acc, x), c);
-        }
-        acc
+        let (lead, rest) = self.split_lead();
+        let acc = rest
+            .iter()
+            .rev()
+            .fold(lead, |acc, &c| lazy_horner_step(acc, x, c));
+        PrimeField::reduce64(acc)
+    }
+
+    /// The leading coefficient, which starts every Horner chain (it is
+    /// `0·x + c` without the multiply), and the coefficients below it.
+    #[inline]
+    fn split_lead(&self) -> (u64, &[u64]) {
+        let (&lead, rest) = self.coeffs.split_last().expect("k >= 1");
+        (lead, rest)
     }
 
     /// Polynomial coefficients, constant term first (read-only, for
@@ -78,6 +114,39 @@ impl KWiseHash {
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
         self.reduce(self.eval_field(x))
+    }
+
+    /// [`KWiseHash::hash`] of every input: `out[i] = hash(xs[i])`.
+    ///
+    /// Groups of four inputs run their Horner chains interleaved,
+    /// each with the lazy step of [`KWiseHash::eval_field`], so the
+    /// values are identical; the tail runs the scalar hash. Every input
+    /// is checked against the `< p` domain.
+    pub fn hash_into(&self, xs: &[u64], out: &mut [u64]) {
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "hash_into: input/output lengths differ"
+        );
+        let (lead, rest) = self.split_lead();
+        let mut groups = xs.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (xg, og) in (&mut groups).zip(&mut outs) {
+            let xg: [u64; LANES] = xg.try_into().expect("exact chunk");
+            xg.iter().for_each(|&x| assert_in_field(x));
+            let mut acc = [lead; LANES];
+            for &c in rest.iter().rev() {
+                for (a, &x) in acc.iter_mut().zip(&xg) {
+                    *a = lazy_horner_step(*a, x, c);
+                }
+            }
+            for (o, a) in og.iter_mut().zip(acc) {
+                *o = self.reduce(PrimeField::reduce64(a));
+            }
+        }
+        for (o, &x) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+            *o = self.hash(x);
+        }
     }
 
     /// [`KWiseHash::hash`] over the run `start..start + len` of a
@@ -318,6 +387,81 @@ mod tests {
             mask_differs |= v & (range - 1) != v % range;
         }
         assert!(mask_differs, "a mask would have agreed by accident");
+    }
+
+    /// Reference evaluation, written independently of the field code:
+    /// Horner over the coefficients with a u128 `%` after every step.
+    fn reference_eval(coeffs: &[u64], x: u64) -> u64 {
+        let p = u128::from(MERSENNE_P);
+        coeffs
+            .iter()
+            .rev()
+            .fold(0u128, |acc, &c| (acc * u128::from(x) + u128::from(c)) % p) as u64
+    }
+
+    #[test]
+    fn lazy_horner_equals_reference() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(11);
+        for k in [1usize, 2, 8, 40, 64] {
+            let all_max = KWiseHash {
+                coeffs: vec![MERSENNE_P - 1; k],
+                range: 1000,
+            };
+            let mut hashes = vec![all_max];
+            for seed in 0..4u64 {
+                hashes.push(KWiseHash::new(seed, k, 1 << 20));
+                hashes.push(KWiseHash::new(seed, k, 1000));
+            }
+            let mut xs = vec![0u64, 1, MERSENNE_P - 2, MERSENNE_P - 1];
+            xs.extend((0..200).map(|_| rng.gen_range(0..MERSENNE_P)));
+            for h in &hashes {
+                for &x in &xs {
+                    let want = reference_eval(h.coefficients(), x);
+                    assert_eq!(h.eval_field(x), want, "k = {k}, x = {x}");
+                    assert_eq!(h.hash(x), want % h.range(), "k = {k}, x = {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_into_equals_per_input_hash() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(12);
+        for k in [1usize, 2, 40] {
+            for range in [1u64 << 20, 1000] {
+                let h = KWiseHash::new(k as u64, k, range);
+                for len in (0..=9).chain([63, 64, 65]) {
+                    let mut xs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..MERSENNE_P)).collect();
+                    if let Some(last) = xs.last_mut() {
+                        *last = MERSENNE_P - 1;
+                    }
+                    let mut out = vec![u64::MAX; len];
+                    h.hash_into(&xs, &mut out);
+                    let want: Vec<u64> = xs.iter().map(|&x| h.hash(x)).collect();
+                    assert_eq!(out, want, "k = {k}, range = {range}, len = {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside F_p domain")]
+    fn hash_into_rejects_out_of_field_input_in_a_lane_group() {
+        let h = KWiseHash::new(1, 40, 16);
+        let mut out = [0u64; 8];
+        h.hash_into(&[0, 1, 2, 3, 4, MERSENNE_P, 6, 7], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside F_p domain")]
+    fn hash_into_rejects_out_of_field_input_in_the_tail() {
+        let h = KWiseHash::new(1, 40, 16);
+        let mut out = [0u64; 5];
+        h.hash_into(&[0, 1, 2, 3, u64::MAX], &mut out);
     }
 
     #[test]

@@ -253,6 +253,41 @@ fn sketch_rejects_an_inner_row_outside_w_at_ingest() {
     assert_eq!(err.error, WireError::Invalid("report row outside W"));
 }
 
+/// FNV-1a (64-bit) — a fixed, dependency-free digest for golden values.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `expander_sketch` client's wire output at |X| = 2^20, pinned: the
+/// FNV-1a digest of the `respond_encode_batch` bytes followed by the
+/// little-endian frame lengths. Any change to the client's hashes, outer
+/// code or coin draws moves it. Chunks of 1000 users (not a multiple of
+/// the client's hashing tile) must give the same bytes as one batch.
+#[test]
+fn expander_sketch_wire_bytes_are_pinned() {
+    const GOLDEN: u64 = 0x123a_e49b_c16f_f7a2;
+    let n = 1usize << 12;
+    let server = ExpanderSketch::new(SketchParams::optimal(n as u64, 20, 4.0, 0.1), 0x5EED);
+    let xs = inputs(n, 1 << 20, 21);
+    let digest = |chunk: usize| {
+        let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+        for (c, part) in xs.chunks(chunk).enumerate() {
+            lens.extend(server.respond_encode_batch((c * chunk) as u64, part, 22, &mut bytes));
+        }
+        assert_eq!(lens.len(), n);
+        fnv1a(
+            bytes
+                .into_iter()
+                .chain(lens.iter().flat_map(|l| l.to_le_bytes())),
+        )
+    };
+    let whole = digest(n);
+    assert_eq!(digest(1000), whole);
+    assert_eq!(whole, GOLDEN, "expander_sketch wire bytes moved");
+}
+
 mod zero_copy_ingest {
     //! Property: the fused client path (`respond_encode_batch`) writes
     //! byte-identical wire chunks to scalar `respond` + `encode_into`,
