@@ -47,6 +47,41 @@ impl Bencher {
         self.elapsed = start.elapsed();
         self.iters_done = iters;
     }
+
+    /// Time `routine` on a fresh input from `setup` per call; only the
+    /// routine is on the clock, and its output is dropped off it. Every
+    /// [`BatchSize`] runs one setup per routine call.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut timed = |iters: Option<u64>| {
+            let (mut done, mut elapsed) = (0u64, Duration::ZERO);
+            while iters.map_or(elapsed < TARGET_WARMUP, |n| done < n) {
+                let input = setup();
+                let start = Instant::now();
+                let out = black_box(routine(input));
+                elapsed += start.elapsed();
+                drop(out);
+                done += 1;
+            }
+            (done, elapsed)
+        };
+        let (warm_iters, warm) = timed(None);
+        let per_iter = warm.as_secs_f64() / warm_iters as f64;
+        let iters = ((TARGET_MEASURE.as_secs_f64() / per_iter).ceil() as u64).max(1);
+        (self.iters_done, self.elapsed) = timed(Some(iters));
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] sets up at a time —
+/// accepted for criterion compatibility (only the variant the benches
+/// use); the shim sets up one per call.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Inputs too large to hold many of.
+    LargeInput,
 }
 
 /// A parameterized benchmark label, e.g. `kwise_eval/32`.
@@ -231,6 +266,28 @@ mod tests {
         });
         g.finish();
         assert!(ran);
+    }
+
+    #[test]
+    fn iter_batched_sets_up_one_input_per_call() {
+        let mut b = Bencher {
+            iters_done: 0,
+            elapsed: Duration::ZERO,
+        };
+        let (mut setups, mut calls) = (0u64, 0u64);
+        b.iter_batched(
+            || {
+                setups += 1;
+                vec![1u8; 64]
+            },
+            |v| {
+                calls += 1;
+                v.len()
+            },
+            BatchSize::LargeInput,
+        );
+        assert_eq!(setups, calls);
+        assert!(b.iters_done > 0 && b.iters_done < calls);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Criterion bench for Table 1's time rows: client (user) work and
 //! server aggregation for PrivateExpanderSketch and baselines.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hh_core::baselines::{Bitstogram, BitstogramParams};
 use hh_core::traits::Aggregator;
-use hh_core::{ExpanderSketch, SketchParams};
+use hh_core::{ExpanderSketch, HeavyHitterProtocol, SketchParams};
+use hh_math::par::FinishScratch;
 use hh_math::rng::seeded_rng;
 use hh_sim::{run_heavy_hitter, run_heavy_hitter_batched, BatchPlan, Workload};
 
@@ -81,5 +82,41 @@ fn bench_server(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_client, bench_server);
+fn bench_finish(c: &mut Criterion) {
+    // The sketch's finish alone, single-threaded, at |X| = 2^20 and
+    // large n: each iteration decodes a freshly collected sketch.
+    let mut group = c.benchmark_group("table1/server_finish");
+    group.sample_size(10);
+    for &logn in &[18u32, 21] {
+        let n = 1u64 << logn;
+        let params = SketchParams::optimal(n, 20, 4.0, 0.1);
+        let data = Workload::planted(1 << 20, vec![(0xBEEF, 0.3)]).generate(n as usize, 8);
+        let proto = ExpanderSketch::new(params.clone(), 9);
+        let mut rng = seeded_rng(10);
+        let reports: Vec<_> = (0u64..)
+            .zip(&data)
+            .map(|(i, &x)| proto.respond(i, x, &mut rng))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("expander_sketch", n), &n, |b, _| {
+            b.iter_batched(
+                || {
+                    let mut server = ExpanderSketch::new(params.clone(), 9);
+                    for (i, &rep) in (0u64..).zip(&reports) {
+                        server.collect(i, rep);
+                    }
+                    server
+                },
+                // The sketch goes back out so that its drop is off the clock.
+                |mut server| {
+                    let est = server.finish_with(&mut FinishScratch::serial());
+                    (server, est)
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_client, bench_server, bench_finish);
 criterion_main!(benches);

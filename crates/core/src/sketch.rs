@@ -16,8 +16,9 @@
 //! Both components are ε-LDP in total by basic composition, and the
 //! protocol is one-round and non-interactive.
 //!
-//! Server: per coordinate, reconstruct all cell tallies (one exact integer
-//! WHT), take the per-`(b, y)` argmax over `z` against the stand-out
+//! Server: per coordinate, reconstruct all cell tallies (an exact integer
+//! WHT, streamed slab by slab so the `W_in`-cell transform never exists
+//! at once), take the per-`(b, y)` argmax over `z` against the stand-out
 //! threshold (steps 2–3), decode each bucket's lists through the
 //! unique-list-recoverable code (step 4), and return the outer-oracle
 //! estimates of the decoded candidates (steps 5–6).
@@ -40,7 +41,7 @@ use hh_hash::{HashFamily, KWiseHash};
 use hh_math::par::{par_chunk_map, par_chunk_zip_map, par_map_indexed, planned_threads};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::ClientCoins;
-use hh_math::wht::fwht_i32;
+use hh_math::wht::{fwht_i32, hadamard_entry, WHT_BLOCK};
 use rand::Rng;
 
 /// The single message a user sends: her coordinate report and her final
@@ -144,8 +145,9 @@ pub struct ExpanderSketch {
     /// `W_in` and the debias constant; it never ingests a report.
     inner_proto: Hashtogram,
     /// Buffered inner reports per coordinate. Finish decodes each
-    /// coordinate from them in one `W_in`-cell `i32` buffer per worker,
-    /// so peak decode memory is that buffer plus these tiny reports.
+    /// coordinate from them slab by slab ([`slab_cells`]), so peak decode
+    /// memory per worker is one slab plus a grouped copy of the largest
+    /// coordinate's reports, not a `W_in`-cell buffer.
     inner_reports: Vec<Vec<(u64, HashtogramReport)>>,
     outer: Hashtogram,
     users_seen: u64,
@@ -238,7 +240,7 @@ impl ExpanderSketch {
     }
 
     /// `Err` when an inner report's row lies outside `W_in`: it would
-    /// index past the decode buffer at finish. The same rejection the
+    /// index past the transform at finish. The same rejection the
     /// outer [`Hashtogram`] absorber applies to its own rows.
     fn check_inner_row(&self, rep: HashtogramReport) -> Result<(), WireError> {
         if rep.ell < self.inner_proto.params().buckets {
@@ -264,20 +266,31 @@ impl ExpanderSketch {
     /// `lists[b][m]` = the `(y, z)` pairs whose estimate cleared τ.
     ///
     /// Coordinates are independent, so they decode on `threads` workers
-    /// (`0` = hardware, `1` = serial), each worker reusing one decode
-    /// buffer over a contiguous run of coordinates; results come back in
-    /// coordinate order, so the lists are identical for every thread
-    /// count.
+    /// (`0` = hardware, `1` = serial), each worker reusing one
+    /// [`SlabScratch`] over a contiguous run of coordinates; results come
+    /// back in coordinate order, so the lists are identical for every
+    /// thread count.
     fn build_standout_lists(&self, threads: usize) -> Vec<Vec<Vec<(u64, u64)>>> {
+        let w = self.inner_proto.params().buckets as usize;
+        self.standout_lists_with(threads, |reports| slab_cells(reports, w))
+    }
+
+    /// [`ExpanderSketch::build_standout_lists`] with the slab size of a
+    /// coordinate of `r` reports given by `slab(r)`.
+    fn standout_lists_with(
+        &self,
+        threads: usize,
+        slab: impl Fn(usize) -> usize + Sync,
+    ) -> Vec<Vec<Vec<(u64, u64)>>> {
         let p = &self.params;
         let run = p
             .num_coords
             .div_ceil(planned_threads(threads, p.num_coords, 1))
             .max(1);
         let per_run = par_chunk_map(&self.inner_reports, run, threads, |_, run| {
-            let mut cells = Vec::new();
+            let mut scratch = SlabScratch::default();
             run.iter()
-                .map(|reports| self.coord_standouts(reports, &mut cells))
+                .map(|reports| self.coord_standouts(reports, slab(reports.len()), &mut scratch))
                 .collect::<Vec<_>>()
         });
         // Transpose coordinate-major results into `lists[b][m]`.
@@ -291,20 +304,27 @@ impl ExpanderSketch {
     }
 
     /// Steps 2–3 for one coordinate: its stand-out list per bucket,
-    /// decoded from the exact integer tallies of its inner reports.
+    /// decoded from the exact integer tallies of its inner reports, one
+    /// `s`-cell slab of the transform at a time.
     ///
     /// The inner oracle is one group with identity buckets and no signs,
     /// so its estimate of a cell is the debias constant `c` times the
-    /// cell's Hadamard-transformed tally `T`. The decode scatters the
-    /// ±1 bits into `cells` (zeroed, `W_in` long), runs one integer WHT,
-    /// takes each contiguous `(b, y)` z-block's first-occurrence argmax
-    /// of `T`, and debiases only that winner (`c·T ≥ τ`). `c > 0`, so the
-    /// winner is the oracle's argmax; only on an exact tie could the
-    /// f64 estimates order the tied cells differently.
+    /// cell's Hadamard-transformed tally `T = H_W·cells`. With
+    /// `H_W = H_{W/s} ⊗ H_s` and rows `ℓ = h·s + lo`, slab `j` of `T` is
+    /// `H_s` of the `s`-cell vector `Σ_h (−1)^{popcount(h & j)}·cells_h`:
+    /// the reports, grouped by `h` once, are added into the slab with
+    /// their group's sign, and the slab runs through the integer WHT.
+    /// Each contiguous `(b, y)` z-block's first-occurrence argmax of `T`
+    /// is folded across the slabs it spans (strict `>` between
+    /// segments), and only that winner is debiased (`c·T ≥ τ`). `c > 0`,
+    /// so the winner is the oracle's argmax; only on an exact tie could
+    /// the f64 estimates order the tied cells differently. Slabs past the
+    /// `B·Y·Z` cells hold only padding and are skipped.
     fn coord_standouts(
         &self,
         reports: &[(u64, HashtogramReport)],
-        cells: &mut Vec<i32>,
+        s: usize,
+        scratch: &mut SlabScratch,
     ) -> Vec<Vec<(u64, u64)>> {
         let p = &self.params;
         let mut out = vec![Vec::new(); p.num_buckets as usize];
@@ -317,28 +337,115 @@ impl ExpanderSketch {
             "{} reports in one coordinate overflow the i32 transform",
             reports.len()
         );
-        cells.clear();
-        cells.resize(self.inner_proto.params().buckets as usize, 0);
-        for &(_, rep) in reports {
-            cells[rep.ell as usize] += i32::from(rep.bit);
-        }
-        fwht_i32(cells);
+        let w = self.inner_proto.params().buckets as usize;
+        assert!(s.is_power_of_two() && s <= w, "slab {s} of W = {w}");
+        scratch.group(reports, s, w);
         let c = self.inner_proto.debias_factor();
         let tau = p.standout_threshold();
         let y_range = p.y_range as usize;
-        let z_blocks = cells[..p.inner_cells() as usize].chunks_exact(p.z_cardinality() as usize);
-        for (k, block) in z_blocks.enumerate() {
-            let best = *block.iter().max().expect("z blocks are non-empty");
-            let list = &mut out[k / y_range];
-            if c * f64::from(best) >= tau && list.len() < p.list_cap {
-                let z = block
-                    .iter()
-                    .position(|&t| t == best)
-                    .expect("max is in its block");
-                list.push(((k % y_range) as u64, z as u64));
+        let z_len = p.z_cardinality() as usize;
+        let cells = p.inner_cells() as usize;
+        // The running argmax of the z-block the current slab continues.
+        let (mut best, mut best_z) = (0i32, 0usize);
+        for j in 0..cells.div_ceil(s) {
+            let slab = scratch.transform_slab(j);
+            let base = j * s;
+            let end = cells.min(base + s);
+            let mut at = base;
+            while at < end {
+                let (k, off) = (at / z_len, at % z_len);
+                let block_end = at - off + z_len;
+                let seg_end = end.min(block_end);
+                let seg = &slab[at - base..seg_end - base];
+                let seg_max = *seg.iter().max().expect("segments are non-empty");
+                if off == 0 || seg_max > best {
+                    best = seg_max;
+                    // Only a winner that clears τ is ever listed.
+                    if c * f64::from(seg_max) >= tau {
+                        let first = seg.iter().position(|&t| t == seg_max);
+                        best_z = off + first.expect("max is in its segment");
+                    }
+                }
+                if seg_end == block_end {
+                    let list = &mut out[k / y_range];
+                    if c * f64::from(best) >= tau && list.len() < p.list_cap {
+                        list.push(((k % y_range) as u64, best_z as u64));
+                    }
+                }
+                at = seg_end;
             }
         }
         out
+    }
+}
+
+/// Cells per decode slab of a coordinate holding `reports` reports over
+/// a `w`-cell transform: at least one L2-resident [`WHT_BLOCK`], at least
+/// the report count, so adding every report into every slab costs at
+/// most one more pass over the `w` cells, and at most `w`.
+fn slab_cells(reports: usize, w: usize) -> usize {
+    reports.next_power_of_two().max(WHT_BLOCK).min(w)
+}
+
+/// One finish worker's decode scratch, reused across its coordinates.
+#[derive(Default)]
+struct SlabScratch {
+    /// The slab of the transform being decoded.
+    slab: Vec<i32>,
+    /// The coordinate's reports as `(lo, bit)`, grouped by the high
+    /// index `h = ℓ / s` of their row ...
+    grouped: Vec<(u32, i32)>,
+    /// ... with group `h` at `grouped[starts[h]..starts[h + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl SlabScratch {
+    /// Counting-sort `reports` into the `w / s` groups of `s` rows of a
+    /// `w`-row transform, and size the slab.
+    fn group(&mut self, reports: &[(u64, HashtogramReport)], s: usize, w: usize) {
+        let (shift, groups) = (s.trailing_zeros(), w / s);
+        self.starts.clear();
+        self.starts.resize(groups + 1, 0);
+        for &(_, rep) in reports {
+            self.starts[(rep.ell >> shift) as usize + 1] += 1;
+        }
+        for h in 1..=groups {
+            self.starts[h] += self.starts[h - 1];
+        }
+        self.grouped.clear();
+        self.grouped.resize(reports.len(), (0, 0));
+        let lo_mask = s as u64 - 1;
+        for &(_, rep) in reports {
+            let next = &mut self.starts[(rep.ell >> shift) as usize];
+            self.grouped[*next] = ((rep.ell & lo_mask) as u32, i32::from(rep.bit));
+            *next += 1;
+        }
+        // Each start now holds its group's end, the next group's start.
+        self.starts.rotate_right(1);
+        self.starts[0] = 0;
+        self.slab.clear();
+        self.slab.resize(s, 0);
+    }
+
+    /// Slab `j` of the whole transform: each group added with its sign
+    /// `(−1)^{popcount(h & j)}`, then the slab's own WHT.
+    fn transform_slab(&mut self, j: usize) -> &[i32] {
+        let slab = &mut self.slab;
+        slab.fill(0);
+        for (h, ends) in self.starts.windows(2).enumerate() {
+            let run = &self.grouped[ends[0]..ends[1]];
+            if hadamard_entry(h as u64, j as u64) > 0 {
+                for &(lo, bit) in run {
+                    slab[lo as usize] += bit;
+                }
+            } else {
+                for &(lo, bit) in run {
+                    slab[lo as usize] -= bit;
+                }
+            }
+        }
+        fwht_i32(slab);
+        slab
     }
 }
 
@@ -478,10 +585,19 @@ impl Aggregator for ExpanderSketch {
     }
 
     fn memory_bytes(&self) -> usize {
-        // One `W_in`-cell i32 decode buffer (a parallel finish holds one
-        // per worker; this is the serial floor) + the outer oracle sketch
-        // + stand-out lists.
-        self.inner_proto.params().buckets as usize * std::mem::size_of::<i32>()
+        // The decode scratch of the coordinate with the most reports — its
+        // slab, the largest any coordinate uses, and its grouped reports
+        // (a parallel finish holds one scratch per worker; this is the
+        // serial floor) + the outer oracle sketch + stand-out lists.
+        let most = self.inner_reports.iter().map(Vec::len).max().unwrap_or(0);
+        let decode = if most == 0 {
+            0
+        } else {
+            slab_cells(most, self.inner_proto.params().buckets as usize)
+                * std::mem::size_of::<i32>()
+                + most * std::mem::size_of::<(u32, i32)>()
+        };
+        decode
             + self.outer.memory_bytes()
             + self.params.num_buckets as usize
                 * self.params.num_coords
@@ -670,16 +786,125 @@ mod tests {
         }
     }
 
+    /// Test-only whole-buffer decode: per coordinate, every report
+    /// scattered into one `W_in`-cell buffer, one `fwht_i32`, then each
+    /// z-block's `max` and the first `position` of it.
+    fn whole_buffer_standout_lists(s: &ExpanderSketch) -> Vec<Vec<Vec<(u64, u64)>>> {
+        let p = &s.params;
+        let c = s.inner_proto.debias_factor();
+        let tau = p.standout_threshold();
+        let y_range = p.y_range as usize;
+        let mut lists = vec![vec![Vec::new(); p.num_coords]; p.num_buckets as usize];
+        for (m, reports) in s.inner_reports.iter().enumerate() {
+            if reports.is_empty() {
+                continue;
+            }
+            let mut cells = vec![0i32; s.inner_proto.params().buckets as usize];
+            for &(_, rep) in reports {
+                cells[rep.ell as usize] += i32::from(rep.bit);
+            }
+            fwht_i32(&mut cells);
+            let z_blocks =
+                cells[..p.inner_cells() as usize].chunks_exact(p.z_cardinality() as usize);
+            for (k, block) in z_blocks.enumerate() {
+                let best = *block.iter().max().unwrap();
+                let list = &mut lists[k / y_range][m];
+                if c * f64::from(best) >= tau && list.len() < p.list_cap {
+                    let z = block.iter().position(|&t| t == best).unwrap();
+                    list.push(((k % y_range) as u64, z as u64));
+                }
+            }
+        }
+        lists
+    }
+
     #[test]
-    fn memory_counts_one_i32_decode_buffer() {
+    fn slab_decode_matches_whole_buffer_at_every_slab_size() {
+        // The optimal profile (Z = 2^16, so slabs below 2^16 split
+        // z-blocks) and one with Y = 5 (Z = 10000: z-blocks straddle slab
+        // boundaries, and B·Y·Z < W_in, so trailing slabs are skipped).
+        let n = 1usize << 12;
+        let optimal = SketchParams::optimal(n as u64, 16, 4.0, 0.1);
+        let y5 = SketchParams {
+            y_range: 5,
+            ..optimal.clone()
+        };
+        assert!(y5.inner_cells() < y5.inner_cells().next_power_of_two());
+        for params in [optimal, y5] {
+            let data = planted(n, 16, &[(0x2a, 0.9)], 3);
+            let mut planted = ExpanderSketch::new(params.clone(), 3);
+            let mut rng = seeded_rng(derive_seed(3, 0xFACE));
+            for (i, &x) in data.iter().enumerate() {
+                let rep = planted.respond(i as u64, x, &mut rng);
+                planted.collect(i as u64, rep);
+            }
+            // Every report of coordinate 0 on row 0: its `T` is constant
+            // and above τ, so each z-block ties in every cell and only the
+            // first-occurrence rule across slabs picks z = 0.
+            let mut tied = ExpanderSketch::new(params.clone(), 3);
+            let r = (params.standout_threshold() / tied.inner_proto.debias_factor()) as usize + 1;
+            tied.inner_reports[0] = vec![(0, HashtogramReport { ell: 0, bit: 1 }); r];
+            for server in [planted, tied] {
+                let want = whole_buffer_standout_lists(&server);
+                assert!(
+                    want.iter().flatten().any(|l| !l.is_empty()),
+                    "Y = {}: no stand-outs to compare",
+                    params.y_range
+                );
+                assert_eq!(server.build_standout_lists(1), want);
+                let w = server.inner_proto.params().buckets as usize;
+                let mut s = w;
+                while s >= 1 << 10 {
+                    for threads in [1, 2] {
+                        assert_eq!(
+                            server.standout_lists_with(threads, |_| s),
+                            want,
+                            "Y = {}, slab = {s}, threads = {threads}",
+                            params.y_range
+                        );
+                    }
+                    s /= 2;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_size_rule() {
+        let w = 1 << 23;
+        // One L2 block at least, whatever the report count.
+        assert_eq!(slab_cells(0, w), WHT_BLOCK);
+        assert_eq!(slab_cells(26_000, w), WHT_BLOCK);
+        assert_eq!(slab_cells(1 << 16, w), 1 << 16);
+        // At least the report count past one block's worth of reports.
+        assert_eq!(slab_cells((1 << 16) + 1, w), 1 << 17);
+        assert_eq!(slab_cells(3 << 19, w), 1 << 21);
+        // Never past the whole transform.
+        assert_eq!(slab_cells((1 << 22) + 5, w), w);
+        assert_eq!(slab_cells(1 << 30, w), w);
+        // A transform smaller than one block is one slab.
+        assert_eq!(slab_cells(5, 1 << 14), 1 << 14);
+        assert_eq!(slab_cells(1 << 20, 1 << 14), 1 << 14);
+    }
+
+    #[test]
+    fn memory_counts_the_largest_slab_and_its_grouped_reports() {
         let p = SketchParams::optimal(1 << 12, 16, 1.0, 0.1);
-        let server = ExpanderSketch::new(p.clone(), 6);
+        let mut server = ExpanderSketch::new(p.clone(), 6);
         let lists = p.num_buckets as usize * p.num_coords * p.list_cap * 16;
+        let outer = |s: &ExpanderSketch| s.outer_oracle().memory_bytes();
+        // No reports: no decode scratch.
+        assert_eq!(server.memory_bytes(), outer(&server) + lists);
+        let mut rng = seeded_rng(6);
+        for i in 0..1u64 << 12 {
+            let rep = server.respond(i, i % 97, &mut rng);
+            server.collect(i, rep);
+        }
+        let most = server.inner_reports.iter().map(Vec::len).max().unwrap();
+        assert!(most < WHT_BLOCK && WHT_BLOCK < p.inner_cells() as usize);
         assert_eq!(
             server.memory_bytes(),
-            p.inner_cells().next_power_of_two() as usize * 4
-                + server.outer_oracle().memory_bytes()
-                + lists
+            WHT_BLOCK * 4 + most * 8 + outer(&server) + lists
         );
     }
 
