@@ -3,8 +3,9 @@
 //! The build environment has no registry access, so this workspace
 //! carries a minimal, dependency-free implementation of the criterion
 //! API its benches use. Measurement is a warmup pass to calibrate the
-//! per-iteration cost followed by timed batches — no outlier rejection
-//! or bootstrap statistics — and results print one line per benchmark:
+//! per-iteration cost followed by timed batches (at least ten measured
+//! iterations) — no outlier rejection or bootstrap statistics — and
+//! results print one line per benchmark:
 //!
 //! ```text
 //! substrate/wht/65536        time: 312.44 us/iter (64 iters)
@@ -21,6 +22,15 @@ pub use std::hint::black_box;
 /// fast full-suite runs over tight confidence intervals.
 const TARGET_MEASURE: Duration = Duration::from_millis(300);
 const TARGET_WARMUP: Duration = Duration::from_millis(100);
+/// Fewest measured iterations per benchmark, so a routine slower than
+/// the time budget still reports a mean over several calls.
+const MIN_MEASURED_ITERS: u64 = 10;
+
+/// Measured iterations for a routine of `per_iter` seconds: enough to
+/// fill [`TARGET_MEASURE`], at least [`MIN_MEASURED_ITERS`].
+fn measured_iters(per_iter: f64) -> u64 {
+    ((TARGET_MEASURE.as_secs_f64() / per_iter).ceil() as u64).max(MIN_MEASURED_ITERS)
+}
 
 /// The timing loop handed to each benchmark closure.
 pub struct Bencher {
@@ -38,8 +48,7 @@ impl Bencher {
             black_box(f());
             warm_iters += 1;
         }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-        let iters = ((TARGET_MEASURE.as_secs_f64() / per_iter).ceil() as u64).max(1);
+        let iters = measured_iters(warm_start.elapsed().as_secs_f64() / warm_iters as f64);
         let start = Instant::now();
         for _ in 0..iters {
             black_box(f());
@@ -69,8 +78,7 @@ impl Bencher {
             (done, elapsed)
         };
         let (warm_iters, warm) = timed(None);
-        let per_iter = warm.as_secs_f64() / warm_iters as f64;
-        let iters = ((TARGET_MEASURE.as_secs_f64() / per_iter).ceil() as u64).max(1);
+        let iters = measured_iters(warm.as_secs_f64() / warm_iters as f64);
         (self.iters_done, self.elapsed) = timed(Some(iters));
     }
 }
@@ -288,6 +296,24 @@ mod tests {
         );
         assert_eq!(setups, calls);
         assert!(b.iters_done > 0 && b.iters_done < calls);
+    }
+
+    #[test]
+    fn slow_routines_still_measure_the_minimum_iterations() {
+        // ~35 ms per call: the 300 ms budget alone would allow 9.
+        let slow = || std::thread::sleep(Duration::from_millis(35));
+        let mut b = Bencher {
+            iters_done: 0,
+            elapsed: Duration::ZERO,
+        };
+        b.iter(slow);
+        assert!(b.iters_done >= MIN_MEASURED_ITERS, "iter: {}", b.iters_done);
+        b.iter_batched(|| (), |()| slow(), BatchSize::LargeInput);
+        assert!(
+            b.iters_done >= MIN_MEASURED_ITERS,
+            "iter_batched: {}",
+            b.iters_done
+        );
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl WireReport for BitstogramReport {
 /// reports per `(t, m)` group plus the outer oracle's integer-tally
 /// shard.
 pub struct BitstogramShard {
-    inner: Vec<Vec<(u64, HashtogramReport)>>,
+    inner: Vec<Vec<HashtogramReport>>,
     outer: HashtogramShard,
 }
 
@@ -206,7 +206,7 @@ pub struct Bitstogram {
     seed: u64,
     hashes: Vec<PairwiseHash>,
     inner_proto: Hashtogram,
-    inner_reports: Vec<Vec<(u64, HashtogramReport)>>,
+    inner_reports: Vec<Vec<HashtogramReport>>,
     outer: Hashtogram,
     finished: bool,
 }
@@ -317,7 +317,7 @@ impl Aggregator for Bitstogram {
     fn collect(&mut self, user_index: u64, report: BitstogramReport) {
         assert!(!self.finished, "collect after finish");
         let group = self.group_of(user_index);
-        self.inner_reports[group].push((user_index, report.inner));
+        self.inner_reports[group].push(report.inner);
         self.outer.collect(user_index, report.outer);
     }
 
@@ -346,7 +346,7 @@ impl Aggregator for Bitstogram {
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
             let group = Self::group_at(group_seed, i, num_groups);
-            shard.inner[group].push((i, inner));
+            shard.inner[group].push(inner);
             outer_absorber
                 .absorb_one(&mut shard.outer, i, outer)
                 .map_err(|e| frames.frame_error(k, e))?;
@@ -385,6 +385,8 @@ impl Aggregator for Bitstogram {
     }
 
     fn memory_bytes(&self) -> usize {
+        // One inner oracle per bit + the outer oracle sketch. The
+        // buffered inner reports are not counted.
         self.inner_proto.memory_bytes() * self.params.domain_bits as usize
             + self.outer.memory_bytes()
     }
@@ -412,8 +414,10 @@ impl HeavyHitterProtocol for Bitstogram {
         // serial loop's tables).
         let estimates = par_map_indexed(p.repetitions * m_bits, threads, |group| {
             let mut oracle = self.inner_proto.clone();
-            for &(user, rep) in &self.inner_reports[group] {
-                oracle.collect(user, rep);
+            // The inner oracle has one group, so the user index selects
+            // nothing and the buffers keep none.
+            for &rep in &self.inner_reports[group] {
+                oracle.collect(0, rep);
             }
             oracle.finalize();
             let mut table = vec![0.0; p.inner_cells() as usize];

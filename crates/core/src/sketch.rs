@@ -78,7 +78,7 @@ impl WireReport for SketchReport {
 /// reports per coordinate (each coordinate is decoded from them at
 /// finish) plus the outer oracle's integer-tally shard.
 pub struct SketchShard {
-    inner: Vec<Vec<(u64, HashtogramReport)>>,
+    inner: Vec<Vec<HashtogramReport>>,
     outer: HashtogramShard,
     users: u64,
 }
@@ -148,7 +148,7 @@ pub struct ExpanderSketch {
     /// coordinate from them slab by slab ([`slab_cells`]), so peak decode
     /// memory per worker is one slab plus a grouped copy of the largest
     /// coordinate's reports, not a `W_in`-cell buffer.
-    inner_reports: Vec<Vec<(u64, HashtogramReport)>>,
+    inner_reports: Vec<Vec<HashtogramReport>>,
     outer: Hashtogram,
     users_seen: u64,
     finished: bool,
@@ -322,7 +322,7 @@ impl ExpanderSketch {
     /// `B·Y·Z` cells hold only padding and are skipped.
     fn coord_standouts(
         &self,
-        reports: &[(u64, HashtogramReport)],
+        reports: &[HashtogramReport],
         s: usize,
         scratch: &mut SlabScratch,
     ) -> Vec<Vec<(u64, u64)>> {
@@ -402,11 +402,11 @@ struct SlabScratch {
 impl SlabScratch {
     /// Counting-sort `reports` into the `w / s` groups of `s` rows of a
     /// `w`-row transform, and size the slab.
-    fn group(&mut self, reports: &[(u64, HashtogramReport)], s: usize, w: usize) {
+    fn group(&mut self, reports: &[HashtogramReport], s: usize, w: usize) {
         let (shift, groups) = (s.trailing_zeros(), w / s);
         self.starts.clear();
         self.starts.resize(groups + 1, 0);
-        for &(_, rep) in reports {
+        for &rep in reports {
             self.starts[(rep.ell >> shift) as usize + 1] += 1;
         }
         for h in 1..=groups {
@@ -415,7 +415,7 @@ impl SlabScratch {
         self.grouped.clear();
         self.grouped.resize(reports.len(), (0, 0));
         let lo_mask = s as u64 - 1;
-        for &(_, rep) in reports {
+        for &rep in reports {
             let next = &mut self.starts[(rep.ell >> shift) as usize];
             self.grouped[*next] = ((rep.ell & lo_mask) as u32, i32::from(rep.bit));
             *next += 1;
@@ -504,7 +504,7 @@ impl Aggregator for ExpanderSketch {
         assert!(!self.finished, "collect after finish");
         self.assert_inner_row(report.inner);
         let m = self.coord_of(user_index);
-        self.inner_reports[m].push((user_index, report.inner));
+        self.inner_reports[m].push(report.inner);
         self.outer.collect(user_index, report.outer);
         self.users_seen += 1;
     }
@@ -538,7 +538,7 @@ impl Aggregator for ExpanderSketch {
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
             let m = Self::coord_at(part_seed, i, num_coords);
-            shard.inner[m].push((i, inner));
+            shard.inner[m].push(inner);
             outer_absorber
                 .absorb_one(&mut shard.outer, i, outer)
                 .map_err(|e| frames.frame_error(k, e))?;
@@ -568,7 +568,7 @@ impl Aggregator for ExpanderSketch {
         );
         // Decoded snapshots are unvalidated: a bad row fails here, not as
         // an index panic inside finish.
-        for &(_, rep) in shard.inner.iter().flatten() {
+        for &rep in shard.inner.iter().flatten() {
             self.assert_inner_row(rep);
         }
         for (acc, mut add) in self.inner_reports.iter_mut().zip(shard.inner) {
@@ -588,7 +588,8 @@ impl Aggregator for ExpanderSketch {
         // The decode scratch of the coordinate with the most reports — its
         // slab, the largest any coordinate uses, and its grouped reports
         // (a parallel finish holds one scratch per worker; this is the
-        // serial floor) + the outer oracle sketch + stand-out lists.
+        // serial floor) + the outer oracle sketch + stand-out lists. The
+        // buffered inner reports themselves are not counted.
         let most = self.inner_reports.iter().map(Vec::len).max().unwrap_or(0);
         let decode = if most == 0 {
             0
@@ -729,8 +730,8 @@ mod tests {
                 continue;
             }
             let mut oracle = s.inner_proto.clone();
-            for &(user, rep) in reports {
-                oracle.collect(user, rep);
+            for &rep in reports {
+                oracle.collect(0, rep);
             }
             oracle.finalize();
             let mut buf = Vec::new();
@@ -800,7 +801,7 @@ mod tests {
                 continue;
             }
             let mut cells = vec![0i32; s.inner_proto.params().buckets as usize];
-            for &(_, rep) in reports {
+            for &rep in reports {
                 cells[rep.ell as usize] += i32::from(rep.bit);
             }
             fwht_i32(&mut cells);
@@ -843,7 +844,7 @@ mod tests {
             // first-occurrence rule across slabs picks z = 0.
             let mut tied = ExpanderSketch::new(params.clone(), 3);
             let r = (params.standout_threshold() / tied.inner_proto.debias_factor()) as usize + 1;
-            tied.inner_reports[0] = vec![(0, HashtogramReport { ell: 0, bit: 1 }); r];
+            tied.inner_reports[0] = vec![HashtogramReport { ell: 0, bit: 1 }; r];
             for server in [planted, tied] {
                 let want = whole_buffer_standout_lists(&server);
                 assert!(

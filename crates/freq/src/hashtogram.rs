@@ -195,35 +195,35 @@ impl WireShard for HashtogramShard {
 }
 
 /// Exact encoded length of a buffered-report run — the
-/// `[count]([user][ℓ·2+bit])…` layout the composite protocol shards
+/// `[count]([ℓ·2+bit])…` layout the composite protocol shards
 /// (`SketchShard`, `BitstogramShard`) use for per-coordinate report
-/// buffers. The report scalar is the same `ℓ·2 + [bit > 0]` packing as
-/// the report's own wire format, as a varint.
-pub fn report_run_len(run: &[(u64, HashtogramReport)]) -> usize {
+/// buffers. Their inner oracles have one group, so a buffered report
+/// carries no user index. The report scalar is the same
+/// `ℓ·2 + [bit > 0]` packing as the report's own wire format, as a
+/// varint.
+pub fn report_run_len(run: &[HashtogramReport]) -> usize {
     varint_len(run.len() as u64)
         + run
             .iter()
-            .map(|&(user, rep)| varint_len(user) + varint_len(pack_row_bit(rep.ell, rep.bit)))
+            .map(|rep| varint_len(pack_row_bit(rep.ell, rep.bit)))
             .sum::<usize>()
 }
 
 /// Append a buffered-report run (see [`report_run_len`]).
-pub fn write_report_run(out: &mut Vec<u8>, run: &[(u64, HashtogramReport)]) {
+pub fn write_report_run(out: &mut Vec<u8>, run: &[HashtogramReport]) {
     write_varint(out, run.len() as u64);
-    for &(user, rep) in run {
-        write_varint(out, user);
+    for rep in run {
         write_varint(out, pack_row_bit(rep.ell, rep.bit));
     }
 }
 
 /// Read a buffered-report run (see [`report_run_len`]).
-pub fn read_report_run(r: &mut ShardReader<'_>) -> Result<Vec<(u64, HashtogramReport)>, WireError> {
+pub fn read_report_run(r: &mut ShardReader<'_>) -> Result<Vec<HashtogramReport>, WireError> {
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let user = r.u64()?;
         let (ell, bit) = unpack_row_bit(r.u64()?);
-        out.push((user, HashtogramReport { ell, bit }));
+        out.push(HashtogramReport { ell, bit });
     }
     Ok(out)
 }

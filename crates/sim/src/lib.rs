@@ -7,7 +7,9 @@
 //! population scale:
 //!
 //! * [`workload`] generates the distributed inputs (planted heavy
-//!   hitters, Zipf skew, the URL-telemetry mixture);
+//!   hitters, Zipf skew, the URL-telemetry mixture), and
+//!   [`StreamWorkload`] cuts one of them into epochs with jittered
+//!   arrival counts;
 //! * [`run`] executes a protocol over the population and times each
 //!   phase. Three drivers share one reproducibility contract and two
 //!   ingest paths, the serial reference and the collector runtime:

@@ -70,7 +70,7 @@ pub fn aggregate(summaries: &[TrialSummary]) -> Aggregate {
 
 /// Finish-phase accounting of one streaming run: how much of the
 /// server-side decode work was answered incrementally, distilled from
-/// [`StreamStats`] for the `--stream` / `--pipeline` bench reports.
+/// [`StreamStats`] for bench reports.
 #[derive(Debug, Clone, Copy)]
 pub struct FinishPhase {
     /// Mid-stream `finish_at_epoch` queries answered.

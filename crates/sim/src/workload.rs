@@ -7,10 +7,8 @@
 //! Chrome/iOS deployment discussion.
 //!
 //! [`StreamWorkload`] extends these to the streaming engine's epochs:
-//! the distribution may *drift* between epochs (a Zipf exponent ramp,
-//! heavy-hitter churn through a rotating pool) and per-epoch arrival
-//! counts may jitter — the shapes a live telemetry pipeline actually
-//! sees between checkpoints.
+//! one fixed distribution with jittered per-epoch arrival counts, the
+//! uneven batches a live telemetry pipeline sees between checkpoints.
 
 use hh_math::dist::{AliasTable, Zipf};
 use hh_math::rng::{derive_seed, seeded_rng};
@@ -250,28 +248,8 @@ impl PlantedCdf {
 /// draws of the same epoch.
 const JITTER_LABEL: u64 = 0x71773E;
 
-/// How a [`StreamWorkload`]'s distribution evolves across epochs.
-#[derive(Debug, Clone)]
-enum StreamKind {
-    /// The same workload every epoch.
-    Stationary(Workload),
-    /// Zipf skew ramping linearly from one exponent to another over the
-    /// stream's nominal length (clamped afterwards) — "the head
-    /// sharpens/flattens as the day progresses".
-    ZipfRamp { from: f64, to: f64, epochs: usize },
-    /// Heavy-hitter churn: every `period` epochs the `active` planted
-    /// heavies rotate to the next window of a candidate pool — trending
-    /// topics arriving and fading.
-    Churn {
-        pool: Vec<u64>,
-        active: usize,
-        mass: f64,
-        period: usize,
-    },
-}
-
-/// A reproducible *streaming* workload: one distribution per epoch plus
-/// per-epoch arrival jitter. Feed [`StreamWorkload::generate_epoch`]
+/// A reproducible *streaming* workload: one distribution every epoch
+/// plus per-epoch arrival jitter. Feed [`StreamWorkload::generate_epoch`]
 /// straight into `PipelineSession::ingest_epoch`.
 #[derive(Debug, Clone)]
 pub struct StreamWorkload {
@@ -279,107 +257,24 @@ pub struct StreamWorkload {
     pub name: String,
     /// Domain size `|X|`.
     pub domain: u64,
-    kind: StreamKind,
+    workload: Workload,
     /// Fractional arrival jitter: epoch sizes draw uniformly from
     /// `base ± jitter·base` (0 = constant arrivals).
     jitter: f64,
 }
 
 impl StreamWorkload {
-    fn check_jitter(jitter: f64) {
+    /// The same distribution every epoch, with arrival jitter.
+    pub fn stationary(workload: Workload, jitter: f64) -> Self {
         assert!(
             (0.0..1.0).contains(&jitter),
             "arrival jitter must be in [0, 1), got {jitter}"
         );
-    }
-
-    /// The same distribution every epoch, with arrival jitter.
-    pub fn stationary(workload: Workload, jitter: f64) -> Self {
-        Self::check_jitter(jitter);
         Self {
             name: format!("stream[{}]", workload.name),
             domain: workload.domain,
-            kind: StreamKind::Stationary(workload),
+            workload,
             jitter,
-        }
-    }
-
-    /// Zipf skew ramping linearly from exponent `from` (epoch 0) to `to`
-    /// (epoch `epochs - 1`), constant afterwards.
-    pub fn zipf_ramp(domain: u64, from: f64, to: f64, epochs: usize, jitter: f64) -> Self {
-        Self::check_jitter(jitter);
-        assert!(epochs >= 1, "a ramp needs at least one epoch");
-        Self {
-            name: format!("zipf-ramp(s={from}->{to} over {epochs} epochs)"),
-            domain,
-            kind: StreamKind::ZipfRamp { from, to, epochs },
-            jitter,
-        }
-    }
-
-    /// Heavy-hitter churn: `active` elements of `pool` hold `mass` of
-    /// the traffic (uniform tail beneath), rotating to the next window
-    /// of the pool every `period` epochs.
-    pub fn churn(
-        domain: u64,
-        pool: Vec<u64>,
-        active: usize,
-        mass: f64,
-        period: usize,
-        jitter: f64,
-    ) -> Self {
-        Self::check_jitter(jitter);
-        assert!(!pool.is_empty(), "churn needs a candidate pool");
-        assert!(
-            (1..=pool.len()).contains(&active),
-            "active heavies must be in 1..=pool ({} vs {})",
-            active,
-            pool.len()
-        );
-        assert!((0.0..1.0).contains(&mass), "heavy mass must leave a tail");
-        assert!(period >= 1, "churn period must be >= 1");
-        for &x in &pool {
-            assert!(x < domain, "pool element {x} outside domain");
-        }
-        Self {
-            name: format!(
-                "churn({active}/{} heavies, mass {mass}, period {period})",
-                pool.len()
-            ),
-            domain,
-            kind: StreamKind::Churn {
-                pool,
-                active,
-                mass,
-                period,
-            },
-            jitter,
-        }
-    }
-
-    /// The (static) workload epoch `epoch` draws from.
-    pub fn epoch_workload(&self, epoch: u64) -> Workload {
-        match &self.kind {
-            StreamKind::Stationary(w) => w.clone(),
-            StreamKind::ZipfRamp { from, to, epochs } => {
-                let steps = (*epochs - 1).max(1) as f64;
-                let t = (epoch as f64).min(steps) / steps;
-                let s = from + (to - from) * t;
-                Workload::zipf(self.domain, s)
-            }
-            StreamKind::Churn {
-                pool,
-                active,
-                mass,
-                period,
-            } => {
-                let window = (epoch / *period as u64) as usize;
-                let start = (window * active) % pool.len();
-                let heavy: Vec<(u64, f64)> = (0..*active)
-                    .map(|i| (pool[(start + i) % pool.len()], mass / *active as f64))
-                    .collect();
-                Workload::planted(self.domain, heavy)
-            }
         }
     }
 
@@ -394,17 +289,11 @@ impl StreamWorkload {
         ((base as f64 * scale).round() as usize).max(1)
     }
 
-    /// Generate epoch `epoch`'s arrivals: the drifted distribution at
-    /// the jittered count, reproducibly.
+    /// Generate epoch `epoch`'s arrivals: the distribution at the
+    /// jittered count, reproducibly.
     pub fn generate_epoch(&self, epoch: u64, base: usize, seed: u64) -> Vec<u64> {
-        self.epoch_workload(epoch)
+        self.workload
             .generate(self.epoch_len(epoch, base, seed), derive_seed(seed, epoch))
-    }
-
-    /// The elements the *current* epoch's distribution makes heavy (see
-    /// [`Workload::expected_heavy`]).
-    pub fn expected_heavy(&self, epoch: u64, n: u64, threshold: f64) -> Vec<u64> {
-        self.epoch_workload(epoch).expected_heavy(n, threshold)
     }
 }
 
@@ -464,40 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_ramp_drifts_monotonically() {
-        let w = StreamWorkload::zipf_ramp(1 << 16, 1.0, 2.0, 5, 0.0);
-        // A sharper exponent concentrates more mass on rank 0.
-        let head_mass = |e: u64| {
-            let data = w.epoch_workload(e).generate(20_000, 9);
-            data.iter().filter(|&&x| x == 0).count()
-        };
-        let (first, last) = (head_mass(0), head_mass(4));
-        assert!(
-            last > first + 2_000,
-            "ramp did not sharpen the head: {first} -> {last}"
-        );
-        // Clamped past the ramp's end.
-        assert_eq!(
-            w.epoch_workload(4).generate(100, 3),
-            w.epoch_workload(40).generate(100, 3)
-        );
-    }
-
-    #[test]
-    fn churn_rotates_the_heavy_set() {
-        let pool: Vec<u64> = (100..112).collect();
-        let w = StreamWorkload::churn(1 << 16, pool.clone(), 3, 0.6, 2, 0.0);
-        let heavy0 = w.expected_heavy(0, 10_000, 500.0);
-        let heavy1 = w.expected_heavy(1, 10_000, 500.0);
-        let heavy2 = w.expected_heavy(2, 10_000, 500.0);
-        assert_eq!(heavy0, vec![100, 101, 102]);
-        assert_eq!(heavy1, heavy0, "rotated before the period elapsed");
-        assert_eq!(heavy2, vec![103, 104, 105]);
-        // The pool wraps around.
-        assert_eq!(w.expected_heavy(8, 10_000, 500.0), vec![100, 101, 102]);
-    }
-
-    #[test]
     fn arrival_jitter_is_bounded_and_reproducible() {
         let w = StreamWorkload::stationary(Workload::uniform(1 << 10), 0.25);
         for e in 0..20u64 {
@@ -512,11 +367,5 @@ mod tests {
         // Zero jitter means constant epochs.
         let flat = StreamWorkload::stationary(Workload::uniform(1 << 10), 0.0);
         assert!((0..20).all(|e| flat.epoch_len(e, 1000, 7) == 1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "churn needs a candidate pool")]
-    fn rejects_empty_churn_pool() {
-        let _ = StreamWorkload::churn(16, vec![], 1, 0.5, 1, 0.0);
     }
 }
