@@ -1,9 +1,9 @@
-//! Criterion bench for the substrate layers: hashing, WHT,
-//! Reed–Solomon, ULRC encode/decode, expander construction, clustering,
-//! and the ingest primitives the collector runtime is built from (fused
-//! respond_encode_batch, absorb_wire into per-chunk shards with a tree
-//! merge, par_chunk_map), each timed in isolation from the runtime's
-//! queues and actor threads.
+//! Criterion bench for the substrate layers: hashing, WHT (float and
+//! exact integer), Reed–Solomon, ULRC encode/decode, expander
+//! construction, clustering, and the ingest primitives the collector
+//! runtime is built from (fused respond_encode_batch, absorb_wire into
+//! per-chunk shards with a tree merge, par_chunk_map), each timed in
+//! isolation from the runtime's queues and actor threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hh_codes::ulrc::{UlrcParams, UniqueListCode};
@@ -16,7 +16,7 @@ use hh_graph::expander::expander;
 use hh_hash::{KWiseHash, PairwiseHash};
 use hh_math::par::{merge_tree, par_chunk_map, par_map_indexed};
 use hh_math::rng::{client_rng, seeded_rng};
-use hh_math::wht::fwht;
+use hh_math::wht::{fwht, fwht_int, FOLD, WHT_BLOCK};
 use rand::Rng;
 
 fn bench_hashing(c: &mut Criterion) {
@@ -70,6 +70,36 @@ fn bench_wht(c: &mut Criterion) {
             });
         });
     }
+    // The exact integer kernel over one 2^16-cell decode slab, in both
+    // cell widths, on ±1 data (the sum fits `i16`), from level `FOLD` as
+    // the sketch decode runs it. Each iteration copies the input into a
+    // reused slab, as the decode refills one.
+    let w = WHT_BLOCK;
+    let mut rng = seeded_rng(5);
+    let narrow: Vec<i16> = (0..w)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => 1,
+            1 => -1,
+            _ => 0,
+        })
+        .collect();
+    let wide: Vec<i32> = narrow.iter().map(|&v| i32::from(v)).collect();
+    let mut slab = narrow.clone();
+    group.bench_with_input(BenchmarkId::new("int_i16", w), &w, |b, _| {
+        b.iter(|| {
+            slab.copy_from_slice(&narrow);
+            fwht_int(&mut slab, FOLD);
+            slab[0]
+        });
+    });
+    let mut slab = wide.clone();
+    group.bench_with_input(BenchmarkId::new("int_i32", w), &w, |b, _| {
+        b.iter(|| {
+            slab.copy_from_slice(&wide);
+            fwht_int(&mut slab, FOLD);
+            slab[0]
+        });
+    });
     group.finish();
 }
 

@@ -146,7 +146,7 @@ fn compare_at_scale(
     );
     let speedup = serial.total_time().as_secs_f64() / batched.total_time().as_secs_f64();
     println!(
-        "  {name:>16}: serial {} | batched {} ({} threads, chunk {}) | speedup x{speedup:.2}",
+        "  {name:>16}: serial {} | batched {} ({} fleet threads = encoders + collectors, chunk {}) | speedup x{speedup:.2}",
         fmt_dur(serial.total_time()),
         fmt_dur(batched.total_time()),
         batched.threads,
@@ -155,7 +155,7 @@ fn compare_at_scale(
     let json = JsonObject::new()
         .str("protocol", name)
         .int("n", data.len() as u64)
-        .int("threads", batched.threads as u64)
+        .int("fleet_threads", batched.threads as u64)
         .int("chunk_size", plan.chunk_size as u64)
         .num("serial_total_secs", serial.total_time().as_secs_f64())
         .num("serial_client_secs", serial.client_total.as_secs_f64())

@@ -27,7 +27,7 @@ use hh_freq::hashtogram::{
 };
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
-use hh_freq::wire::{varint_len, write_varint, ShardReader};
+use hh_freq::wire::{pack_row_bit, unpack_row_bit, varint_len, write_varint, ShardReader};
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash};
 use hh_math::par::{par_chunk_zip_map, par_map_indexed, planned_threads};
@@ -153,10 +153,10 @@ impl WireReport for BitstogramReport {
 }
 
 /// Mergeable partial aggregate of a [`Bitstogram`]: buffered inner
-/// reports per `(t, m)` group plus the outer oracle's integer-tally
-/// shard.
+/// reports per `(t, m)` group, each packed as `ℓ·2 + [bit > 0]`
+/// ([`pack_row_bit`]), plus the outer oracle's integer-tally shard.
 pub struct BitstogramShard {
-    inner: Vec<Vec<HashtogramReport>>,
+    inner: Vec<Vec<u64>>,
     outer: HashtogramShard,
 }
 
@@ -206,7 +206,8 @@ pub struct Bitstogram {
     seed: u64,
     hashes: Vec<PairwiseHash>,
     inner_proto: Hashtogram,
-    inner_reports: Vec<Vec<HashtogramReport>>,
+    /// Buffered inner reports per group, packed as in [`BitstogramShard`].
+    inner_reports: Vec<Vec<u64>>,
     outer: Hashtogram,
     finished: bool,
 }
@@ -317,7 +318,7 @@ impl Aggregator for Bitstogram {
     fn collect(&mut self, user_index: u64, report: BitstogramReport) {
         assert!(!self.finished, "collect after finish");
         let group = self.group_of(user_index);
-        self.inner_reports[group].push(report.inner);
+        self.inner_reports[group].push(pack_row_bit(report.inner.ell, report.inner.bit));
         self.outer.collect(user_index, report.outer);
     }
 
@@ -346,7 +347,7 @@ impl Aggregator for Bitstogram {
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
             let group = Self::group_at(group_seed, i, num_groups);
-            shard.inner[group].push(inner);
+            shard.inner[group].push(pack_row_bit(inner.ell, inner.bit));
             outer_absorber
                 .absorb_one(&mut shard.outer, i, outer)
                 .map_err(|e| frames.frame_error(k, e))?;
@@ -385,9 +386,10 @@ impl Aggregator for Bitstogram {
     }
 
     fn memory_bytes(&self) -> usize {
-        // One inner oracle per bit + the outer oracle sketch. The
-        // buffered inner reports are not counted.
-        self.inner_proto.memory_bytes() * self.params.domain_bits as usize
+        // The buffered inner reports (one packed `u64` each) + one inner
+        // oracle per bit + the outer oracle sketch.
+        self.inner_reports.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<u64>()
+            + self.inner_proto.memory_bytes() * self.params.domain_bits as usize
             + self.outer.memory_bytes()
     }
 
@@ -416,8 +418,9 @@ impl HeavyHitterProtocol for Bitstogram {
             let mut oracle = self.inner_proto.clone();
             // The inner oracle has one group, so the user index selects
             // nothing and the buffers keep none.
-            for &rep in &self.inner_reports[group] {
-                oracle.collect(0, rep);
+            for &packed in &self.inner_reports[group] {
+                let (ell, bit) = unpack_row_bit(packed);
+                oracle.collect(0, HashtogramReport { ell, bit });
             }
             oracle.finalize();
             let mut table = vec![0.0; p.inner_cells() as usize];

@@ -35,13 +35,13 @@ use hh_freq::hashtogram::{
 };
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
-use hh_freq::wire::{varint_len, write_varint, ShardReader};
+use hh_freq::wire::{pack_row_bit, varint_len, write_varint, ShardReader};
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, KWiseHash};
 use hh_math::par::{par_chunk_map, par_chunk_zip_map, par_map_indexed, planned_threads};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::ClientCoins;
-use hh_math::wht::{fwht_i32, hadamard_entry, WHT_BLOCK};
+use hh_math::wht::{add_folded, fwht_int, hadamard_entry, WhtCell, FOLD, WHT_BLOCK};
 use rand::Rng;
 
 /// The single message a user sends: her coordinate report and her final
@@ -75,10 +75,11 @@ impl WireReport for SketchReport {
 }
 
 /// Mergeable partial aggregate of an [`ExpanderSketch`]: buffered inner
-/// reports per coordinate (each coordinate is decoded from them at
-/// finish) plus the outer oracle's integer-tally shard.
+/// reports per coordinate, each packed as `ℓ·2 + [bit > 0]`
+/// ([`pack_row_bit`]; each coordinate is decoded from them at finish),
+/// plus the outer oracle's integer-tally shard.
 pub struct SketchShard {
-    inner: Vec<Vec<HashtogramReport>>,
+    inner: Vec<Vec<u64>>,
     outer: HashtogramShard,
     users: u64,
 }
@@ -144,11 +145,12 @@ pub struct ExpanderSketch {
     /// coordinates share. It answers client `respond` calls and supplies
     /// `W_in` and the debias constant; it never ingests a report.
     inner_proto: Hashtogram,
-    /// Buffered inner reports per coordinate. Finish decodes each
+    /// Buffered inner reports per coordinate, each packed as
+    /// `ℓ·2 + [bit > 0]` ([`pack_row_bit`]). Finish decodes each
     /// coordinate from them slab by slab ([`slab_cells`]), so peak decode
     /// memory per worker is one slab plus a grouped copy of the largest
     /// coordinate's reports, not a `W_in`-cell buffer.
-    inner_reports: Vec<Vec<HashtogramReport>>,
+    inner_reports: Vec<Vec<u64>>,
     outer: Hashtogram,
     users_seen: u64,
     finished: bool,
@@ -239,11 +241,11 @@ impl ExpanderSketch {
         self.params.cell_id(b, y, z)
     }
 
-    /// `Err` when an inner report's row lies outside `W_in`: it would
-    /// index past the transform at finish. The same rejection the
-    /// outer [`Hashtogram`] absorber applies to its own rows.
-    fn check_inner_row(&self, rep: HashtogramReport) -> Result<(), WireError> {
-        if rep.ell < self.inner_proto.params().buckets {
+    /// `Err` when a packed inner report's row `ℓ` lies outside `W_in`:
+    /// it would index past the transform at finish. The same rejection
+    /// the outer [`Hashtogram`] absorber applies to its own rows.
+    fn check_inner_row(&self, packed: u64) -> Result<(), WireError> {
+        if packed >> 1 < self.inner_proto.params().buckets {
             Ok(())
         } else {
             Err(WireError::Invalid("report row outside W"))
@@ -252,11 +254,11 @@ impl ExpanderSketch {
 
     /// [`ExpanderSketch::check_inner_row`] as a hard assert, for
     /// `collect` and the snapshot path, which have no error channel.
-    fn assert_inner_row(&self, rep: HashtogramReport) {
-        self.check_inner_row(rep).unwrap_or_else(|_| {
+    fn assert_inner_row(&self, packed: u64) {
+        self.check_inner_row(packed).unwrap_or_else(|_| {
             panic!(
                 "report row {} outside W = {}",
-                rep.ell,
+                packed >> 1,
                 self.inner_proto.params().buckets
             )
         });
@@ -320,16 +322,17 @@ impl ExpanderSketch {
     /// so the winner is the oracle's argmax; only on an exact tie could
     /// the f64 estimates order the tied cells differently. Slabs past the
     /// `B·Y·Z` cells hold only padding and are skipped.
+    ///
+    /// Cells are `i16` when the report count fits it ([`narrow_cells`])
+    /// and `i32` otherwise.
     fn coord_standouts(
         &self,
-        reports: &[HashtogramReport],
+        reports: &[u64],
         s: usize,
         scratch: &mut SlabScratch,
     ) -> Vec<Vec<(u64, u64)>> {
-        let p = &self.params;
-        let mut out = vec![Vec::new(); p.num_buckets as usize];
         if reports.is_empty() {
-            return out;
+            return vec![Vec::new(); self.params.num_buckets as usize];
         }
         // Every transform intermediate is bounded by the report count.
         assert!(
@@ -338,17 +341,44 @@ impl ExpanderSketch {
             reports.len()
         );
         let w = self.inner_proto.params().buckets as usize;
-        assert!(s.is_power_of_two() && s <= w, "slab {s} of W = {w}");
-        scratch.group(reports, s, w);
+        assert!(
+            s.is_power_of_two() && (FOLD..=w.min(1 << 31)).contains(&s),
+            "slab {s} of W = {w}"
+        );
+        let SlabScratch {
+            groups,
+            narrow,
+            wide,
+        } = scratch;
+        groups.group(reports, s, w);
+        if narrow_cells(reports.len()) {
+            self.slab_standouts(groups, narrow, s)
+        } else {
+            self.slab_standouts(groups, wide, s)
+        }
+    }
+
+    /// [`ExpanderSketch::coord_standouts`] over grouped reports, in
+    /// `s`-cell slabs of `T`.
+    fn slab_standouts<T: WhtCell>(
+        &self,
+        groups: &SlabGroups,
+        slab: &mut Vec<T>,
+        s: usize,
+    ) -> Vec<Vec<(u64, u64)>> {
+        let p = &self.params;
+        let mut out = vec![Vec::new(); p.num_buckets as usize];
         let c = self.inner_proto.debias_factor();
         let tau = p.standout_threshold();
         let y_range = p.y_range as usize;
         let z_len = p.z_cardinality() as usize;
         let cells = p.inner_cells() as usize;
+        slab.clear();
+        slab.resize(s, T::default());
         // The running argmax of the z-block the current slab continues.
-        let (mut best, mut best_z) = (0i32, 0usize);
+        let (mut best, mut best_z) = (T::default(), 0usize);
         for j in 0..cells.div_ceil(s) {
-            let slab = scratch.transform_slab(j);
+            groups.transform_slab(slab, j);
             let base = j * s;
             let end = cells.min(base + s);
             let mut at = base;
@@ -357,18 +387,18 @@ impl ExpanderSketch {
                 let block_end = at - off + z_len;
                 let seg_end = end.min(block_end);
                 let seg = &slab[at - base..seg_end - base];
-                let seg_max = *seg.iter().max().expect("segments are non-empty");
+                let seg_max = lane_max(seg);
                 if off == 0 || seg_max > best {
                     best = seg_max;
                     // Only a winner that clears τ is ever listed.
-                    if c * f64::from(seg_max) >= tau {
+                    if c * seg_max.into() >= tau {
                         let first = seg.iter().position(|&t| t == seg_max);
                         best_z = off + first.expect("max is in its segment");
                     }
                 }
                 if seg_end == block_end {
                     let list = &mut out[k / y_range];
-                    if c * f64::from(best) >= tau && list.len() < p.list_cap {
+                    if c * best.into() >= tau && list.len() < p.list_cap {
                         list.push(((k % y_range) as u64, best_z as u64));
                     }
                 }
@@ -379,6 +409,31 @@ impl ExpanderSketch {
     }
 }
 
+/// The largest cell of a non-empty segment, folded in fixed lane
+/// accumulators so the loop vectorizes (`Iterator::max` does not).
+fn lane_max<T: WhtCell>(seg: &[T]) -> T {
+    const LANES: usize = 32;
+    let (chunks, rest) = seg.as_chunks::<LANES>();
+    let mut acc = [seg[0]; LANES];
+    for chunk in chunks {
+        for (a, &t) in acc.iter_mut().zip(chunk) {
+            *a = (*a).max(t);
+        }
+    }
+    acc.into_iter()
+        .chain(rest.iter().copied())
+        .max()
+        .expect("segments are non-empty")
+}
+
+/// Whether a coordinate of `reports` reports decodes in `i16` cells:
+/// every transform intermediate is bounded by the report count, so the
+/// narrow cells are exact while the count fits them. Larger coordinates
+/// decode in `i32`.
+fn narrow_cells(reports: usize) -> bool {
+    i16::try_from(reports).is_ok()
+}
+
 /// Cells per decode slab of a coordinate holding `reports` reports over
 /// a `w`-cell transform: at least one L2-resident [`WHT_BLOCK`], at least
 /// the report count, so adding every report into every slab costs at
@@ -387,65 +442,63 @@ fn slab_cells(reports: usize, w: usize) -> usize {
     reports.next_power_of_two().max(WHT_BLOCK).min(w)
 }
 
-/// One finish worker's decode scratch, reused across its coordinates.
+/// One finish worker's decode scratch, reused across its coordinates:
+/// the grouped reports and one slab per cell width.
 #[derive(Default)]
 struct SlabScratch {
-    /// The slab of the transform being decoded.
-    slab: Vec<i32>,
-    /// The coordinate's reports as `(lo, bit)`, grouped by the high
-    /// index `h = ℓ / s` of their row ...
-    grouped: Vec<(u32, i32)>,
+    groups: SlabGroups,
+    /// The slab of a coordinate decoded in `i16` cells ...
+    narrow: Vec<i16>,
+    /// ... and of one decoded in `i32` cells.
+    wide: Vec<i32>,
+}
+
+/// A coordinate's reports grouped by slab.
+#[derive(Default)]
+struct SlabGroups {
+    /// The reports as `lo·2 + [bit > 0]`, grouped by the high index
+    /// `h = ℓ / s` of their row ...
+    grouped: Vec<u32>,
     /// ... with group `h` at `grouped[starts[h]..starts[h + 1]]`.
     starts: Vec<usize>,
 }
 
-impl SlabScratch {
-    /// Counting-sort `reports` into the `w / s` groups of `s` rows of a
-    /// `w`-row transform, and size the slab.
-    fn group(&mut self, reports: &[HashtogramReport], s: usize, w: usize) {
-        let (shift, groups) = (s.trailing_zeros(), w / s);
+impl SlabGroups {
+    /// Counting-sort packed `reports` into the `w / s` groups of `s` rows
+    /// of a `w`-row transform (`s ≤ 2^31`, so `lo·2 + bit` fits `u32`).
+    fn group(&mut self, reports: &[u64], s: usize, w: usize) {
+        let (shift, groups) = (s.trailing_zeros() + 1, w / s);
         self.starts.clear();
         self.starts.resize(groups + 1, 0);
-        for &rep in reports {
-            self.starts[(rep.ell >> shift) as usize + 1] += 1;
+        for &v in reports {
+            self.starts[(v >> shift) as usize + 1] += 1;
         }
         for h in 1..=groups {
             self.starts[h] += self.starts[h - 1];
         }
         self.grouped.clear();
-        self.grouped.resize(reports.len(), (0, 0));
-        let lo_mask = s as u64 - 1;
-        for &rep in reports {
-            let next = &mut self.starts[(rep.ell >> shift) as usize];
-            self.grouped[*next] = ((rep.ell & lo_mask) as u32, i32::from(rep.bit));
+        self.grouped.resize(reports.len(), 0);
+        let lo_mask = 2 * s as u64 - 1;
+        for &v in reports {
+            let next = &mut self.starts[(v >> shift) as usize];
+            self.grouped[*next] = (v & lo_mask) as u32;
             *next += 1;
         }
         // Each start now holds its group's end, the next group's start.
         self.starts.rotate_right(1);
         self.starts[0] = 0;
-        self.slab.clear();
-        self.slab.resize(s, 0);
     }
 
     /// Slab `j` of the whole transform: each group added with its sign
-    /// `(−1)^{popcount(h & j)}`, then the slab's own WHT.
-    fn transform_slab(&mut self, j: usize) -> &[i32] {
-        let slab = &mut self.slab;
-        slab.fill(0);
+    /// `(−1)^{popcount(h & j)}` as rows of `H_8` ([`add_folded`]), then the
+    /// rest of the slab's own WHT.
+    fn transform_slab<T: WhtCell>(&self, slab: &mut [T], j: usize) {
+        slab.fill(T::default());
         for (h, ends) in self.starts.windows(2).enumerate() {
             let run = &self.grouped[ends[0]..ends[1]];
-            if hadamard_entry(h as u64, j as u64) > 0 {
-                for &(lo, bit) in run {
-                    slab[lo as usize] += bit;
-                }
-            } else {
-                for &(lo, bit) in run {
-                    slab[lo as usize] -= bit;
-                }
-            }
+            add_folded(slab, run, hadamard_entry(h as u64, j as u64) < 0);
         }
-        fwht_i32(slab);
-        slab
+        fwht_int(slab, FOLD);
     }
 }
 
@@ -502,9 +555,10 @@ impl Aggregator for ExpanderSketch {
 
     fn collect(&mut self, user_index: u64, report: SketchReport) {
         assert!(!self.finished, "collect after finish");
-        self.assert_inner_row(report.inner);
+        let inner = pack_row_bit(report.inner.ell, report.inner.bit);
+        self.assert_inner_row(inner);
         let m = self.coord_of(user_index);
-        self.inner_reports[m].push(report.inner);
+        self.inner_reports[m].push(inner);
         self.outer.collect(user_index, report.outer);
         self.users_seen += 1;
     }
@@ -534,6 +588,7 @@ impl Aggregator for ExpanderSketch {
         for (k, frame) in frames.iter().enumerate() {
             let (inner, outer) = wire::decode_pair::<HashtogramReport, HashtogramReport>(frame)
                 .map_err(|e| frames.frame_error(k, e))?;
+            let inner = pack_row_bit(inner.ell, inner.bit);
             self.check_inner_row(inner)
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
@@ -568,8 +623,8 @@ impl Aggregator for ExpanderSketch {
         );
         // Decoded snapshots are unvalidated: a bad row fails here, not as
         // an index panic inside finish.
-        for &rep in shard.inner.iter().flatten() {
-            self.assert_inner_row(rep);
+        for &packed in shard.inner.iter().flatten() {
+            self.assert_inner_row(packed);
         }
         for (acc, mut add) in self.inner_reports.iter_mut().zip(shard.inner) {
             acc.append(&mut add);
@@ -585,20 +640,26 @@ impl Aggregator for ExpanderSketch {
     }
 
     fn memory_bytes(&self) -> usize {
-        // The decode scratch of the coordinate with the most reports — its
-        // slab, the largest any coordinate uses, and its grouped reports
+        // The buffered inner reports (one packed `u64` each) + the decode
+        // scratch of the coordinate with the most reports — its slab, the
+        // largest and widest any coordinate uses, and its grouped reports
         // (a parallel finish holds one scratch per worker; this is the
-        // serial floor) + the outer oracle sketch + stand-out lists. The
-        // buffered inner reports themselves are not counted.
+        // serial floor) + the outer oracle sketch + stand-out lists.
+        let buffered = self.inner_reports.iter().map(Vec::len).sum::<usize>();
         let most = self.inner_reports.iter().map(Vec::len).max().unwrap_or(0);
         let decode = if most == 0 {
             0
         } else {
-            slab_cells(most, self.inner_proto.params().buckets as usize)
-                * std::mem::size_of::<i32>()
-                + most * std::mem::size_of::<(u32, i32)>()
+            let cell = if narrow_cells(most) {
+                std::mem::size_of::<i16>()
+            } else {
+                std::mem::size_of::<i32>()
+            };
+            slab_cells(most, self.inner_proto.params().buckets as usize) * cell
+                + most * std::mem::size_of::<u32>()
         };
-        decode
+        buffered * std::mem::size_of::<u64>()
+            + decode
             + self.outer.memory_bytes()
             + self.params.num_buckets as usize
                 * self.params.num_coords
@@ -730,8 +791,9 @@ mod tests {
                 continue;
             }
             let mut oracle = s.inner_proto.clone();
-            for &rep in reports {
-                oracle.collect(0, rep);
+            for &packed in reports {
+                let (ell, bit) = wire::unpack_row_bit(packed);
+                oracle.collect(0, HashtogramReport { ell, bit });
             }
             oracle.finalize();
             let mut buf = Vec::new();
@@ -788,8 +850,9 @@ mod tests {
     }
 
     /// Test-only whole-buffer decode: per coordinate, every report
-    /// scattered into one `W_in`-cell buffer, one `fwht_i32`, then each
-    /// z-block's `max` and the first `position` of it.
+    /// scattered into one `W_in`-cell `i32` buffer, one unfolded
+    /// `fwht_int`, then each z-block's `max` and the first `position` of
+    /// it.
     fn whole_buffer_standout_lists(s: &ExpanderSketch) -> Vec<Vec<Vec<(u64, u64)>>> {
         let p = &s.params;
         let c = s.inner_proto.debias_factor();
@@ -801,10 +864,11 @@ mod tests {
                 continue;
             }
             let mut cells = vec![0i32; s.inner_proto.params().buckets as usize];
-            for &rep in reports {
-                cells[rep.ell as usize] += i32::from(rep.bit);
+            for &packed in reports {
+                let (ell, bit) = wire::unpack_row_bit(packed);
+                cells[ell as usize] += i32::from(bit);
             }
-            fwht_i32(&mut cells);
+            fwht_int(&mut cells, 1);
             let z_blocks =
                 cells[..p.inner_cells() as usize].chunks_exact(p.z_cardinality() as usize);
             for (k, block) in z_blocks.enumerate() {
@@ -844,8 +908,15 @@ mod tests {
             // first-occurrence rule across slabs picks z = 0.
             let mut tied = ExpanderSketch::new(params.clone(), 3);
             let r = (params.standout_threshold() / tied.inner_proto.debias_factor()) as usize + 1;
-            tied.inner_reports[0] = vec![HashtogramReport { ell: 0, bit: 1 }; r];
-            for server in [planted, tied] {
+            tied.inner_reports[0] = vec![pack_row_bit(0, 1); r];
+            // Planted coordinate 0 repeated past `i16::MAX` reports: the
+            // same tallies, scaled, through the `i32` cells.
+            assert!(planted.inner_reports.iter().all(|r| narrow_cells(r.len())));
+            let mut wide = ExpanderSketch::new(params.clone(), 3);
+            let once = &planted.inner_reports[0];
+            wide.inner_reports[0] = once.repeat(i16::MAX as usize / once.len() + 1);
+            assert!(!narrow_cells(wide.inner_reports[0].len()));
+            for server in [planted, tied, wide] {
                 let want = whole_buffer_standout_lists(&server);
                 assert!(
                     want.iter().flatten().any(|l| !l.is_empty()),
@@ -866,6 +937,29 @@ mod tests {
                     }
                     s /= 2;
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn all_tied_coordinates_decode_exactly_at_the_cell_width_boundary() {
+        // Every report on row 0: every cell's `T` is the report count, so
+        // an `i16` slab at `i16::MAX + 1` reports would overflow.
+        let p = SketchParams::optimal(1 << 12, 16, 4.0, 0.1);
+        for (r, narrow) in [(i16::MAX as usize, true), (i16::MAX as usize + 1, false)] {
+            assert_eq!(narrow_cells(r), narrow);
+            let mut server = ExpanderSketch::new(p.clone(), 4);
+            server.inner_reports[1] = vec![pack_row_bit(0, 1); r];
+            let want = whole_buffer_standout_lists(&server);
+            assert!(want
+                .iter()
+                .all(|per_m| per_m[1].len() == p.list_cap.min(p.y_range as usize)));
+            for threads in [1, 2] {
+                assert_eq!(
+                    server.build_standout_lists(threads),
+                    want,
+                    "r = {r}, threads = {threads}"
+                );
             }
         }
     }
@@ -902,10 +996,11 @@ mod tests {
             server.collect(i, rep);
         }
         let most = server.inner_reports.iter().map(Vec::len).max().unwrap();
-        assert!(most < WHT_BLOCK && WHT_BLOCK < p.inner_cells() as usize);
+        assert!(narrow_cells(most) && WHT_BLOCK < p.inner_cells() as usize);
+        // Buffered reports at 8 B, one `i16` slab, grouped reports at 4 B.
         assert_eq!(
             server.memory_bytes(),
-            WHT_BLOCK * 4 + most * 8 + outer(&server) + lists
+            (1 << 12) * 8 + WHT_BLOCK * 2 + most * 4 + outer(&server) + lists
         );
     }
 

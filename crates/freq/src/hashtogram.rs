@@ -198,32 +198,27 @@ impl WireShard for HashtogramShard {
 /// `[count]([ℓ·2+bit])…` layout the composite protocol shards
 /// (`SketchShard`, `BitstogramShard`) use for per-coordinate report
 /// buffers. Their inner oracles have one group, so a buffered report
-/// carries no user index. The report scalar is the same
-/// `ℓ·2 + [bit > 0]` packing as the report's own wire format, as a
-/// varint.
-pub fn report_run_len(run: &[HashtogramReport]) -> usize {
-    varint_len(run.len() as u64)
-        + run
-            .iter()
-            .map(|rep| varint_len(pack_row_bit(rep.ell, rep.bit)))
-            .sum::<usize>()
+/// carries no user index, and they buffer each report as its
+/// [`pack_row_bit`] scalar `ℓ·2 + [bit > 0]` — the report's own wire
+/// format, written here as a varint.
+pub fn report_run_len(run: &[u64]) -> usize {
+    varint_len(run.len() as u64) + run.iter().map(|&v| varint_len(v)).sum::<usize>()
 }
 
 /// Append a buffered-report run (see [`report_run_len`]).
-pub fn write_report_run(out: &mut Vec<u8>, run: &[HashtogramReport]) {
+pub fn write_report_run(out: &mut Vec<u8>, run: &[u64]) {
     write_varint(out, run.len() as u64);
-    for rep in run {
-        write_varint(out, pack_row_bit(rep.ell, rep.bit));
+    for &v in run {
+        write_varint(out, v);
     }
 }
 
 /// Read a buffered-report run (see [`report_run_len`]).
-pub fn read_report_run(r: &mut ShardReader<'_>) -> Result<Vec<HashtogramReport>, WireError> {
+pub fn read_report_run(r: &mut ShardReader<'_>) -> Result<Vec<u64>, WireError> {
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let (ell, bit) = unpack_row_bit(r.u64()?);
-        out.push(HashtogramReport { ell, bit });
+        out.push(r.u64()?);
     }
     Ok(out)
 }

@@ -6,6 +6,8 @@
 //! transform. `H` here is the ±1 (non-normalized) Hadamard matrix of order
 //! `2^k` with `H[i][j] = (−1)^{popcount(i & j)}`.
 
+use std::ops::{Add, Sub};
+
 /// Single entry of the Hadamard matrix: `(−1)^{popcount(i & j)}`.
 ///
 /// `i, j` must be below the matrix order; the function itself is total on
@@ -45,39 +47,111 @@ pub fn fwht(data: &mut [f64]) {
     }
 }
 
-/// Cells per cache block of [`fwht_i32`]: `2^16` `i32`s = 256 KiB, which
-/// stays resident in a per-core L2 while the levels inside it run.
+/// Cells per cache block of [`fwht_int`]: `2^16` cells (128 KiB of
+/// `i16`, 256 KiB of `i32`), which stay resident in a per-core L2 while
+/// the levels inside the block run.
 pub const WHT_BLOCK: usize = 1 << 16;
 
-/// In-place fast Walsh–Hadamard transform over exact integers
-/// (unnormalized), cache-blocked — the same transform as [`fwht`].
+/// A cell of the exact integer transform [`fwht_int`]: `i16` or `i32`.
+pub trait WhtCell:
+    Copy + Default + Ord + Into<f64> + Add<Output = Self> + Sub<Output = Self>
+{
+    /// `H8_ROWS[k·2 + s]` = row `k` of `H_8`, negated when `s = 0`: the
+    /// three lowest butterfly levels applied to a `±1` in cell `k` of an
+    /// 8-cell row (see [`add_folded`]).
+    const H8_ROWS: [[Self; FOLD]; 2 * FOLD];
+}
+
+/// The `H8_ROWS` table of one cell type, built at compile time.
+macro_rules! wht_cell {
+    ($t:ty) => {
+        impl WhtCell for $t {
+            const H8_ROWS: [[$t; FOLD]; 2 * FOLD] = {
+                let mut rows = [[0; FOLD]; 2 * FOLD];
+                let mut v = 0;
+                while v < 2 * FOLD {
+                    let mut j = 0;
+                    while j < FOLD {
+                        let plus = ((v >> 1) & j).count_ones() % 2 == 0;
+                        rows[v][j] = if plus == (v & 1 == 1) { 1 } else { -1 };
+                        j += 1;
+                    }
+                    v += 1;
+                }
+                rows
+            };
+        }
+    };
+}
+
+wht_cell!(i16);
+wht_cell!(i32);
+
+/// Cells per row of [`add_folded`], and so the first level [`fwht_int`]
+/// runs after it: the levels `1, 2, 4` are folded into the scatter.
+pub const FOLD: usize = 8;
+
+/// Add `±1` reports into `cells` with the butterfly levels below [`FOLD`]
+/// already applied. A report `v = lo·2 + [sign > 0]` adds its signed
+/// `H_8` row `H8_ROWS[v mod 16]` into the 8 cells `lo & !7 ..= lo | 7`
+/// (one 16-byte add for `i16`); `negate` flips every report's sign.
+/// `fwht_int(cells, FOLD)` then finishes the transform of the tally.
+pub fn add_folded<T: WhtCell>(cells: &mut [T], reports: &[u32], negate: bool) {
+    let (rows, rest) = cells.as_chunks_mut::<FOLD>();
+    assert!(rest.is_empty(), "{} cells are not whole rows", cells.len());
+    let flip = u32::from(negate);
+    for &v in reports {
+        let row = &mut rows[(v >> 4) as usize];
+        let add = &T::H8_ROWS[((v ^ flip) & 15) as usize];
+        for (c, &a) in row.iter_mut().zip(add) {
+            *c = *c + a;
+        }
+    }
+}
+
+/// The butterfly levels `from, 2·from, …` of the in-place fast
+/// Walsh–Hadamard transform over exact integers (unnormalized),
+/// cache-blocked — with `from = 1`, the same transform as [`fwht`].
 ///
-/// Every intermediate value is bounded by `Σ|data[i]|`, so the result is
-/// exact whenever that sum fits `i32` (a tally of at most `i32::MAX` ±1
-/// reports, say); keeping it there is the caller's precondition.
+/// The levels commute, so a caller that already applied the levels below
+/// `from` (say, by adding rows of `H_from` while scattering reports into
+/// the cells) finishes the transform here. `from` must be a power of two;
+/// at `from >= data.len()` nothing is left to do.
+///
+/// Every intermediate value is bounded by `Σ|x|` over the untransformed
+/// input, so the result is exact whenever that sum fits `T` (a tally of
+/// at most `T::MAX` ±1 reports, say); keeping it there is the caller's
+/// precondition. The butterflies use plain `+`/`-`, so a build with
+/// overflow checks panics when it is broken.
 ///
 /// The levels below [`WHT_BLOCK`] pair cells inside one block, so each
 /// block runs all of them while it is cache-resident; the remaining
 /// levels then run over the whole buffer. Levels go two at a time
 /// (radix 4), so each pass loads and stores every cell once per pair of
 /// levels.
-pub fn fwht_i32(data: &mut [i32]) {
+pub fn fwht_int<T: WhtCell>(data: &mut [T], from: usize) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
         "WHT length must be a power of two: {n}"
     );
+    assert!(
+        from.is_power_of_two(),
+        "WHT level {from} is not a power of two"
+    );
     let block = n.min(WHT_BLOCK);
-    for row in data.chunks_exact_mut(block) {
-        levels_from(row, 1);
+    if from < block {
+        for row in data.chunks_exact_mut(block) {
+            levels_from(row, from);
+        }
     }
-    levels_from(data, block);
+    levels_from(data, block.max(from));
 }
 
-/// The butterfly levels `h, 2h, …` below `data.len()` of [`fwht_i32`]:
+/// The butterfly levels `h, 2h, …` below `data.len()` of [`fwht_int`]:
 /// pairs of levels fused into one radix-4 pass, an odd last level as a
 /// radix-2 pass.
-fn levels_from(data: &mut [i32], mut h: usize) {
+fn levels_from<T: WhtCell>(data: &mut [T], mut h: usize) {
     let n = data.len();
     while 4 * h <= n {
         for quad in data.chunks_exact_mut(4 * h) {
@@ -315,7 +389,7 @@ mod tests {
         for k in 0..9u32 {
             let (mut got, data) = random_ints(&mut rng, 1 << k, 50);
             let want = wht_naive(&data);
-            fwht_i32(&mut got);
+            fwht_int(&mut got, 1);
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(f64::from(g), w, "k = {k}, cell {i}");
             }
@@ -336,7 +410,7 @@ mod tests {
             WHT_BLOCK * 8,
         ] {
             let (mut got, mut want) = random_ints(&mut rng, n, 1);
-            fwht_i32(&mut got);
+            fwht_int(&mut got, 1);
             fwht(&mut want);
             assert!(
                 got.iter().zip(&want).all(|(&g, &w)| f64::from(g) == w),
@@ -357,16 +431,98 @@ mod tests {
                     - 5 * i64::from(hadamard_entry(l, 6))
             })
             .collect();
-        fwht_i32(&mut x);
+        fwht_int(&mut x, 1);
         let got: Vec<i64> = x.iter().map(|&v| i64::from(v)).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn integer_is_exact_at_the_i16_bound() {
+        // `Σ|x| = i16::MAX` in `i16` cells: every intermediate stays
+        // representable.
+        let mut x = vec![0i16; 8];
+        x[3] = i16::MAX - 5;
+        x[6] = -5;
+        let want: Vec<i32> = (0..8u64)
+            .map(|l| {
+                i32::from(hadamard_entry(l, 3)) * i32::from(i16::MAX - 5)
+                    - 5 * i32::from(hadamard_entry(l, 6))
+            })
+            .collect();
+        fwht_int(&mut x, 1);
+        let got: Vec<i32> = x.iter().map(|&v| i32::from(v)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn narrow_cells_match_wide_cells_across_blocks() {
+        // Sparse ±1 data over four blocks with `Σ|x| < i16::MAX`.
+        let mut rng = SmallRng::seed_from_u64(37);
+        let n = WHT_BLOCK * 4;
+        let mut wide = vec![0i32; n];
+        for _ in 0..20_000 {
+            wide[rng.gen_range(0..n)] = if rng.gen::<bool>() { 1 } else { -1 };
+        }
+        let mut narrow: Vec<i16> = wide.iter().map(|&v| v as i16).collect();
+        fwht_int(&mut wide, 1);
+        fwht_int(&mut narrow, 1);
+        assert!(wide.iter().zip(&narrow).all(|(&w, &v)| w == i32::from(v)));
+    }
+
+    /// Random packed reports `lo·2 + [sign > 0]` over `n` cells (signs
+    /// flipped with `negate`): their folded scatter into cells of `T`
+    /// followed by the transform from [`FOLD`], and the full transform of
+    /// their plain `±1` tally in `i32` cells.
+    fn folded_and_full<T: WhtCell>(
+        rng: &mut SmallRng,
+        n: usize,
+        negate: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let reports: Vec<u32> = (0..300).map(|_| rng.gen_range(0..2 * n as u32)).collect();
+        let mut folded = vec![T::default(); n];
+        add_folded(&mut folded, &reports, negate);
+        fwht_int(&mut folded, FOLD);
+        let mut full = vec![0i32; n];
+        for &v in &reports {
+            full[(v >> 1) as usize] += if (v & 1 == 1) != negate { 1 } else { -1 };
+        }
+        fwht_int(&mut full, 1);
+        (
+            folded.into_iter().map(Into::into).collect(),
+            full.into_iter().map(f64::from).collect(),
+        )
+    }
+
+    #[test]
+    fn folded_scatter_then_transform_from_fold_is_the_full_transform() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        for n in [FOLD, 64, 1 << 10, WHT_BLOCK, WHT_BLOCK * 2] {
+            for negate in [false, true] {
+                let (folded, full) = folded_and_full::<i16>(&mut rng, n, negate);
+                assert_eq!(folded, full, "i16, n = {n}, negate = {negate}");
+                let (folded, full) = folded_and_full::<i32>(&mut rng, n, negate);
+                assert_eq!(folded, full, "i32, n = {n}, negate = {negate}");
+            }
+        }
+    }
+
+    #[test]
+    fn h8_rows_are_the_signed_rows_of_h8() {
+        for v in 0..2 * FOLD {
+            for j in 0..FOLD {
+                let sign = if v & 1 == 1 { 1 } else { -1 };
+                let want = sign * i32::from(hadamard_entry((v >> 1) as u64, j as u64));
+                assert_eq!(i32::H8_ROWS[v][j], want, "row {v}, cell {j}");
+                assert_eq!(i32::from(i16::H8_ROWS[v][j]), want, "row {v}, cell {j}");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn integer_rejects_non_power_of_two() {
         let mut x = vec![0i32; 12];
-        fwht_i32(&mut x);
+        fwht_int(&mut x, 1);
     }
 
     #[test]
