@@ -143,10 +143,6 @@ impl Aggregator for BassilySmithHeavyHitters {
 }
 
 impl HeavyHitterProtocol for BassilySmithHeavyHitters {
-    fn finish(&mut self) -> Vec<(u64, f64)> {
-        self.finish_with(&mut FinishScratch::default())
-    }
-
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         assert!(!self.finished, "double finish");
         self.finished = true;

@@ -21,16 +21,13 @@ use crate::traits::{
     WireShard,
 };
 use hh_freq::calibrate;
-use hh_freq::hashtogram::{
-    read_report_run, report_run_len, write_report_run, Hashtogram, HashtogramParams,
-    HashtogramReport, HashtogramShard,
-};
+use hh_freq::hashtogram::{Hashtogram, HashtogramParams, HashtogramReport, HashtogramShard};
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
-use hh_freq::wire::{pack_row_bit, unpack_row_bit, varint_len, write_varint, ShardReader};
+use hh_freq::wire::{varint_len, write_varint, ShardReader};
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash};
-use hh_math::par::{par_chunk_zip_map, par_map_indexed, planned_threads};
+use hh_math::par::{par_chunk_zip_map, par_map_owned, planned_threads};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::ClientCoins;
 use rand::Rng;
@@ -152,49 +149,50 @@ impl WireReport for BitstogramReport {
     }
 }
 
-/// Mergeable partial aggregate of a [`Bitstogram`]: buffered inner
-/// reports per `(t, m)` group, each packed as `ℓ·2 + [bit > 0]`
-/// ([`pack_row_bit`]), plus the outer oracle's integer-tally shard.
+/// Mergeable partial aggregate of a [`Bitstogram`]: one inner-oracle
+/// tally shard per `(t, m)` group plus the outer oracle's. All of it is
+/// integer tallies, so merge is a vector add and the size is fixed.
+#[derive(Default)]
 pub struct BitstogramShard {
-    inner: Vec<Vec<u64>>,
+    inner: Vec<HashtogramShard>,
     outer: HashtogramShard,
 }
 
-/// Snapshot codec — the same composite layout as `SketchShard` minus
-/// the user count (this shard tracks none):
-/// `[outer_len][outer shard frame][groups]` followed by one
-/// buffered-report run per `(t, m)` group.
+impl BitstogramShard {
+    /// The `T·M'` inner shards in group order, then the outer one.
+    fn parts(&self) -> impl Iterator<Item = &HashtogramShard> {
+        self.inner.iter().chain([&self.outer])
+    }
+}
+
+/// Snapshot codec: `[groups]`, then the `T·M'` inner shards in group
+/// order and the outer one, each as `[len][HashtogramShard frame]`.
 impl WireShard for BitstogramShard {
     fn shard_encoded_len(&self) -> usize {
-        let outer = self.outer.shard_encoded_len();
-        varint_len(outer as u64)
-            + outer
-            + varint_len(self.inner.len() as u64)
-            + self
-                .inner
-                .iter()
-                .map(|run| report_run_len(run))
-                .sum::<usize>()
+        let framed = |s: &HashtogramShard| {
+            let len = s.shard_encoded_len();
+            varint_len(len as u64) + len
+        };
+        varint_len(self.inner.len() as u64) + self.parts().map(framed).sum::<usize>()
     }
 
     fn encode_shard_into(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.outer.shard_encoded_len() as u64);
-        self.outer.encode_shard_into(out);
         write_varint(out, self.inner.len() as u64);
-        for run in &self.inner {
-            write_report_run(out, run);
+        for s in self.parts() {
+            write_varint(out, s.shard_encoded_len() as u64);
+            s.encode_shard_into(out);
         }
     }
 
     fn decode_shard(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ShardReader::new(bytes);
-        let outer_len = r.count()?;
-        let outer = HashtogramShard::decode_shard(r.raw(outer_len)?)?;
         let groups = r.count()?;
-        let mut inner = Vec::with_capacity(groups);
-        for _ in 0..groups {
-            inner.push(read_report_run(&mut r)?);
-        }
+        let mut read = || {
+            let len = r.count()?;
+            HashtogramShard::decode_shard(r.raw(len)?)
+        };
+        let inner = (0..groups).map(|_| read()).collect::<Result<_, _>>()?;
+        let outer = read()?;
         r.finish()?;
         Ok(BitstogramShard { inner, outer })
     }
@@ -205,10 +203,14 @@ pub struct Bitstogram {
     params: BitstogramParams,
     seed: u64,
     hashes: Vec<PairwiseHash>,
+    /// The inner oracles' public randomness: one group, identity buckets
+    /// over the `2·Y'` cells.
     inner_proto: Hashtogram,
-    /// Buffered inner reports per group, packed as in [`BitstogramShard`].
-    inner_reports: Vec<Vec<u64>>,
+    /// The outer oracle's public randomness; its tallies are
+    /// `shard.outer` until finish merges them in.
     outer: Hashtogram,
+    /// The server's aggregate.
+    shard: BitstogramShard,
     finished: bool,
 }
 
@@ -221,16 +223,17 @@ impl Bitstogram {
             .collect();
         let inner_proto = Hashtogram::new(params.inner_oracle_params(), derive_seed(seed, 0xB175));
         let outer = Hashtogram::new(params.outer_oracle_params(), derive_seed(seed, 0x0074));
-        let inner_reports = vec![Vec::new(); params.num_groups()];
-        Self {
+        let mut server = Self {
             params,
             seed,
             hashes,
             inner_proto,
-            inner_reports,
             outer,
+            shard: BitstogramShard::default(),
             finished: false,
-        }
+        };
+        server.shard = server.new_shard();
+        server
     }
 
     /// Protocol parameters.
@@ -318,13 +321,14 @@ impl Aggregator for Bitstogram {
     fn collect(&mut self, user_index: u64, report: BitstogramReport) {
         assert!(!self.finished, "collect after finish");
         let group = self.group_of(user_index);
-        self.inner_reports[group].push(pack_row_bit(report.inner.ell, report.inner.bit));
-        self.outer.collect(user_index, report.outer);
+        let (inner, outer) = (self.inner_proto.absorber(), self.outer.absorber());
+        inner.collect_one(&mut self.shard.inner[group], user_index, report.inner);
+        outer.collect_one(&mut self.shard.outer, user_index, report.outer);
     }
 
     fn new_shard(&self) -> BitstogramShard {
         BitstogramShard {
-            inner: vec![Vec::new(); self.params.num_groups()],
+            inner: vec![self.inner_proto.new_shard(); self.params.num_groups()],
             outer: self.outer.new_shard(),
         }
     }
@@ -336,20 +340,21 @@ impl Aggregator for Bitstogram {
         frames: &WireFrames<'_>,
     ) -> Result<(), FrameError> {
         // Zero-copy: split each composite frame in place — the inner
-        // report buffers into its (recomputed) group, the outer report
-        // tallies straight into the outer shard through the hoisted
-        // absorber.
+        // report tallies into its (recomputed) group's shard, the outer
+        // one into the outer shard, each through its oracle's hoisted
+        // absorber, which rejects a row outside its `W`.
         let group_seed = self.assignment_seed();
         let num_groups = self.params.num_groups() as u64;
+        let inner_absorber = self.inner_proto.absorber();
         let outer_absorber = self.outer.absorber();
         for (k, frame) in frames.iter().enumerate() {
             let (inner, outer) = wire::decode_pair::<HashtogramReport, HashtogramReport>(frame)
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
             let group = Self::group_at(group_seed, i, num_groups);
-            shard.inner[group].push(pack_row_bit(inner.ell, inner.bit));
-            outer_absorber
-                .absorb_one(&mut shard.outer, i, outer)
+            inner_absorber
+                .absorb_one(&mut shard.inner[group], i, inner)
+                .and_then(|()| outer_absorber.absorb_one(&mut shard.outer, i, outer))
                 .map_err(|e| frames.frame_error(k, e))?;
         }
         Ok(())
@@ -359,24 +364,20 @@ impl Aggregator for Bitstogram {
         // Hard check — decoded snapshots are parameter-free, so a shard
         // with a different group count must not zip-truncate.
         assert_eq!(a.inner.len(), b.inner.len(), "shard shape mismatch");
-        for (acc, mut add) in a.inner.iter_mut().zip(b.inner) {
-            acc.append(&mut add);
-        }
+        a.inner = a
+            .inner
+            .into_iter()
+            .zip(b.inner)
+            .map(|(x, y)| self.inner_proto.merge(x, y))
+            .collect();
         a.outer = self.outer.merge(a.outer, b.outer);
         a
     }
 
     fn finish_shard(&mut self, shard: BitstogramShard) {
         assert!(!self.finished, "collect after finish");
-        assert_eq!(
-            shard.inner.len(),
-            self.params.num_groups(),
-            "shard shape mismatch"
-        );
-        for (acc, mut add) in self.inner_reports.iter_mut().zip(shard.inner) {
-            acc.append(&mut add);
-        }
-        self.outer.finish_shard(shard.outer);
+        let own = std::mem::take(&mut self.shard);
+        self.shard = self.merge(shard, own);
     }
 
     fn report_bits(&self) -> usize {
@@ -386,11 +387,8 @@ impl Aggregator for Bitstogram {
     }
 
     fn memory_bytes(&self) -> usize {
-        // The buffered inner reports (one packed `u64` each) + one inner
-        // oracle per bit + the outer oracle sketch.
-        self.inner_reports.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<u64>()
-            + self.inner_proto.memory_bytes() * self.params.domain_bits as usize
-            + self.outer.memory_bytes()
+        // One inner oracle per `(t, m)` group + the outer oracle sketch.
+        self.inner_proto.memory_bytes() * self.params.num_groups() + self.outer.memory_bytes()
     }
 
     fn epsilon(&self) -> f64 {
@@ -399,10 +397,6 @@ impl Aggregator for Bitstogram {
 }
 
 impl HeavyHitterProtocol for Bitstogram {
-    fn finish(&mut self) -> Vec<(u64, f64)> {
-        self.finish_with(&mut FinishScratch::default())
-    }
-
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         assert!(!self.finished, "double finish");
         self.finished = true;
@@ -414,14 +408,10 @@ impl HeavyHitterProtocol for Bitstogram {
         // oracle — materialize, finalize and sweep all of them on
         // parallel workers (results in group order, bit-for-bit the
         // serial loop's tables).
-        let estimates = par_map_indexed(p.repetitions * m_bits, threads, |group| {
+        let inner = std::mem::take(&mut self.shard.inner);
+        let estimates = par_map_owned(inner, threads, |_, shard| {
             let mut oracle = self.inner_proto.clone();
-            // The inner oracle has one group, so the user index selects
-            // nothing and the buffers keep none.
-            for &packed in &self.inner_reports[group] {
-                let (ell, bit) = unpack_row_bit(packed);
-                oracle.collect(0, HashtogramReport { ell, bit });
-            }
+            oracle.finish_shard(shard);
             oracle.finalize();
             let mut table = vec![0.0; p.inner_cells() as usize];
             oracle.estimate_run(0, &mut table, &mut Vec::new());
@@ -456,6 +446,8 @@ impl HeavyHitterProtocol for Bitstogram {
         }
         // Final estimates from the outer oracle, swept over candidate
         // chunks in parallel with pooled median workspaces.
+        self.outer
+            .finish_shard(std::mem::take(&mut self.shard.outer));
         self.outer.finalize_with(scratch);
         let keep = p.detection_threshold() / 2.0;
         let mut est: Vec<(u64, f64)> = Vec::with_capacity(candidates.len());

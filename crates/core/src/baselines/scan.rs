@@ -145,10 +145,6 @@ impl Aggregator for ScanHeavyHitters {
 }
 
 impl HeavyHitterProtocol for ScanHeavyHitters {
-    fn finish(&mut self) -> Vec<(u64, f64)> {
-        self.finish_with(&mut FinishScratch::default())
-    }
-
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         assert!(!self.finished, "double finish");
         self.finished = true;

@@ -29,10 +29,7 @@ use crate::traits::{
     WireShard,
 };
 use hh_codes::ulrc::UniqueListCode;
-use hh_freq::hashtogram::{
-    read_report_run, report_run_len, write_report_run, Hashtogram, HashtogramReport,
-    HashtogramShard,
-};
+use hh_freq::hashtogram::{Hashtogram, HashtogramReport, HashtogramShard};
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
 use hh_freq::wire::{pack_row_bit, varint_len, write_varint, ShardReader};
@@ -78,6 +75,7 @@ impl WireReport for SketchReport {
 /// reports per coordinate, each packed as `ℓ·2 + [bit > 0]`
 /// ([`pack_row_bit`]; each coordinate is decoded from them at finish),
 /// plus the outer oracle's integer-tally shard.
+#[derive(Default)]
 pub struct SketchShard {
     inner: Vec<Vec<u64>>,
     outer: HashtogramShard,
@@ -119,10 +117,9 @@ impl WireShard for SketchShard {
         let outer_len = r.count()?;
         let outer = HashtogramShard::decode_shard(r.raw(outer_len)?)?;
         let coords = r.count()?;
-        let mut inner = Vec::with_capacity(coords);
-        for _ in 0..coords {
-            inner.push(read_report_run(&mut r)?);
-        }
+        let inner = (0..coords)
+            .map(|_| read_report_run(&mut r))
+            .collect::<Result<_, _>>()?;
         r.finish()?;
         Ok(SketchShard {
             inner,
@@ -130,6 +127,27 @@ impl WireShard for SketchShard {
             users,
         })
     }
+}
+
+/// Exact encoded length of a buffered-report run, `[count]([ℓ·2+bit])…`
+/// in varints: each report is its own wire format, and carries no user
+/// index because the inner oracle has one group.
+fn report_run_len(run: &[u64]) -> usize {
+    varint_len(run.len() as u64) + run.iter().map(|&v| varint_len(v)).sum::<usize>()
+}
+
+/// Append a buffered-report run (see [`report_run_len`]).
+fn write_report_run(out: &mut Vec<u8>, run: &[u64]) {
+    write_varint(out, run.len() as u64);
+    for &v in run {
+        write_varint(out, v);
+    }
+}
+
+/// Read a buffered-report run (see [`report_run_len`]).
+fn read_report_run(r: &mut ShardReader<'_>) -> Result<Vec<u64>, WireError> {
+    let n = r.count()?;
+    (0..n).map(|_| r.u64()).collect()
 }
 
 /// Users per tile of the batch client's group-hash pass.
@@ -145,14 +163,14 @@ pub struct ExpanderSketch {
     /// coordinates share. It answers client `respond` calls and supplies
     /// `W_in` and the debias constant; it never ingests a report.
     inner_proto: Hashtogram,
-    /// Buffered inner reports per coordinate, each packed as
-    /// `ℓ·2 + [bit > 0]` ([`pack_row_bit`]). Finish decodes each
-    /// coordinate from them slab by slab ([`slab_cells`]), so peak decode
-    /// memory per worker is one slab plus a grouped copy of the largest
-    /// coordinate's reports, not a `W_in`-cell buffer.
-    inner_reports: Vec<Vec<u64>>,
+    /// The outer oracle's public randomness; its tallies are
+    /// `shard.outer` until finish merges them in.
     outer: Hashtogram,
-    users_seen: u64,
+    /// The server's aggregate. Finish decodes each coordinate from its
+    /// buffered inner reports slab by slab ([`slab_cells`]), so peak
+    /// decode memory per worker is one slab plus a grouped copy of the
+    /// largest coordinate's reports, not a `W_in`-cell buffer.
+    shard: SketchShard,
     finished: bool,
 }
 
@@ -169,18 +187,18 @@ impl ExpanderSketch {
         );
         let inner_proto = Hashtogram::new(params.inner_oracle_params(), derive_seed(seed, 0x1222));
         let outer = Hashtogram::new(params.outer_oracle_params(), derive_seed(seed, 0x0173));
-        let inner_reports = vec![Vec::new(); params.num_coords];
-        Self {
+        let mut sketch = Self {
             params,
             seed,
             ulrc,
             group_hash,
             inner_proto,
-            inner_reports,
             outer,
-            users_seen: 0,
+            shard: SketchShard::default(),
             finished: false,
-        }
+        };
+        sketch.shard = sketch.new_shard();
+        sketch
     }
 
     /// Protocol parameters.
@@ -289,7 +307,7 @@ impl ExpanderSketch {
             .num_coords
             .div_ceil(planned_threads(threads, p.num_coords, 1))
             .max(1);
-        let per_run = par_chunk_map(&self.inner_reports, run, threads, |_, run| {
+        let per_run = par_chunk_map(&self.shard.inner, run, threads, |_, run| {
             let mut scratch = SlabScratch::default();
             run.iter()
                 .map(|reports| self.coord_standouts(reports, slab(reports.len()), &mut scratch))
@@ -558,9 +576,11 @@ impl Aggregator for ExpanderSketch {
         let inner = pack_row_bit(report.inner.ell, report.inner.bit);
         self.assert_inner_row(inner);
         let m = self.coord_of(user_index);
-        self.inner_reports[m].push(inner);
-        self.outer.collect(user_index, report.outer);
-        self.users_seen += 1;
+        self.shard.inner[m].push(inner);
+        self.outer
+            .absorber()
+            .collect_one(&mut self.shard.outer, user_index, report.outer);
+        self.shard.users += 1;
     }
 
     fn new_shard(&self) -> SketchShard {
@@ -616,21 +636,15 @@ impl Aggregator for ExpanderSketch {
 
     fn finish_shard(&mut self, shard: SketchShard) {
         assert!(!self.finished, "collect after finish");
-        assert_eq!(
-            shard.inner.len(),
-            self.params.num_coords,
-            "shard shape mismatch"
-        );
         // Decoded snapshots are unvalidated: a bad row fails here, not as
         // an index panic inside finish.
         for &packed in shard.inner.iter().flatten() {
             self.assert_inner_row(packed);
         }
-        for (acc, mut add) in self.inner_reports.iter_mut().zip(shard.inner) {
-            acc.append(&mut add);
-        }
-        self.outer.finish_shard(shard.outer);
-        self.users_seen += shard.users;
+        // Into the incoming shard: appending a fresh server's empty
+        // buffers to it moves no report.
+        let own = std::mem::take(&mut self.shard);
+        self.shard = self.merge(shard, own);
     }
 
     fn report_bits(&self) -> usize {
@@ -645,8 +659,8 @@ impl Aggregator for ExpanderSketch {
         // largest and widest any coordinate uses, and its grouped reports
         // (a parallel finish holds one scratch per worker; this is the
         // serial floor) + the outer oracle sketch + stand-out lists.
-        let buffered = self.inner_reports.iter().map(Vec::len).sum::<usize>();
-        let most = self.inner_reports.iter().map(Vec::len).max().unwrap_or(0);
+        let buffered = self.shard.inner.iter().map(Vec::len).sum::<usize>();
+        let most = self.shard.inner.iter().map(Vec::len).max().unwrap_or(0);
         let decode = if most == 0 {
             0
         } else {
@@ -673,10 +687,6 @@ impl Aggregator for ExpanderSketch {
 }
 
 impl HeavyHitterProtocol for ExpanderSketch {
-    fn finish(&mut self) -> Vec<(u64, f64)> {
-        self.finish_with(&mut FinishScratch::default())
-    }
-
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         assert!(!self.finished, "double finish");
         self.finished = true;
@@ -708,6 +718,8 @@ impl HeavyHitterProtocol for ExpanderSketch {
         // Steps 5–6: final estimates from the outer oracle, swept over
         // candidate chunks in parallel (chunk order preserved; each
         // chunk's median workspace is a pooled scratch buffer).
+        self.outer
+            .finish_shard(std::mem::take(&mut self.shard.outer));
         self.outer.finalize_with(scratch);
         let keep = self.params.keep_threshold();
         let mut est: Vec<(u64, f64)> = Vec::with_capacity(candidates.len());
@@ -786,7 +798,7 @@ mod tests {
         let p = &s.params;
         let tau = p.standout_threshold();
         let mut lists = vec![vec![Vec::new(); p.num_coords]; p.num_buckets as usize];
-        for (m, reports) in s.inner_reports.iter().enumerate() {
+        for (m, reports) in s.shard.inner.iter().enumerate() {
             if reports.is_empty() {
                 continue;
             }
@@ -859,7 +871,7 @@ mod tests {
         let tau = p.standout_threshold();
         let y_range = p.y_range as usize;
         let mut lists = vec![vec![Vec::new(); p.num_coords]; p.num_buckets as usize];
-        for (m, reports) in s.inner_reports.iter().enumerate() {
+        for (m, reports) in s.shard.inner.iter().enumerate() {
             if reports.is_empty() {
                 continue;
             }
@@ -908,14 +920,14 @@ mod tests {
             // first-occurrence rule across slabs picks z = 0.
             let mut tied = ExpanderSketch::new(params.clone(), 3);
             let r = (params.standout_threshold() / tied.inner_proto.debias_factor()) as usize + 1;
-            tied.inner_reports[0] = vec![pack_row_bit(0, 1); r];
+            tied.shard.inner[0] = vec![pack_row_bit(0, 1); r];
             // Planted coordinate 0 repeated past `i16::MAX` reports: the
             // same tallies, scaled, through the `i32` cells.
-            assert!(planted.inner_reports.iter().all(|r| narrow_cells(r.len())));
+            assert!(planted.shard.inner.iter().all(|r| narrow_cells(r.len())));
             let mut wide = ExpanderSketch::new(params.clone(), 3);
-            let once = &planted.inner_reports[0];
-            wide.inner_reports[0] = once.repeat(i16::MAX as usize / once.len() + 1);
-            assert!(!narrow_cells(wide.inner_reports[0].len()));
+            let once = &planted.shard.inner[0];
+            wide.shard.inner[0] = once.repeat(i16::MAX as usize / once.len() + 1);
+            assert!(!narrow_cells(wide.shard.inner[0].len()));
             for server in [planted, tied, wide] {
                 let want = whole_buffer_standout_lists(&server);
                 assert!(
@@ -949,7 +961,7 @@ mod tests {
         for (r, narrow) in [(i16::MAX as usize, true), (i16::MAX as usize + 1, false)] {
             assert_eq!(narrow_cells(r), narrow);
             let mut server = ExpanderSketch::new(p.clone(), 4);
-            server.inner_reports[1] = vec![pack_row_bit(0, 1); r];
+            server.shard.inner[1] = vec![pack_row_bit(0, 1); r];
             let want = whole_buffer_standout_lists(&server);
             assert!(want
                 .iter()
@@ -995,7 +1007,7 @@ mod tests {
             let rep = server.respond(i, i % 97, &mut rng);
             server.collect(i, rep);
         }
-        let most = server.inner_reports.iter().map(Vec::len).max().unwrap();
+        let most = server.shard.inner.iter().map(Vec::len).max().unwrap();
         assert!(narrow_cells(most) && WHT_BLOCK < p.inner_cells() as usize);
         // Buffered reports at 8 B, one `i16` slab, grouped reports at 4 B.
         assert_eq!(

@@ -46,10 +46,9 @@ pub struct BassilySmithOracle {
     sign: KWiseHash,
     /// Per-row ±1 report tallies (before finalize). Integer, so sharded
     /// parallel ingest merges exactly — see the Hashtogram tallies note.
-    tallies: Vec<i64>,
+    shard: BsShard,
     /// Debiased projection accumulator ĝ (length w, built by finalize).
     acc: Vec<f64>,
-    total: u64,
     finalized: bool,
 }
 
@@ -66,9 +65,11 @@ impl BassilySmithOracle {
             rr: BinaryRandomizedResponse::new(eps),
             row: Uniform64::new(w),
             sign: family.kwise(labels::BS_PROJECTION, 0, 20, 1 << 32),
-            tallies: vec![0i64; w as usize],
+            shard: BsShard {
+                tallies: vec![0i64; w as usize],
+                users: 0,
+            },
             acc: Vec::new(),
-            total: 0,
             finalized: false,
         }
     }
@@ -132,7 +133,7 @@ impl WireReport for BsReport {
 
 /// Mergeable partial aggregate of a [`BassilySmithOracle`]: per-row ±1
 /// integer tallies (merge is exact addition).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BsShard {
     tallies: Vec<i64>,
     users: u64,
@@ -194,8 +195,8 @@ impl Aggregator for BassilySmithOracle {
         assert!(!self.finalized);
         // Each user contributes c_ε·(±1) to her sampled row (the debias
         // factor is applied at finalize over the exact integer tally).
-        self.tallies[report.row as usize] += i64::from(report.bit);
-        self.total += 1;
+        self.shard.tallies[report.row as usize] += i64::from(report.bit);
+        self.shard.users += 1;
     }
 
     fn new_shard(&self) -> BsShard {
@@ -239,15 +240,8 @@ impl Aggregator for BassilySmithOracle {
 
     fn finish_shard(&mut self, shard: BsShard) {
         assert!(!self.finalized);
-        assert_eq!(
-            shard.tallies.len(),
-            self.tallies.len(),
-            "shard shape mismatch"
-        );
-        for (acc, add) in self.tallies.iter_mut().zip(&shard.tallies) {
-            *acc += add;
-        }
-        self.total += shard.users;
+        let own = std::mem::take(&mut self.shard);
+        self.shard = self.merge(shard, own);
     }
 
     fn report_bits(&self) -> usize {
@@ -267,15 +261,15 @@ impl FrequencyOracle for BassilySmithOracle {
     fn finalize(&mut self) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
-        self.acc = self.tallies.iter().map(|&t| c * t as f64).collect();
-        self.tallies = Vec::new();
+        let tallies = std::mem::take(&mut self.shard.tallies);
+        self.acc = tallies.iter().map(|&t| c * t as f64).collect();
         self.finalized = true;
     }
 
     fn finalize_with(&mut self, scratch: &mut FinishScratch) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
-        let tallies = std::mem::take(&mut self.tallies);
+        let tallies = std::mem::take(&mut self.shard.tallies);
         // Element-wise debias: chunks are independent and come back in
         // chunk order, so the concatenation is bit-for-bit `finalize()`'s
         // (the per-query dot product in `estimate` stays serial — its FP

@@ -35,11 +35,11 @@ use crate::wire::{
 };
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash, SignHash};
-use hh_math::par::{par_map_owned, FinishScratch};
+use hh_math::par::{par_chunk_map, FinishScratch};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::{ClientCoins, Uniform64};
 use hh_math::stats::median_in_place;
-use hh_math::wht::{fwht, fwht_threaded, hadamard_entry};
+use hh_math::wht::{fwht_threaded, hadamard_entry};
 use rand::Rng;
 
 /// Configuration of a [`Hashtogram`] oracle.
@@ -146,7 +146,7 @@ impl WireReport for HashtogramReport {
 /// Mergeable partial aggregate of a [`Hashtogram`]: flat
 /// `groups × buckets` integer tallies plus per-group user counts.
 /// Integer state merges by addition — exact and order-invariant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HashtogramShard {
     /// Row-major `groups × buckets` ±1 report tallies.
     tallies: Vec<i64>,
@@ -194,35 +194,6 @@ impl WireShard for HashtogramShard {
     }
 }
 
-/// Exact encoded length of a buffered-report run — the
-/// `[count]([ℓ·2+bit])…` layout the composite protocol shards
-/// (`SketchShard`, `BitstogramShard`) use for per-coordinate report
-/// buffers. Their inner oracles have one group, so a buffered report
-/// carries no user index, and they buffer each report as its
-/// [`pack_row_bit`] scalar `ℓ·2 + [bit > 0]` — the report's own wire
-/// format, written here as a varint.
-pub fn report_run_len(run: &[u64]) -> usize {
-    varint_len(run.len() as u64) + run.iter().map(|&v| varint_len(v)).sum::<usize>()
-}
-
-/// Append a buffered-report run (see [`report_run_len`]).
-pub fn write_report_run(out: &mut Vec<u8>, run: &[u64]) {
-    write_varint(out, run.len() as u64);
-    for &v in run {
-        write_varint(out, v);
-    }
-}
-
-/// Read a buffered-report run (see [`report_run_len`]).
-pub fn read_report_run(r: &mut ShardReader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u64()?);
-    }
-    Ok(out)
-}
-
 /// The Hashtogram oracle: public randomness + server sketch state.
 #[derive(Debug, Clone)]
 pub struct Hashtogram {
@@ -234,19 +205,17 @@ pub struct Hashtogram {
     /// Hoisted row kernel drawing `ℓ ~ U[W]`; `W` is a power of two, so
     /// the draw is the top bits of one coin word and never rejects.
     row: Uniform64,
-    /// Per-group ±1 report tallies over Hadamard rows (before finalize).
+    /// Per-group ±1 report tallies over Hadamard rows and user counts.
+    /// Finalize consumes the tallies; the counts rescale the estimates.
     ///
     /// Integers, not debiased floats: integer addition is associative, so
     /// ingesting reports in *any* order — including merging sharded
     /// partial tallies absorbed in parallel — leaves bit-for-bit
     /// identical state. The debias factor is a constant multiplier and is
     /// applied once at finalization.
-    tallies: Vec<Vec<i64>>,
+    shard: HashtogramShard,
     /// Per-group bucket estimates (populated by finalize).
     acc: Vec<Vec<f64>>,
-    /// Users seen per group.
-    group_counts: Vec<u64>,
-    total_users: u64,
     finalized: bool,
 }
 
@@ -272,21 +241,19 @@ impl Hashtogram {
             .collect();
         let rr = BinaryRandomizedResponse::new(params.eps);
         let row = Uniform64::new(params.buckets);
-        let tallies = vec![vec![0i64; params.buckets as usize]; params.groups];
-        let group_counts = vec![0; params.groups];
-        Self {
+        let mut oracle = Self {
             params,
             family,
             bucket_hashes,
             sign_hashes,
             rr,
             row,
-            tallies,
+            shard: HashtogramShard::default(),
             acc: Vec::new(),
-            group_counts,
-            total_users: 0,
             finalized: false,
-        }
+        };
+        oracle.shard = oracle.new_shard();
+        oracle
     }
 
     /// Parameters in use.
@@ -336,7 +303,7 @@ impl Hashtogram {
 
     /// Number of users ingested so far.
     pub fn total_users(&self) -> u64 {
-        self.total_users
+        self.shard.users
     }
 
     /// The randomizer a single user runs, for auditing: the report is one
@@ -417,7 +384,7 @@ impl Hashtogram {
             out.len()
         );
         let groups = self.params.groups;
-        let n = self.total_users as f64;
+        let n = self.shard.users as f64;
         tile.clear();
         tile.resize(groups * out.len().min(SWEEP_TILE), 0.0);
         for (t, chunk) in out.chunks_mut(SWEEP_TILE).enumerate() {
@@ -426,7 +393,7 @@ impl Hashtogram {
             let tile = &mut tile[..len * groups];
             for r in 0..groups {
                 // Rescale the group subsample to the full population.
-                let scale = n / self.group_counts[r].max(1) as f64;
+                let scale = n / self.shard.group_counts[r].max(1) as f64;
                 let column = tile[r..].iter_mut().step_by(groups);
                 if self.params.hashed {
                     let buckets = self.bucket_hashes[r].hash_run(x0, len);
@@ -442,6 +409,18 @@ impl Hashtogram {
             }
         }
     }
+}
+
+/// One group's bucket sums: debias its integer tallies once per cell (a
+/// constant multiplier over the exact tally), then the WHT turns the
+/// coefficients into per-bucket sums — each user contributes (in
+/// expectation) W·(1/W)·1 to her bucket via the orthogonality of
+/// Hadamard rows. `threads` blocks the transform itself
+/// ([`fwht_threaded`], bit-for-bit [`hh_math::wht::fwht`] at any count).
+fn bucket_sums(row: &[i64], c: f64, threads: usize) -> Vec<f64> {
+    let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
+    fwht_threaded(&mut out, threads);
+    out
 }
 
 /// Domain elements per tile of [`Hashtogram::estimate_run`]: the
@@ -494,6 +473,14 @@ impl HashtogramAbsorber {
         shard.users += 1;
         Ok(())
     }
+
+    /// [`HashtogramAbsorber::absorb_one`] for the typed `collect` paths
+    /// of the composite protocols, which have no error channel: a row
+    /// outside `W` panics naming it.
+    pub fn collect_one(&self, shard: &mut HashtogramShard, user_index: u64, rep: HashtogramReport) {
+        self.absorb_one(shard, user_index, rep)
+            .unwrap_or_else(|_| panic!("report row {} outside W = {}", rep.ell, self.buckets));
+    }
 }
 
 impl Aggregator for Hashtogram {
@@ -532,10 +519,12 @@ impl Aggregator for Hashtogram {
 
     fn collect(&mut self, user_index: u64, report: HashtogramReport) {
         assert!(!self.finalized, "collect after finalize");
+        let (w, ell) = (self.params.buckets, report.ell);
+        assert!(ell < w, "report row {ell} outside W = {w}");
         let group = self.group_of(user_index) as usize;
-        self.tallies[group][report.ell as usize] += i64::from(report.bit);
-        self.group_counts[group] += 1;
-        self.total_users += 1;
+        self.shard.tallies[(group as u64 * w + ell) as usize] += i64::from(report.bit);
+        self.shard.group_counts[group] += 1;
+        self.shard.users += 1;
     }
 
     fn new_shard(&self) -> HashtogramShard {
@@ -584,27 +573,10 @@ impl Aggregator for Hashtogram {
 
     fn finish_shard(&mut self, shard: HashtogramShard) {
         assert!(!self.finalized, "collect after finalize");
-        let buckets = self.params.buckets as usize;
-        assert_eq!(
-            shard.tallies.len(),
-            self.params.groups * buckets,
-            "shard shape mismatch"
-        );
-        assert_eq!(
-            shard.group_counts.len(),
-            self.params.groups,
-            "shard shape mismatch"
-        );
-        for (g, row) in self.tallies.iter_mut().enumerate() {
-            for (acc, add) in row
-                .iter_mut()
-                .zip(&shard.tallies[g * buckets..(g + 1) * buckets])
-            {
-                *acc += add;
-            }
-            self.group_counts[g] += shard.group_counts[g];
-        }
-        self.total_users += shard.users;
+        // Into the incoming shard: a fresh server's own tallies are
+        // untouched zero pages, and adding them writes none.
+        let own = std::mem::take(&mut self.shard);
+        self.shard = self.merge(shard, own);
     }
 
     fn report_bits(&self) -> usize {
@@ -624,21 +596,11 @@ impl FrequencyOracle for Hashtogram {
     fn finalize(&mut self) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
-        self.acc = self
-            .tallies
-            .iter()
-            .map(|row| {
-                // Debias once per cell (constant multiplier over the exact
-                // integer tally), then the WHT turns accumulated
-                // coefficients into per-bucket sums: each user contributes
-                // (in expectation) W * (1/W) * 1 to her bucket via the
-                // orthogonality of Hadamard rows.
-                let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
-                fwht(&mut out);
-                out
-            })
+        let tallies = std::mem::take(&mut self.shard.tallies);
+        self.acc = tallies
+            .chunks(self.params.buckets as usize)
+            .map(|row| bucket_sums(row, c, 1))
             .collect();
-        self.tallies = Vec::new();
         self.finalized = true;
     }
 
@@ -646,25 +608,17 @@ impl FrequencyOracle for Hashtogram {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
         let threads = scratch.threads;
-        let rows = std::mem::take(&mut self.tallies);
-        self.acc = if rows.len() <= 1 {
+        let tallies = std::mem::take(&mut self.shard.tallies);
+        self.acc = if self.params.groups == 1 {
             // One row: the only parallelism available is inside the
             // transform itself — the blocked WHT kernel.
-            rows.into_iter()
-                .map(|row| {
-                    let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
-                    fwht_threaded(&mut out, threads);
-                    out
-                })
-                .collect()
+            vec![bucket_sums(&tallies, c, threads)]
         } else {
             // One row per group; rows are independent, results come back
             // in row order — the debias + WHT per row is the serial
             // kernel, so the output is bit-for-bit `finalize()`'s.
-            par_map_owned(rows, threads, |_, row| {
-                let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
-                fwht(&mut out);
-                out
+            par_chunk_map(&tallies, self.params.buckets as usize, threads, |_, row| {
+                bucket_sums(row, c, 1)
             })
         };
         self.finalized = true;
@@ -919,7 +873,7 @@ mod tests {
                 .rev()
                 .fold(0u128, |acc, &c| (acc * u128::from(x) + u128::from(c)) % p) as u64
         };
-        let n = o.total_users as f64;
+        let n = o.shard.users as f64;
         let mut vals: Vec<f64> = (0..o.params.groups)
             .map(|r| {
                 let (b, s) = if o.params.hashed {
@@ -929,7 +883,7 @@ mod tests {
                 } else {
                     (x, 1.0)
                 };
-                let m = o.group_counts[r].max(1) as f64;
+                let m = o.shard.group_counts[r].max(1) as f64;
                 (o.acc[r][b as usize] * s) * (n / m)
             })
             .collect();

@@ -20,8 +20,7 @@ use rand::Rng;
 pub struct KrrOracle {
     grr: GeneralizedRandomizedResponse,
     k: u64,
-    counts: Vec<u64>,
-    total: u64,
+    shard: KrrShard,
     finalized: bool,
 }
 
@@ -31,8 +30,10 @@ impl KrrOracle {
         Self {
             grr: GeneralizedRandomizedResponse::new(k, eps),
             k,
-            counts: vec![0; k as usize],
-            total: 0,
+            shard: KrrShard {
+                counts: vec![0; k as usize],
+                users: 0,
+            },
             finalized: false,
         }
     }
@@ -45,7 +46,7 @@ impl KrrOracle {
 
 /// Mergeable partial aggregate of a [`KrrOracle`]: a plain histogram of
 /// received reports (merge is exact addition).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KrrShard {
     counts: Vec<u64>,
     users: u64,
@@ -109,8 +110,8 @@ impl Aggregator for KrrOracle {
     fn collect(&mut self, _user_index: u64, report: u64) {
         assert!(!self.finalized);
         assert!(report < self.k);
-        self.counts[report as usize] += 1;
-        self.total += 1;
+        self.shard.counts[report as usize] += 1;
+        self.shard.users += 1;
     }
 
     fn new_shard(&self) -> KrrShard {
@@ -154,15 +155,8 @@ impl Aggregator for KrrOracle {
 
     fn finish_shard(&mut self, shard: KrrShard) {
         assert!(!self.finalized);
-        assert_eq!(
-            shard.counts.len(),
-            self.counts.len(),
-            "shard shape mismatch"
-        );
-        for (acc, add) in self.counts.iter_mut().zip(&shard.counts) {
-            *acc += add;
-        }
-        self.total += shard.users;
+        let own = std::mem::take(&mut self.shard);
+        self.shard = self.merge(shard, own);
     }
 
     fn report_bits(&self) -> usize {
@@ -170,7 +164,7 @@ impl Aggregator for KrrOracle {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u64>()
+        self.shard.counts.len() * std::mem::size_of::<u64>()
     }
 
     fn epsilon(&self) -> f64 {
@@ -185,8 +179,10 @@ impl FrequencyOracle for KrrOracle {
 
     fn estimate(&self, x: u64) -> f64 {
         assert!(self.finalized, "estimate before finalize");
-        self.grr
-            .debias(self.counts[x as usize] as f64, self.total as f64)
+        self.grr.debias(
+            self.shard.counts[x as usize] as f64,
+            self.shard.users as f64,
+        )
     }
 }
 

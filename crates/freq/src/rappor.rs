@@ -26,9 +26,8 @@ pub struct Rappor {
     keep: f64,
     /// Word-level kernel flipping each bit with probability `1 - keep`.
     flip: Bernoulli,
-    /// Accumulated ones per position.
-    ones: Vec<u64>,
-    total: u64,
+    /// Accumulated ones per position and users seen.
+    shard: RapporShard,
     finalized: bool,
 }
 
@@ -46,8 +45,10 @@ impl Rappor {
             eps,
             keep,
             flip: Bernoulli::new(1.0 - keep),
-            ones: vec![0; domain as usize],
-            total: 0,
+            shard: RapporShard {
+                ones: vec![0; domain as usize],
+                users: 0,
+            },
             finalized: false,
         }
     }
@@ -97,7 +98,7 @@ impl Rappor {
 
 /// Mergeable partial aggregate of a [`Rappor`] oracle: per-position
 /// one-counts (merge is exact addition).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RapporShard {
     ones: Vec<u64>,
     users: u64,
@@ -164,10 +165,10 @@ impl Aggregator for Rappor {
         assert_eq!(report.len(), (self.domain as usize).div_ceil(8));
         for j in 0..self.domain {
             if report[(j / 8) as usize] >> (j % 8) & 1 == 1 {
-                self.ones[j as usize] += 1;
+                self.shard.ones[j as usize] += 1;
             }
         }
-        self.total += 1;
+        self.shard.users += 1;
     }
 
     fn new_shard(&self) -> RapporShard {
@@ -213,11 +214,8 @@ impl Aggregator for Rappor {
 
     fn finish_shard(&mut self, shard: RapporShard) {
         assert!(!self.finalized);
-        assert_eq!(shard.ones.len(), self.ones.len(), "shard shape mismatch");
-        for (acc, add) in self.ones.iter_mut().zip(&shard.ones) {
-            *acc += add;
-        }
-        self.total += shard.users;
+        let own = std::mem::take(&mut self.shard);
+        self.shard = self.merge(shard, own);
     }
 
     fn report_bits(&self) -> usize {
@@ -225,7 +223,7 @@ impl Aggregator for Rappor {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.ones.len() * std::mem::size_of::<u64>()
+        self.shard.ones.len() * std::mem::size_of::<u64>()
     }
 
     fn epsilon(&self) -> f64 {
@@ -240,8 +238,8 @@ impl FrequencyOracle for Rappor {
 
     fn estimate(&self, x: u64) -> f64 {
         assert!(self.finalized, "estimate before finalize");
-        let c = self.ones[x as usize] as f64;
-        let n = self.total as f64;
+        let c = self.shard.ones[x as usize] as f64;
+        let n = self.shard.users as f64;
         (c - n * self.q()) / (self.keep - self.q())
     }
 }

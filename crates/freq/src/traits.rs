@@ -25,8 +25,10 @@
 //!   [`Aggregator::absorb_wire`] folds borrowed wire frames
 //!   ([`WireFrames`]) of a contiguous user range into it without
 //!   constructing `Report` values, [`Aggregator::merge`] combines two
-//!   shards, and [`Aggregator::finish_shard`] folds a shard into the
-//!   server. Shards hold exact integer state, so `merge` is associative
+//!   shards, and [`Aggregator::finish_shard`] merges a shard into the
+//!   server's own one: a server's pre-finish state *is* a value of its
+//!   `Shard` type, which `collect` writes into. Shards hold exact
+//!   integer state, so `merge` is associative
 //!   and commutative (observationally) with `new_shard()` as identity:
 //!   any shard tree over any partition of the reports leaves the server
 //!   bit-for-bit identical to serial per-user [`Aggregator::collect`]
@@ -190,8 +192,9 @@ pub trait Aggregator {
     fn merge(&self, a: Self::Shard, b: Self::Shard) -> Self::Shard;
 
     /// Fold a partial aggregate into the server state (before the
-    /// family's finish step). A shard of another shape — e.g. a decoded
-    /// snapshot from a different configuration — panics with
+    /// family's finish step): [`Aggregator::merge`] it into the server's
+    /// own shard. A shard of another shape — e.g. a decoded snapshot
+    /// from a different configuration — panics with
     /// `"shard shape mismatch"` instead of folding in silently.
     fn finish_shard(&mut self, shard: Self::Shard);
 

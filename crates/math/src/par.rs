@@ -18,7 +18,7 @@
 //!   merge order cannot perturb sums (no floating-point reassociation).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Mutex;
 
 /// A recycling pool of byte buffers: [`BufferPool::take`] hands out a
 /// cleared buffer (reusing returned capacity when available),
@@ -63,13 +63,6 @@ impl BufferPool {
         self.bufs.push(buf);
     }
 
-    /// Return every buffer of an iterator to the pool.
-    pub fn put_all(&mut self, bufs: impl IntoIterator<Item = Vec<u8>>) {
-        for buf in bufs {
-            self.put(buf);
-        }
-    }
-
     /// Buffers currently parked in the pool.
     pub fn len(&self) -> usize {
         self.bufs.len()
@@ -106,7 +99,6 @@ pub struct FinishScratch {
     /// output.
     pub threads: usize,
     f64_bufs: Vec<Vec<f64>>,
-    est_bufs: Vec<Vec<(u64, f64)>>,
     /// Buffers handed out that had recycled capacity.
     reused: u64,
     /// Buffers handed out freshly allocated (pool was empty).
@@ -153,28 +145,6 @@ impl FinishScratch {
     pub fn put_f64(&mut self, mut buf: Vec<f64>) {
         buf.clear();
         self.f64_bufs.push(buf);
-    }
-
-    /// A cleared `(value, estimate)` buffer — recycled capacity if
-    /// available.
-    pub fn take_est(&mut self) -> Vec<(u64, f64)> {
-        match self.est_bufs.pop() {
-            Some(buf) => {
-                debug_assert!(buf.is_empty(), "pooled buffer not cleared");
-                self.reused += 1;
-                buf
-            }
-            None => {
-                self.fresh += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a `(value, estimate)` buffer (cleared, capacity kept).
-    pub fn put_est(&mut self, mut buf: Vec<(u64, f64)>) {
-        buf.clear();
-        self.est_bufs.push(buf);
     }
 
     /// `(reused, fresh)` counts of buffers handed out so far — the
@@ -230,49 +200,11 @@ where
     F: Fn(usize, &[T]) -> U + Sync,
 {
     assert!(chunk_size > 0, "chunk_size must be positive");
-    let num_chunks = items.len().div_ceil(chunk_size);
     let threads = planned_threads(threads, items.len(), chunk_size);
-
-    if threads <= 1 {
-        return items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(c, chunk)| f(c, chunk))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
-    rayon::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            s.spawn(move |_| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
-                }
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(items.len());
-                let out = f(c, &items[lo..hi]);
-                if tx.send((c, out)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-
-    let mut slots: Vec<Option<U>> = (0..num_chunks).map(|_| None).collect();
-    for (c, out) in rx {
-        slots[c] = Some(out);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(c, s)| s.unwrap_or_else(|| panic!("chunk {c} produced no result")))
-        .collect()
+    claim_map(items.len().div_ceil(chunk_size), threads, |c| {
+        let lo = c * chunk_size;
+        f(c, &items[lo..(lo + chunk_size).min(items.len())])
+    })
 }
 
 /// Parallel for: map `f` over the indices `0 .. num_items`, returning
@@ -290,39 +222,43 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let threads = planned_threads(threads, num_items, 1);
-    if threads <= 1 {
-        return (0..num_items).map(f).collect();
-    }
+    claim_map(num_items, planned_threads(threads, num_items, 1), f)
+}
 
+/// The loop under every parallel map here: `f(i)` for each `i < n` on
+/// `threads` scoped workers that claim indices from an atomic cursor,
+/// each result stored in its index's slot. The slots are allocated once
+/// up front, so a call's allocation count does not depend on how the
+/// workers interleave (a result channel's blocks and waiter lists do).
+fn claim_map<U, F>(n: usize, threads: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
+    let slots: Mutex<Vec<Option<U>>> = Mutex::new((0..n).map(|_| None).collect());
     rayon::scope(|s| {
         for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
+            let (cursor, slots, f) = (&cursor, &slots, &f);
             s.spawn(move |_| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= num_items {
+                if i >= n {
                     break;
                 }
-                if tx.send((i, f(i))).is_err() {
-                    break;
-                }
+                let out = f(i);
+                slots.lock().expect("a worker panicked")[i] = Some(out);
             });
         }
     });
-    drop(tx);
-
-    let mut slots: Vec<Option<U>> = (0..num_items).map(|_| None).collect();
-    for (i, out) in rx {
-        slots[i] = Some(out);
-    }
     slots
+        .into_inner()
+        .expect("a worker panicked")
         .into_iter()
         .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("index {i} produced no result")))
+        .map(|(i, s)| s.unwrap_or_else(|| panic!("item {i} produced no result")))
         .collect()
 }
 
@@ -378,37 +314,11 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-
-    let source = std::sync::Mutex::new(items.into_iter().enumerate());
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
-    rayon::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let source = &source;
-            let f = &f;
-            s.spawn(move |_| loop {
-                let next = source
-                    .lock()
-                    .expect("worker panicked with the queue")
-                    .next();
-                let Some((i, item)) = next else { break };
-                if tx.send((i, f(i, item))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx {
-        slots[i] = Some(out);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("item {i} produced no result")))
-        .collect()
+    let items: Mutex<Vec<Option<T>>> = Mutex::new(items.into_iter().map(Some).collect());
+    claim_map(n, threads, |i| {
+        let item = items.lock().expect("a worker panicked")[i].take();
+        f(i, item.expect("each item is claimed once"))
+    })
 }
 
 #[cfg(test)]
@@ -428,8 +338,6 @@ mod tests {
         assert_eq!(b.capacity(), cap, "recycled buffer must keep capacity");
         assert!(pool.is_empty());
         assert_eq!(pool.handout_counts(), (1, 1));
-        pool.put_all([b, Vec::new()]);
-        assert_eq!(pool.len(), 2);
     }
 
     #[test]
@@ -437,20 +345,15 @@ mod tests {
         let mut scratch = FinishScratch::new();
         assert_eq!(scratch.threads, 0);
         assert_eq!(FinishScratch::serial().threads, 1);
-        let mut est = scratch.take_est();
-        est.push((7, 1.5));
-        let cap = est.capacity();
-        scratch.put_est(est);
-        let est = scratch.take_est();
-        assert!(est.is_empty(), "recycled buffer must come back cleared");
-        assert_eq!(est.capacity(), cap, "recycled buffer must keep capacity");
         let mut f = scratch.take_f64();
         f.push(1.0);
+        let cap = f.capacity();
         scratch.put_f64(f);
         let f = scratch.take_f64();
-        assert!(f.is_empty());
-        // est: fresh then reused; f64: fresh then reused.
-        assert_eq!(scratch.handout_counts(), (2, 2));
+        assert!(f.is_empty(), "recycled buffer must come back cleared");
+        assert_eq!(f.capacity(), cap, "recycled buffer must keep capacity");
+        // Fresh then reused.
+        assert_eq!(scratch.handout_counts(), (1, 1));
     }
 
     #[test]

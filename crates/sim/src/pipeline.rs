@@ -106,25 +106,53 @@ enum Cmd {
     /// number — the collector absorbs strictly in `seq` order.
     Chunk { seq: u64, chunk: WireChunk },
     /// Snapshot the live shard (no-op while crashed) and truncate the
-    /// spool. `epoch` stamps the snapshot; `reply` is `None` for
+    /// spool. `epoch` stamps the snapshot; `reply` is `false` for
     /// fire-and-forget cadence checkpoints.
-    Checkpoint {
-        epoch: u64,
-        reply: Option<SyncSender<CollectorCheckpoint>>,
-    },
+    Checkpoint { epoch: u64, reply: bool },
     /// Crash: drop the live shard. The spool keeps receiving.
     Kill,
     /// Rebuild the live shard from the last snapshot plus the spool.
-    Recover { reply: Sender<RecoveryReport> },
+    Recover,
     /// Copy the latest snapshot's bytes into `buf` (pooled by the
     /// session) for a mid-stream query.
-    Query {
-        buf: Vec<u8>,
-        reply: SyncSender<QueryReply>,
-    },
+    Query { buf: Vec<u8> },
     /// End of stream: recover if crashed, then hand the live shard and
     /// the actor's accounting back and exit.
     Finish,
+}
+
+/// A collector's answer on the session's one reply channel, which lives
+/// as long as the fleet: a fresh channel per call would allocate a new
+/// waiter list whenever the session has to block on it, which depends on
+/// timing.
+enum Reply<S> {
+    Checkpoint(CollectorCheckpoint),
+    Recovered(RecoveryReport),
+    Query(QueryReply),
+    /// The answer to [`Cmd::Finish`]: the collector's id, live shard and
+    /// accounting.
+    Done(usize, S, CollectorTotals),
+    /// The collector's thread is unwinding from a panic (see
+    /// [`DeathNotice`]): the session must not wait for its replies.
+    Died(usize),
+}
+
+/// Sends [`Reply::Died`] when a collector's thread unwinds, so a session
+/// waiting on the shared reply channel panics naming the collector
+/// instead of hanging.
+struct DeathNotice<'a, S> {
+    id: usize,
+    reply_tx: &'a SyncSender<Reply<S>>,
+}
+
+impl<S> Drop for DeathNotice<'_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // The channel has room for every collector's last reply and
+            // its notice, so this never blocks.
+            let _ = self.reply_tx.try_send(Reply::Died(self.id));
+        }
+    }
 }
 
 /// Reply to [`Cmd::Checkpoint`] when a report was requested.
@@ -250,10 +278,14 @@ fn collector_loop<I: StreamIngest>(
     id: usize,
     k: usize,
     rx: Receiver<Cmd>,
+    reply_tx: SyncSender<Reply<I::Shard>>,
     pool_tx: Sender<Vec<u8>>,
-    done_tx: Sender<(usize, I::Shard, CollectorTotals)>,
     occupancy: &AtomicUsize,
 ) {
+    let _notice = DeathNotice {
+        id,
+        reply_tx: &reply_tx,
+    };
     let mut actor = CollectorActor {
         ingest,
         id,
@@ -281,37 +313,36 @@ fn collector_loop<I: StreamIngest>(
                 );
                 actor.epoch = epoch;
                 let report = actor.checkpoint();
-                if let Some(reply) = reply {
-                    let _ = reply.send(report);
+                if reply {
+                    let _ = reply_tx.send(Reply::Checkpoint(report));
                 }
             }
             Cmd::Kill => {
                 assert!(actor.live.is_some(), "collector {id} is already dead");
                 actor.live = None;
             }
-            Cmd::Recover { reply } => {
-                let report = actor.recover();
-                let _ = reply.send(report);
+            Cmd::Recover => {
+                let _ = reply_tx.send(Reply::Recovered(actor.recover()));
             }
-            Cmd::Query { mut buf, reply } => {
+            Cmd::Query { mut buf } => {
                 buf.clear();
                 let epoch = actor.snapshot.as_ref().map(|snap| {
                     buf.extend_from_slice(&snap.bytes);
                     snap.epoch
                 });
-                let _ = reply.send(QueryReply {
+                let _ = reply_tx.send(Reply::Query(QueryReply {
                     collector: id,
                     epoch,
                     buf,
-                });
+                }));
             }
             Cmd::Finish => {
                 if actor.live.is_none() {
                     actor.recover();
                 }
                 let shard = actor.live.take().expect("just recovered");
-                done_tx
-                    .send((id, shard, actor.totals))
+                reply_tx
+                    .send(Reply::Done(id, shard, actor.totals))
                     .expect("session hung up before collecting shards");
                 return;
             }
@@ -358,6 +389,8 @@ pub struct PipelineSession<'a, I: StreamIngest> {
     config: PipelineConfig,
     client_seed: u64,
     txs: Vec<SyncSender<Cmd>>,
+    /// The fleet's replies to every command but chunks and kills.
+    replies: Receiver<Reply<I::Shard>>,
     pool_rx: Receiver<Vec<u8>>,
     pool: BufferPool,
     /// Pooled reply buffers for snapshot queries, so repeated mid-stream
@@ -508,7 +541,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
         {
             // Fire-and-forget: the snapshots encode inside the collector
             // actors while the next epoch's encoding proceeds.
-            self.send_checkpoint(None);
+            self.send_checkpoint(false);
         }
     }
 
@@ -522,7 +555,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
         }
     }
 
-    fn send_checkpoint(&mut self, reply: Option<&SyncSender<CollectorCheckpoint>>) {
+    fn send_checkpoint(&mut self, reply: bool) {
         self.checkpoints += 1;
         for (epoch, &alive) in self.snapshot_epochs.iter_mut().zip(&self.alive) {
             if alive {
@@ -532,7 +565,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
         for tx in &self.txs {
             tx.send(Cmd::Checkpoint {
                 epoch: self.epoch,
-                reply: reply.cloned(),
+                reply,
             })
             .expect("collector hung up");
         }
@@ -544,15 +577,13 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// growing until recovery.
     pub fn checkpoint(&mut self) -> CheckpointReport {
         let t = Instant::now();
-        // One slot per collector: no reply ever blocks, and the channel
-        // allocates the same amount on every call.
-        let (reply_tx, reply_rx) = mpsc::sync_channel(self.txs.len());
-        self.send_checkpoint(Some(&reply_tx));
-        drop(reply_tx);
+        self.send_checkpoint(true);
         let mut snapshot_bytes = 0u64;
         let mut collectors = 0usize;
         for _ in 0..self.txs.len() {
-            let report = reply_rx.recv().expect("collector died mid-checkpoint");
+            let Reply::Checkpoint(report) = self.reply("checkpoint") else {
+                unreachable!("a collector answered a checkpoint out of turn")
+            };
             if report.snapshotted {
                 snapshot_bytes += report.snapshot_bytes;
                 collectors += 1;
@@ -583,13 +614,24 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
             !self.alive[node],
             "collector {node} is alive — nothing to recover"
         );
-        let (reply_tx, reply_rx) = mpsc::channel();
         self.txs[node]
-            .send(Cmd::Recover { reply: reply_tx })
+            .send(Cmd::Recover)
             .expect("collector hung up");
-        let report = reply_rx.recv().expect("collector died mid-recovery");
+        let Reply::Recovered(report) = self.reply("recovery") else {
+            unreachable!("a collector answered a recovery out of turn")
+        };
         self.alive[node] = true;
         report
+    }
+
+    /// The fleet's next reply. Panics, naming the collector, when one
+    /// died.
+    fn reply(&self, during: &str) -> Reply<I::Shard> {
+        match self.replies.recv() {
+            Ok(Reply::Died(id)) => panic!("collector {id} died mid-{during}"),
+            Ok(reply) => reply,
+            Err(_) => panic!("the collectors hung up mid-{during}"),
+        }
     }
 
     /// The durable mid-stream view: fetch every collector's latest
@@ -604,20 +646,16 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// later checkpoints the view is *ragged* — see
     /// [`PipelineSession::snapshot_epochs`].
     pub fn snapshot_shard(&mut self) -> Option<I::Shard> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(self.txs.len());
         for tx in &self.txs {
             let buf = self.query_bufs.pop().unwrap_or_default();
-            tx.send(Cmd::Query {
-                buf,
-                reply: reply_tx.clone(),
-            })
-            .expect("collector hung up");
+            tx.send(Cmd::Query { buf }).expect("collector hung up");
         }
-        drop(reply_tx);
         let k = self.txs.len();
         let mut slots: Vec<Option<(u64, Vec<u8>)>> = (0..k).map(|_| None).collect();
         for _ in 0..k {
-            let reply = reply_rx.recv().expect("collector died mid-query");
+            let Reply::Query(reply) = self.reply("query") else {
+                unreachable!("a collector answered a query out of turn")
+            };
             match reply.epoch {
                 Some(epoch) => slots[reply.collector] = Some((epoch, reply.buf)),
                 None => self.query_bufs.push(reply.buf),
@@ -678,15 +716,11 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
 
     /// Shut the fleet down: every actor recovers if crashed, hands its
     /// shard back, and exits; the shards merge in the plan's order.
-    fn finish(
-        self,
-        done_rx: Receiver<(usize, I::Shard, CollectorTotals)>,
-    ) -> (I::Shard, StreamStats) {
+    fn finish(self) -> (I::Shard, StreamStats) {
         let k = self.txs.len();
         for tx in &self.txs {
             tx.send(Cmd::Finish).expect("collector hung up");
         }
-        drop(self.txs);
         let mut shard_slots: Vec<Option<I::Shard>> = (0..k).map(|_| None).collect();
         let (scratch_reused, scratch_fresh) = self.scratch.handout_counts();
         let mut stats = StreamStats {
@@ -705,7 +739,9 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
             ..StreamStats::default()
         };
         for _ in 0..k {
-            let (id, shard, totals) = done_rx.recv().expect("collector died before finishing");
+            let Reply::Done(id, shard, totals) = self.reply("finish") else {
+                unreachable!("a collector answered its finish out of turn")
+            };
             shard_slots[id] = Some(shard);
             stats.ingest_total += totals.ingest_total;
             stats.checkpoint_total += totals.checkpoint_total;
@@ -846,24 +882,25 @@ where
     // blocking tasks would occupy (and at k >= pool size, wedge) a
     // fixed work-stealing pool.
     std::thread::scope(|s| {
-        let (done_tx, done_rx) = mpsc::channel();
         let (pool_tx, pool_rx) = mpsc::channel();
+        // Room for one reply and one death notice per collector.
+        let (reply_tx, replies) = mpsc::sync_channel(2 * k);
         let mut txs = Vec::with_capacity(k);
         for (id, occ) in occupancy.iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel(config.queue_depth);
             txs.push(tx);
-            let done_tx = done_tx.clone();
-            let pool_tx = pool_tx.clone();
-            s.spawn(move || collector_loop(ingest, id, k, rx, pool_tx, done_tx, occ));
+            let (reply_tx, pool_tx) = (reply_tx.clone(), pool_tx.clone());
+            s.spawn(move || collector_loop(ingest, id, k, rx, reply_tx, pool_tx, occ));
         }
-        drop(done_tx);
         drop(pool_tx);
+        drop(reply_tx);
         let mut session = PipelineSession {
             ingest,
             plan: plan.clone(),
             config: config.clone(),
             client_seed: derive_seed(seed, I::CLIENT_LABEL),
             txs,
+            replies,
             pool_rx,
             pool: BufferPool::new(),
             query_bufs: Vec::new(),
@@ -887,7 +924,7 @@ where
             stall_nanos: &stall_nanos,
         };
         let out = drive(&mut session);
-        let (shard, stats) = session.finish(done_rx);
+        let (shard, stats) = session.finish();
         (shard, stats, out)
     })
 }

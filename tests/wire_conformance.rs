@@ -253,6 +253,47 @@ fn sketch_rejects_an_inner_row_outside_w_at_ingest() {
     assert_eq!(err.error, WireError::Invalid("report row outside W"));
 }
 
+#[test]
+fn bitstogram_rejects_an_inner_row_outside_w_at_ingest() {
+    // Bitstogram tallies inner reports at ingest, so an inner row past
+    // the inner oracle's `W` must be rejected there, with the frame's
+    // provenance, and typed `collect` must panic naming the row.
+    use ldp_heavy_hitters::core::baselines::bitstogram::BitstogramReport;
+    let params = BitstogramParams::optimal(1 << 10, 16, 2.0, 0.2);
+    let w = params.inner_cells().next_power_of_two();
+    let mut server = Bitstogram::new(params, 5);
+    let mut rng = seeded_rng(9);
+    let good = server.respond(0, 3, &mut rng);
+    let mut bad = server.respond(1, 3, &mut rng);
+    bad.inner.ell = 4 * w;
+    let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+    for rep in [good, bad] {
+        rep.encode_into(&mut bytes);
+        lens.push(rep.encoded_len() as u32);
+    }
+    assert_eq!(
+        BitstogramReport::decode(&bytes[lens[0] as usize..]),
+        Ok(bad)
+    );
+    let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
+    let mut shard = server.new_shard();
+    let err = server
+        .absorb_wire(&mut shard, 0, &frames)
+        .expect_err("inner row outside W must be rejected");
+    assert_eq!(err.frame, 1);
+    assert_eq!(err.byte_offset, lens[0] as usize);
+    assert_eq!(err.error, WireError::Invalid("report row outside W"));
+
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.collect(1, bad)))
+        .expect_err("collect must reject the row");
+    let msg = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    let want = format!("report row {} outside W", 4 * w);
+    assert!(msg.contains(&want), "panic {msg:?} does not name the row");
+}
+
 /// FNV-1a (64-bit) — a fixed, dependency-free digest for golden values.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
