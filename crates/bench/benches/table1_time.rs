@@ -7,7 +7,7 @@ use hh_core::traits::Aggregator;
 use hh_core::{ExpanderSketch, HeavyHitterProtocol, SketchParams};
 use hh_math::par::FinishScratch;
 use hh_math::rng::seeded_rng;
-use hh_sim::{run_heavy_hitter, run_heavy_hitter_batched, BatchPlan, Workload};
+use hh_sim::{run_heavy_hitter, run_heavy_hitter_batched, BatchPlan, Erased, Workload};
 
 fn bench_client(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/user_time");
@@ -63,7 +63,10 @@ fn bench_server(c: &mut Criterion) {
     });
     group.bench_function("expander_sketch/batched", |b| {
         b.iter(|| {
-            let mut server = ExpanderSketch::new(SketchParams::optimal(n, 24, 2.0, 0.1), 6);
+            let mut server = Erased(ExpanderSketch::new(
+                SketchParams::optimal(n, 24, 2.0, 0.1),
+                6,
+            ));
             run_heavy_hitter_batched(&mut server, &data, 7, &BatchPlan::default()).estimates
         });
     });
@@ -75,7 +78,10 @@ fn bench_server(c: &mut Criterion) {
     });
     group.bench_function("bitstogram/batched", |b| {
         b.iter(|| {
-            let mut server = Bitstogram::new(BitstogramParams::optimal(n, 24, 2.0, 0.1), 8);
+            let mut server = Erased(Bitstogram::new(
+                BitstogramParams::optimal(n, 24, 2.0, 0.1),
+                8,
+            ));
             run_heavy_hitter_batched(&mut server, &data, 9, &BatchPlan::default()).estimates
         });
     });

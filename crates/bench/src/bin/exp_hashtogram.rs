@@ -8,7 +8,7 @@ use hh_bench::{banner, fmt, Table};
 use hh_freq::hashtogram::{Hashtogram, HashtogramParams};
 use hh_math::rng::derive_seed;
 use hh_math::stats::loglog_slope;
-use hh_sim::{run_oracle, run_oracle_batched, BatchPlan, Workload};
+use hh_sim::{run_oracle, run_oracle_batched, BatchPlan, Erased, Workload};
 
 /// Whether `--serial` was passed (re-derived from argv on each call):
 /// routes measurement through the serial reference driver instead of the
@@ -24,9 +24,9 @@ fn measure(params: HashtogramParams, n: usize, seed: u64) -> (f64, usize) {
     let workload = Workload::planted(domain, vec![(heavy, 0.2)]);
     let data = workload.generate(n, seed);
     let queries: Vec<u64> = (0..32).map(|i| (i * 37) % domain).collect();
-    let mut oracle = Hashtogram::new(params, derive_seed(seed, 1));
+    let mut oracle = Erased(Hashtogram::new(params, derive_seed(seed, 1)));
     let run = if serial_mode() {
-        run_oracle(&mut oracle, &data, &queries, derive_seed(seed, 2))
+        run_oracle(&mut oracle.0, &data, &queries, derive_seed(seed, 2))
     } else {
         run_oracle_batched(
             &mut oracle,

@@ -9,7 +9,10 @@
 //! near-linear server time and O~(1) user cost with O~(√n) memory;
 //! \[4\] linear-in-n memory and a per-query cost that makes domain scans
 //! explode. After the table, each row's log-log exponents of server time
-//! and memory in n are printed next to the claimed ones.
+//! and memory in n are printed next to the claimed ones. Every table cell
+//! is the median of [`TIMED_RUNS`] runs by server time, so the time
+//! exponents do not swing with one noisy timing (memory is the same in
+//! every run).
 //!
 //! Every protocol in this binary is **registry-dispatched**: rows name
 //! protocols by their `hh_sim::registry` names and run them through the
@@ -95,6 +98,17 @@ const CLAIMED_EXPONENTS: [(&str, f64, f64); 3] = [
     ("bitstogram [3]", 1.0, 0.5),
     ("bassily-smith [4]", 1.0, 1.0),
 ];
+
+/// Runs per table cell; the cell shows, and the time exponent is fitted
+/// on, the run with the median server time.
+const TIMED_RUNS: usize = 3;
+
+/// The run with the median `server_secs` of [`TIMED_RUNS`] runs of `run`.
+fn median_run<R>(mut run: impl FnMut() -> R, server_secs: impl Fn(&R) -> f64) -> R {
+    let mut runs: Vec<R> = (0..TIMED_RUNS).map(|_| run()).collect();
+    runs.sort_by(|a, b| server_secs(a).total_cmp(&server_secs(b)));
+    runs.swap_remove(TIMED_RUNS / 2)
+}
 
 /// How many leading users the `--serial` rows sample to measure mean
 /// wire bytes (the fleet measures end-to-end instead).
@@ -289,8 +303,13 @@ fn main() {
         };
 
         for (row, &(display, name, build_seed, run_seed, pub_rand)) in hh_rows.iter().enumerate() {
-            let mut s = build_hh(name, &spec(build_seed)).expect("registered protocol");
-            let (run, wire) = drive(s.as_mut(), &data, run_seed, serial);
+            let (run, wire) = median_run(
+                || {
+                    let mut s = build_hh(name, &spec(build_seed)).expect("registered protocol");
+                    drive(s.as_mut(), &data, run_seed, serial)
+                },
+                |(run, _)| run.server_time().as_secs_f64(),
+            );
             let secs = run.server_time().as_secs_f64();
             points[row].push((n as f64, secs, run.memory_bytes as f64));
             t.row(&[
@@ -308,21 +327,28 @@ fn main() {
         // Bassily–Smith FO with w = n rows; query cost O(n) each. A
         // full heavy-hitter scan would be n·|X| — measure a 512-query
         // slice and extrapolate.
-        let mut o = build_oracle("bassily_smith", &spec(5)).expect("registered oracle");
         let queries: Vec<u64> = (0..512u64).collect();
+        let full_scan =
+            |run: &OracleRun| run.query_total.as_secs_f64() / 512.0 * (1u64 << bits) as f64;
         // Under the same driver as the other rows.
-        let (run, wire): (OracleRun, f64) = if serial {
-            let wire = sample_wire_bytes(&data, |xs, buf| {
-                o.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
-            });
-            (run_dyn_oracle(o.as_mut(), &data, &queries, 6), wire)
-        } else {
-            let plan = BatchPlan::default().fleet(data.len());
-            let d = run_oracle_distributed(o.as_mut(), &data, &queries, 6, &plan);
-            let wire = d.wire_bytes_per_user();
-            (d.into(), wire)
-        };
-        let full_scan = run.query_total.as_secs_f64() / 512.0 * (1u64 << bits) as f64;
+        let (run, wire): (OracleRun, f64) = median_run(
+            || {
+                let mut o = build_oracle("bassily_smith", &spec(5)).expect("registered oracle");
+                if serial {
+                    let wire = sample_wire_bytes(&data, |xs, buf| {
+                        o.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
+                    });
+                    (run_dyn_oracle(o.as_mut(), &data, &queries, 6), wire)
+                } else {
+                    let plan = BatchPlan::default().fleet(data.len());
+                    let d = run_oracle_distributed(o.as_mut(), &data, &queries, 6, &plan);
+                    let wire = d.wire_bytes_per_user();
+                    (d.into(), wire)
+                }
+            },
+            |(run, _)| run.server_build.as_secs_f64() + full_scan(run),
+        );
+        let full_scan = full_scan(&run);
         let secs = run.server_build.as_secs_f64() + full_scan;
         points[2].push((n as f64, secs, run.memory_bytes as f64));
         t.row(&[
@@ -344,7 +370,10 @@ fn main() {
     }
     t.print();
 
-    println!("\nlog-log exponents in n (least-squares over the rows above):\n");
+    println!(
+        "\nlog-log exponents in n (least-squares over the rows above; server time is \
+         each cell's median of {TIMED_RUNS} runs):\n"
+    );
     let mut fits = Table::new(&["protocol", "server time", "claimed", "memory", "claimed"]);
     let mut scaling = Vec::new();
     for ((label, time_claim, mem_claim), pts) in CLAIMED_EXPONENTS.into_iter().zip(&points) {
@@ -362,6 +391,7 @@ fn main() {
             JsonObject::new()
                 .str("protocol", label)
                 .raw("n", json_array(ns.iter().map(|n| n.to_string())))
+                .int("timed_runs", TIMED_RUNS as u64)
                 .num("time_exponent", time)
                 .num("claimed_time_exponent", time_claim)
                 .num("memory_exponent", mem)

@@ -1,6 +1,8 @@
 //! The type-erased protocol layer: object-safe twins of
 //! [`HeavyHitterProtocol`] and [`FrequencyOracle`] with byte-level
-//! shard/report passing, so protocols can be chosen by *runtime
+//! shard/report passing. They are the one protocol surface of the
+//! collector runtime ([`crate::pipeline`]) and the fleet drivers
+//! ([`crate::run`]), and they let protocols be chosen by *runtime
 //! configuration* (see [`crate::registry`]) instead of per-binary
 //! monomorphized `match` arms.
 //!
@@ -18,19 +20,14 @@
 //! * **durable shards** cross as their `WireShard` snapshot bytes via
 //!   `encode_shard_into` / `decode_shard` through `&self`.
 //!
-//! [`Erased`] wraps any concrete protocol into the dyn traits (a
-//! wrapper struct rather than a blanket impl, so `finish()` et al.
-//! never become ambiguous on concrete types), and
-//! [`DynHhStream`](type@DynHhStream) /
-//! [`DynOracleStream`](type@DynOracleStream) adapt a `&dyn` protocol
-//! into [`StreamIngest`] — so the batched drivers and the collector
-//! runtime ([`crate::pipeline`]) drive dyn-dispatched protocols through
-//! the *same* code paths as monomorphized ones.
+//! [`Erased`] wraps a concrete protocol into the dyn traits — that is
+//! how a typed protocol reaches the runtime and the fleet drivers:
+//! `run_heavy_hitter_batched(&mut Erased(server), ..)`. It is a wrapper
+//! struct rather than a blanket impl, so `finish()` et al. never become
+//! ambiguous on concrete types. [`DynHhStream`] / [`DynOracleStream`]
+//! adapt a `&dyn` protocol into [`StreamIngest`].
 
-use crate::stream::{
-    HhFinish, HhStream, OracleFinish, OracleStream, StreamIngest, HH_CLIENT_LABEL,
-    ORACLE_CLIENT_LABEL,
-};
+use crate::stream::{StreamIngest, HH_CLIENT_LABEL, ORACLE_CLIENT_LABEL};
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::{FrameError, WireError, WireFrames, WireShard};
@@ -358,19 +355,11 @@ where
     Box::new(Erased(oracle))
 }
 
-/// [`StreamIngest`] over a borrowed type-erased heavy-hitter protocol —
-/// drives the batched drivers and the collector runtime exactly like
-/// the typed [`HhStream`].
-pub type DynHhStream<'a> = HhStream<'a, dyn DynHhProtocol + 'a>;
+/// [`StreamIngest`] over a borrowed heavy-hitter protocol: what the
+/// batched drivers and the collector runtime drive it through.
+pub struct DynHhStream<'a>(pub &'a dyn DynHhProtocol);
 
-/// Adapt a type-erased heavy-hitter protocol: `DynHhStream(protocol)`.
-#[allow(non_snake_case)]
-pub fn DynHhStream(protocol: &dyn DynHhProtocol) -> DynHhStream<'_> {
-    HhStream(protocol)
-}
-
-impl StreamIngest for HhStream<'_, dyn DynHhProtocol + '_> {
-    type Shard = DynShard;
+impl StreamIngest for DynHhStream<'_> {
     const CLIENT_LABEL: u64 = HH_CLIENT_LABEL;
 
     fn respond_encode_batch(
@@ -414,18 +403,11 @@ impl StreamIngest for HhStream<'_, dyn DynHhProtocol + '_> {
     }
 }
 
-/// [`StreamIngest`] over a borrowed type-erased frequency oracle (see
-/// [`DynHhStream`](type@DynHhStream)).
-pub type DynOracleStream<'a> = OracleStream<'a, dyn DynOracle + 'a>;
+/// [`StreamIngest`] over a borrowed frequency oracle (see
+/// [`DynHhStream`]).
+pub struct DynOracleStream<'a>(pub &'a dyn DynOracle);
 
-/// Adapt a type-erased frequency oracle: `DynOracleStream(oracle)`.
-#[allow(non_snake_case)]
-pub fn DynOracleStream(oracle: &dyn DynOracle) -> DynOracleStream<'_> {
-    OracleStream(oracle)
-}
-
-impl StreamIngest for OracleStream<'_, dyn DynOracle + '_> {
-    type Shard = DynShard;
+impl StreamIngest for DynOracleStream<'_> {
     const CLIENT_LABEL: u64 = ORACLE_CLIENT_LABEL;
 
     fn respond_encode_batch(
@@ -466,49 +448,5 @@ impl StreamIngest for OracleStream<'_, dyn DynOracle + '_> {
 
     fn decode_shard(&self, bytes: &[u8]) -> Result<DynShard, WireError> {
         self.0.decode_shard(bytes)
-    }
-}
-
-impl HhFinish<DynShard> for dyn DynHhProtocol + '_ {
-    fn finish_shard(&mut self, shard: DynShard) {
-        DynHhProtocol::finish_shard(self, shard);
-    }
-
-    fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
-        DynHhProtocol::finish_with(self, scratch)
-    }
-
-    fn report_bits(&self) -> usize {
-        DynHhProtocol::report_bits(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        DynHhProtocol::memory_bytes(self)
-    }
-
-    fn detection_threshold(&self) -> f64 {
-        DynHhProtocol::detection_threshold(self)
-    }
-}
-
-impl OracleFinish<DynShard> for dyn DynOracle + '_ {
-    fn finish_shard(&mut self, shard: DynShard) {
-        DynOracle::finish_shard(self, shard);
-    }
-
-    fn finalize_with(&mut self, scratch: &mut FinishScratch) {
-        DynOracle::finalize_with(self, scratch);
-    }
-
-    fn estimate(&self, x: u64) -> f64 {
-        DynOracle::estimate(self, x)
-    }
-
-    fn report_bits(&self) -> usize {
-        DynOracle::report_bits(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        DynOracle::memory_bytes(self)
     }
 }

@@ -30,9 +30,9 @@
 //!     from a [`BatchPlan`] (chunk size, thread count — neither affects
 //!     output): one collector per worker thread, tree merge.
 //!
-//!   The batched and distributed drivers have one body per family and
-//!   take typed and `dyn` protocols alike, through the
-//!   [`stream::HhFinish`] / [`stream::OracleFinish`] bridge.
+//!   The batched and distributed drivers take a `&mut dyn`
+//!   [`DynHhProtocol`] / [`DynOracle`]; a typed protocol runs on them
+//!   wrapped in [`Erased`].
 //! * [`pipeline`] is the one streaming engine: reports arrive in
 //!   *epochs*, long-lived collector *actor* threads behind bounded
 //!   queues absorb chunks, snapshot their shards to bytes at checkpoint
@@ -47,13 +47,16 @@
 //!   [`PipelineConfig`] (queue depth, encoder workers) — none affects
 //!   output.
 //! * [`stream`] holds the vocabulary the engine runs on: the
-//!   [`StreamIngest`] protocol surface and its adapters, the collector
-//!   snapshot/replay steps, and [`StreamStats`].
-//! * [`erased`] is the object-safe protocol layer — [`DynHhProtocol`] /
-//!   [`DynOracle`] pass reports as wire frames and shards as opaque
-//!   boxes or snapshot bytes, so every driver and engine above also
-//!   runs protocols chosen at *runtime*; [`registry`] maps stable names
-//!   to constructors from one [`ProtocolSpec`].
+//!   [`StreamIngest`] protocol surface, the collector snapshot/replay
+//!   steps, and [`StreamStats`].
+//! * [`erased`] is the object-safe protocol layer and the one protocol
+//!   surface of the engine and the fleet drivers above —
+//!   [`DynHhProtocol`] / [`DynOracle`] pass reports as wire frames and
+//!   shards as opaque [`DynShard`]s or snapshot bytes, [`DynHhStream`] /
+//!   [`DynOracleStream`] adapt them into [`StreamIngest`], and
+//!   [`Erased`] wraps a typed protocol into them. So protocols chosen
+//!   at *runtime* run everywhere; [`registry`] maps stable names to
+//!   constructors from one [`ProtocolSpec`].
 //! * [`metrics`] summarizes accuracy against ground truth.
 //!
 //! **Determinism:** user `i`'s client coins are the derived stream
@@ -89,7 +92,5 @@ pub use run::{
     run_heavy_hitter_distributed, run_oracle, run_oracle_batched, run_oracle_distributed,
     BatchPlan, DistPlan, DistributedOracleRun, DistributedRun, MergeOrder, OracleRun, ProtocolRun,
 };
-pub use stream::{
-    CheckpointReport, HhStream, OracleStream, RecoveryReport, StreamIngest, StreamPlan, StreamStats,
-};
+pub use stream::{CheckpointReport, RecoveryReport, StreamIngest, StreamPlan, StreamStats};
 pub use workload::{StreamWorkload, Workload};

@@ -43,16 +43,18 @@
 //! # Use
 //!
 //! The actors borrow the protocol, so the runtime runs inside a scope:
-//! [`run_pipelined`] spawns the fleet, hands a [`PipelineSession`] to
-//! your closure (`ingest_epoch`, `checkpoint`, `kill_collector`,
-//! `recover_collector`, `finish_at_epoch`), then shuts the fleet down,
-//! merges the collector shards and returns the final aggregate with its
-//! [`StreamStats`].
+//! [`run_pipelined`] takes the protocol as a [`DynHhStream`] or
+//! [`DynOracleStream`] (a typed one wrapped in
+//! [`Erased`](crate::erased::Erased)), spawns the fleet, hands a
+//! [`PipelineSession`] to your closure (`ingest_epoch`, `checkpoint`,
+//! `kill_collector`, `recover_collector`, `finish_at_epoch`), then shuts
+//! the fleet down, merges the collector shards and returns the final
+//! aggregate with its [`StreamStats`].
 
+use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream, DynShard};
 use crate::stream::{
-    absorb_chunk, combine_shards, encode_snapshot, rebuild_shard, CheckpointReport, HhFinish,
-    HhStream, OracleFinish, OracleStream, RecoveryReport, Snapshot, StreamIngest, StreamPlan,
-    StreamStats, WireChunk,
+    absorb_chunk, combine_shards, encode_snapshot, rebuild_shard, CheckpointReport, RecoveryReport,
+    Snapshot, StreamIngest, StreamPlan, StreamStats, WireChunk,
 };
 use hh_math::par::{BufferPool, FinishScratch};
 use hh_math::rng::derive_seed;
@@ -125,13 +127,13 @@ enum Cmd {
 /// as long as the fleet: a fresh channel per call would allocate a new
 /// waiter list whenever the session has to block on it, which depends on
 /// timing.
-enum Reply<S> {
+enum Reply {
     Checkpoint(CollectorCheckpoint),
     Recovered(RecoveryReport),
     Query(QueryReply),
     /// The answer to [`Cmd::Finish`]: the collector's id, live shard and
     /// accounting.
-    Done(usize, S, CollectorTotals),
+    Done(usize, DynShard, CollectorTotals),
     /// The collector's thread is unwinding from a panic (see
     /// [`DeathNotice`]): the session must not wait for its replies.
     Died(usize),
@@ -140,12 +142,12 @@ enum Reply<S> {
 /// Sends [`Reply::Died`] when a collector's thread unwinds, so a session
 /// waiting on the shared reply channel panics naming the collector
 /// instead of hanging.
-struct DeathNotice<'a, S> {
+struct DeathNotice<'a> {
     id: usize,
-    reply_tx: &'a SyncSender<Reply<S>>,
+    reply_tx: &'a SyncSender<Reply>,
 }
 
-impl<S> Drop for DeathNotice<'_, S> {
+impl Drop for DeathNotice<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             // The channel has room for every collector's last reply and
@@ -189,7 +191,7 @@ struct CollectorActor<'a, I: StreamIngest> {
     id: usize,
     k: usize,
     /// The in-memory partial aggregate; `None` while crashed.
-    live: Option<I::Shard>,
+    live: Option<DynShard>,
     snapshot: Option<Snapshot>,
     /// Spooled chunks since the last checkpoint, in sequence order.
     log: Vec<WireChunk>,
@@ -278,7 +280,7 @@ fn collector_loop<I: StreamIngest>(
     id: usize,
     k: usize,
     rx: Receiver<Cmd>,
-    reply_tx: SyncSender<Reply<I::Shard>>,
+    reply_tx: SyncSender<Reply>,
     pool_tx: Sender<Vec<u8>>,
     occupancy: &AtomicUsize,
 ) {
@@ -351,6 +353,15 @@ fn collector_loop<I: StreamIngest>(
     // Session dropped without Finish (panic unwinding): just exit.
 }
 
+/// Send `cmd` to collector `id`. A collector only hangs up by dying (it
+/// runs until [`Cmd::Finish`]), so a failed send panics naming it, the
+/// same way a [`Reply::Died`] does.
+fn send(txs: &[SyncSender<Cmd>], id: usize, cmd: Cmd, during: &str) {
+    if txs[id].send(cmd).is_err() {
+        panic!("collector {id} died mid-{during}");
+    }
+}
+
 /// Route one encoded chunk to its collector, counting occupancy and
 /// blocking (with the stall measured) when the queue is full.
 fn send_chunk(
@@ -371,12 +382,10 @@ fn send_chunk(
         Ok(()) => {}
         Err(TrySendError::Full(cmd)) => {
             let t = Instant::now();
-            txs[id].send(cmd).unwrap_or_else(|_| {
-                panic!("collector {id} hung up with its queue full");
-            });
+            send(txs, id, cmd, "ingest");
             stall_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        Err(TrySendError::Disconnected(_)) => panic!("collector {id} hung up"),
+        Err(TrySendError::Disconnected(_)) => panic!("collector {id} died mid-ingest"),
     }
 }
 
@@ -390,7 +399,7 @@ pub struct PipelineSession<'a, I: StreamIngest> {
     client_seed: u64,
     txs: Vec<SyncSender<Cmd>>,
     /// The fleet's replies to every command but chunks and kills.
-    replies: Receiver<Reply<I::Shard>>,
+    replies: Receiver<Reply>,
     pool_rx: Receiver<Vec<u8>>,
     pool: BufferPool,
     /// Pooled reply buffers for snapshot queries, so repeated mid-stream
@@ -467,28 +476,36 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
             self.pool.put(buf);
         }
         let num_chunks = xs.len().div_ceil(chunk_size);
-        let start_user = self.users;
         let workers = self.config.workers.min(num_chunks).max(1);
+        let (ingest, client_seed) = (self.ingest, self.client_seed);
+        let (start_user, base_seq) = (self.users, self.next_chunk);
+        let (txs, occupancy) = (&self.txs, self.occupancy);
+        let (max_occupancy, stall_nanos) = (self.max_occupancy, self.stall_nanos);
+        // Encode chunk `c` into its pooled buffer and route it; returns
+        // its wire bytes. The one chunk body of both encoder shapes.
+        let encode_and_send = |c: usize, slice: &[u64], mut bytes: Vec<u8>| -> u64 {
+            let start = start_user + (c * chunk_size) as u64;
+            debug_assert!(bytes.is_empty(), "pooled buffer not cleared");
+            let frame_lens = ingest.respond_encode_batch(start, slice, client_seed, &mut bytes);
+            let len = bytes.len() as u64;
+            let chunk = WireChunk {
+                start,
+                bytes,
+                frame_lens,
+            };
+            send_chunk(
+                txs,
+                occupancy,
+                max_occupancy,
+                stall_nanos,
+                base_seq + c as u64,
+                chunk,
+            );
+            len
+        };
         if workers <= 1 {
             for (c, slice) in xs.chunks(chunk_size).enumerate() {
-                let start = start_user + (c * chunk_size) as u64;
-                let mut bytes = self.pool.take();
-                let frame_lens =
-                    self.ingest
-                        .respond_encode_batch(start, slice, self.client_seed, &mut bytes);
-                self.wire_bytes += bytes.len() as u64;
-                send_chunk(
-                    &self.txs,
-                    self.occupancy,
-                    self.max_occupancy,
-                    self.stall_nanos,
-                    self.next_chunk + c as u64,
-                    WireChunk {
-                        start,
-                        bytes,
-                        frame_lens,
-                    },
-                );
+                self.wire_bytes += encode_and_send(c, slice, self.pool.take());
             }
         } else {
             // Concurrent encoders share a claim queue and send each
@@ -496,10 +513,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
             let buffers: Vec<Vec<u8>> = (0..num_chunks).map(|_| self.pool.take()).collect();
             let work = Mutex::new(xs.chunks(chunk_size).zip(buffers).enumerate());
             let wire_bytes = AtomicU64::new(0);
-            let (ingest, client_seed, base_seq) = (self.ingest, self.client_seed, self.next_chunk);
-            let (txs, occupancy) = (&self.txs, self.occupancy);
-            let (max_occupancy, stall_nanos) = (self.max_occupancy, self.stall_nanos);
-            let (work, wire_total) = (&work, &wire_bytes);
+            let (work, wire_total, encode_and_send) = (&work, &wire_bytes, &encode_and_send);
             // Plain scoped OS threads, NOT a rayon pool: encoders block
             // on full collector queues (that's the backpressure), and a
             // blocked task would wedge a fixed work-stealing pool.
@@ -507,26 +521,10 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
                 for _ in 0..workers {
                     s.spawn(move || loop {
                         let next = work.lock().expect("encoder panicked").next();
-                        let Some((c, (slice, mut bytes))) = next else {
+                        let Some((c, (slice, bytes))) = next else {
                             break;
                         };
-                        let start = start_user + (c * chunk_size) as u64;
-                        debug_assert!(bytes.is_empty(), "pooled buffer not cleared");
-                        let frame_lens =
-                            ingest.respond_encode_batch(start, slice, client_seed, &mut bytes);
-                        wire_total.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                        send_chunk(
-                            txs,
-                            occupancy,
-                            max_occupancy,
-                            stall_nanos,
-                            base_seq + c as u64,
-                            WireChunk {
-                                start,
-                                bytes,
-                                frame_lens,
-                            },
-                        );
+                        wire_total.fetch_add(encode_and_send(c, slice, bytes), Ordering::Relaxed);
                     });
                 }
             });
@@ -562,12 +560,14 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
                 *epoch = Some(self.epoch);
             }
         }
-        for tx in &self.txs {
-            tx.send(Cmd::Checkpoint {
-                epoch: self.epoch,
-                reply,
-            })
-            .expect("collector hung up");
+        let epoch = self.epoch;
+        for id in 0..self.txs.len() {
+            send(
+                &self.txs,
+                id,
+                Cmd::Checkpoint { epoch, reply },
+                "checkpoint",
+            );
         }
     }
 
@@ -603,7 +603,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     pub fn kill_collector(&mut self, node: usize) {
         assert!(self.alive[node], "collector {node} is already dead");
         self.alive[node] = false;
-        self.txs[node].send(Cmd::Kill).expect("collector hung up");
+        send(&self.txs, node, Cmd::Kill, "kill");
     }
 
     /// Recover a crashed collector (snapshot decode + spool replay, in
@@ -614,9 +614,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
             !self.alive[node],
             "collector {node} is alive — nothing to recover"
         );
-        self.txs[node]
-            .send(Cmd::Recover)
-            .expect("collector hung up");
+        send(&self.txs, node, Cmd::Recover, "recovery");
         let Reply::Recovered(report) = self.reply("recovery") else {
             unreachable!("a collector answered a recovery out of turn")
         };
@@ -626,7 +624,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
 
     /// The fleet's next reply. Panics, naming the collector, when one
     /// died.
-    fn reply(&self, during: &str) -> Reply<I::Shard> {
+    fn reply(&self, during: &str) -> Reply {
         match self.replies.recv() {
             Ok(Reply::Died(id)) => panic!("collector {id} died mid-{during}"),
             Ok(reply) => reply,
@@ -645,10 +643,10 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// ingested by then. While a crashed node sits unrecovered across
     /// later checkpoints the view is *ragged* — see
     /// [`PipelineSession::snapshot_epochs`].
-    pub fn snapshot_shard(&mut self) -> Option<I::Shard> {
-        for tx in &self.txs {
+    pub fn snapshot_shard(&mut self) -> Option<DynShard> {
+        for id in 0..self.txs.len() {
             let buf = self.query_bufs.pop().unwrap_or_default();
-            tx.send(Cmd::Query { buf }).expect("collector hung up");
+            send(&self.txs, id, Cmd::Query { buf }, "query");
         }
         let k = self.txs.len();
         let mut slots: Vec<Option<(u64, Vec<u8>)>> = (0..k).map(|_| None).collect();
@@ -661,7 +659,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
                 None => self.query_bufs.push(reply.buf),
             }
         }
-        let mut shards: Vec<I::Shard> = Vec::new();
+        let mut shards: Vec<DynShard> = Vec::new();
         for (id, slot) in slots.into_iter().enumerate() {
             if let Some((epoch, buf)) = slot {
                 shards.push(self.ingest.decode_shard(&buf).unwrap_or_else(|e| {
@@ -688,7 +686,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// same checkpoint count decode that single artifact without touching
     /// the collector actors. Values are bit-for-bit the uncached view's
     /// because the snapshot codec round-trips exactly.
-    fn merged_durable_shard(&mut self) -> Option<I::Shard> {
+    fn merged_durable_shard(&mut self) -> Option<DynShard> {
         let warm = matches!(&self.merged_bytes, Some((stamp, _)) if *stamp == self.checkpoints);
         if warm {
             self.finish_cache_hits += 1;
@@ -716,12 +714,12 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
 
     /// Shut the fleet down: every actor recovers if crashed, hands its
     /// shard back, and exits; the shards merge in the plan's order.
-    fn finish(self) -> (I::Shard, StreamStats) {
+    fn finish(self) -> (DynShard, StreamStats) {
         let k = self.txs.len();
-        for tx in &self.txs {
-            tx.send(Cmd::Finish).expect("collector hung up");
+        for id in 0..k {
+            send(&self.txs, id, Cmd::Finish, "finish");
         }
-        let mut shard_slots: Vec<Option<I::Shard>> = (0..k).map(|_| None).collect();
+        let mut shard_slots: Vec<Option<DynShard>> = (0..k).map(|_| None).collect();
         let (scratch_reused, scratch_fresh) = self.scratch.handout_counts();
         let mut stats = StreamStats {
             epochs: self.epoch,
@@ -753,7 +751,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
         stats.max_queue_occupancy = self.max_occupancy.load(Ordering::Relaxed);
         stats.producer_stall = Duration::from_nanos(self.stall_nanos.load(Ordering::Relaxed));
         let t = Instant::now();
-        let shards: Vec<I::Shard> = shard_slots
+        let shards: Vec<DynShard> = shard_slots
             .into_iter()
             .map(|s| s.expect("every collector reported"))
             .collect();
@@ -766,7 +764,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     /// when users have been ingested but nothing was checkpointed yet —
     /// an empty answer there would be indistinguishable from a genuinely
     /// empty stream.
-    fn query_view(&mut self) -> Option<I::Shard> {
+    fn query_view(&mut self) -> Option<DynShard> {
         let view = self.merged_durable_shard();
         assert!(
             view.is_some() || self.users == 0,
@@ -778,11 +776,7 @@ impl<'a, I: StreamIngest + Sync> PipelineSession<'a, I> {
     }
 }
 
-impl<'a, 'p, P> PipelineSession<'a, HhStream<'p, P>>
-where
-    P: ?Sized + HhFinish<<HhStream<'p, P> as StreamIngest>::Shard>,
-    HhStream<'p, P>: StreamIngest + Sync,
-{
+impl PipelineSession<'_, DynHhStream<'_>> {
     /// Answer a top-k query mid-stream from the merged decoded
     /// snapshots, without consuming the live shards. `fresh` must be a
     /// new instance built with the same parameters and public-randomness
@@ -799,7 +793,7 @@ where
     /// Panics when users have been ingested but no collector has
     /// checkpointed yet — call [`PipelineSession::checkpoint`] first (or
     /// set a [`StreamPlan::checkpoint_every`] cadence).
-    pub fn finish_at_epoch(&mut self, fresh: &mut P) -> Vec<(u64, f64)> {
+    pub fn finish_at_epoch(&mut self, fresh: &mut dyn DynHhProtocol) -> Vec<(u64, f64)> {
         let t = Instant::now();
         self.finish_queries += 1;
         let answer = match &self.cached_answer {
@@ -825,11 +819,7 @@ where
     }
 }
 
-impl<'a, 'p, O> PipelineSession<'a, OracleStream<'p, O>>
-where
-    O: ?Sized + OracleFinish<<OracleStream<'p, O> as StreamIngest>::Shard>,
-    OracleStream<'p, O>: StreamIngest + Sync,
-{
+impl PipelineSession<'_, DynOracleStream<'_>> {
     /// Prepare a mid-stream frequency oracle from the merged decoded
     /// snapshots, without consuming the live shards: folds the durable
     /// view into `fresh` and finalizes it through the session's
@@ -841,7 +831,7 @@ where
     /// collector fleet (the oracle's state lives in `fresh`, so the fold
     /// into it still runs). Panics like the heavy-hitter query when
     /// nothing was checkpointed yet.
-    pub fn finish_at_epoch(&mut self, fresh: &mut O) {
+    pub fn finish_at_epoch(&mut self, fresh: &mut dyn DynOracle) {
         let t = Instant::now();
         self.finish_queries += 1;
         if let Some(shard) = self.query_view() {
@@ -867,7 +857,7 @@ pub fn run_pipelined<I, R>(
     config: &PipelineConfig,
     seed: u64,
     drive: impl FnOnce(&mut PipelineSession<'_, I>) -> R,
-) -> (I::Shard, StreamStats, R)
+) -> (DynShard, StreamStats, R)
 where
     I: StreamIngest + Sync,
 {
@@ -937,7 +927,7 @@ pub fn run_pipelined_all<I>(
     config: &PipelineConfig,
     seed: u64,
     data: &[u64],
-) -> (I::Shard, StreamStats)
+) -> (DynShard, StreamStats)
 where
     I: StreamIngest + Sync,
 {

@@ -7,11 +7,10 @@
 //! under a stable name, with a constructor from one shared parameter
 //! record ([`ProtocolSpec`]). Callers look a name up
 //! ([`build_hh`] / [`build_oracle`]), get a boxed
-//! [`DynHhProtocol`] / [`DynOracle`], and drive it through the dyn
-//! drivers in [`crate::run`] or the collector runtime
-//! ([`crate::pipeline`]) via the
-//! [`DynHhStream`](type@crate::erased::DynHhStream) /
-//! [`DynOracleStream`](type@crate::erased::DynOracleStream) adapters.
+//! [`DynHhProtocol`] / [`DynOracle`] — the same surface the drivers in
+//! [`crate::run`] and the collector runtime ([`crate::pipeline`]) take,
+//! the latter through the [`DynHhStream`](crate::erased::DynHhStream) /
+//! [`DynOracleStream`](crate::erased::DynOracleStream) adapters.
 //!
 //! ```
 //! use hh_sim::registry::{build_hh, ProtocolSpec};

@@ -53,19 +53,21 @@
 //!
 //! # Typed and type-erased protocols
 //!
-//! The batched and distributed drivers have one body per family: they
-//! ingest through the [`HhStream`] / [`OracleStream`] adapter and fold
-//! the result in through the [`HhFinish`] / [`OracleFinish`] bridge, both
-//! of which cover a typed protocol and a `dyn`
-//! [`DynHhProtocol`] / [`DynOracle`] alike. Only the serial drivers come
-//! in two forms: the typed ones run scalar `respond` + `collect` (the
-//! ground truth), the `dyn` ones run the wire path one user at a time.
+//! The batched and distributed drivers take a `&mut dyn`
+//! [`DynHhProtocol`] / [`DynOracle`]: they ingest through the
+//! [`DynHhStream`] / [`DynOracleStream`] adapter and fold the fleet's
+//! [`DynShard`] in through the same trait. A
+//! typed protocol runs on them wrapped in [`Erased`]:
+//! `run_heavy_hitter_batched(&mut Erased(server), ..)`. Only the serial
+//! drivers come in two forms: the typed ones run scalar `respond` +
+//! `collect` (the ground truth), the `dyn` ones run the wire path one
+//! user at a time.
 
-use crate::erased::{DynHhProtocol, DynOracle};
+#[cfg(doc)]
+use crate::erased::Erased;
+use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream, DynShard};
 use crate::pipeline::{run_pipelined_all, PipelineConfig};
-use crate::stream::{
-    HhFinish, HhStream, OracleFinish, OracleStream, StreamIngest, StreamPlan, StreamStats,
-};
+use crate::stream::{StreamIngest, StreamPlan, StreamStats};
 use hh_core::traits::HeavyHitterProtocol;
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire::WireFrames;
@@ -244,32 +246,28 @@ pub fn run_heavy_hitter<P: HeavyHitterProtocol>(
 /// [`run_heavy_hitter_distributed`] on the fleet [`BatchPlan::fleet`]
 /// derives for this input.
 ///
-/// Takes a typed [`HeavyHitterProtocol`] or a `dyn` [`DynHhProtocol`]
-/// alike (the [`HhFinish`] bridge). Output is bit-for-bit identical to
-/// [`run_heavy_hitter`] with the same `seed`, for every `plan` (chunk
-/// size and thread count only change the schedule, never the result).
-pub fn run_heavy_hitter_batched<P, S>(
-    server: &mut P,
+/// A typed protocol runs wrapped in [`Erased`]. Output is bit-for-bit
+/// identical to [`run_heavy_hitter`] with the same `seed`, for every
+/// `plan` (chunk size and thread count only change the schedule, never
+/// the result).
+pub fn run_heavy_hitter_batched(
+    server: &mut dyn DynHhProtocol,
     data: &[u64],
     seed: u64,
     plan: &BatchPlan,
-) -> ProtocolRun
-where
-    P: ?Sized + HhFinish<S>,
-    for<'p> HhStream<'p, P>: StreamIngest<Shard = S> + Sync,
-{
+) -> ProtocolRun {
     run_heavy_hitter_distributed(server, data, seed, &plan.fleet(data.len())).into()
 }
 
-/// The shared collector-fleet ingest over any [`StreamIngest`] — typed
-/// or type-erased: a single-epoch run of the collector runtime, with as
-/// many encoder workers as the plan's thread policy gives this input.
+/// The shared collector-fleet ingest of both families: a single-epoch
+/// run of the collector runtime, with as many encoder workers as the
+/// plan's thread policy gives this input.
 fn one_shot_fleet<I: StreamIngest + Sync>(
     ingest: &I,
     data: &[u64],
     seed: u64,
     plan: &DistPlan,
-) -> (I::Shard, StreamStats) {
+) -> (DynShard, StreamStats) {
     let config = PipelineConfig {
         workers: planned_threads(plan.threads, data.len(), plan.chunk_size),
         ..PipelineConfig::default()
@@ -402,21 +400,18 @@ impl DistributedRun {
 /// Output is bit-for-bit identical to [`run_heavy_hitter`] with the
 /// same `seed`, for every `plan` — collector count, chunk size, thread
 /// count and merge order only change the schedule, never the result
-/// (pinned by the `distributed_merge` integration tests). Takes typed
-/// and `dyn` protocols alike, as [`run_heavy_hitter_batched`] does.
-pub fn run_heavy_hitter_distributed<P, S>(
-    server: &mut P,
+/// (pinned by the `distributed_merge` integration tests). A typed
+/// protocol runs wrapped in [`Erased`], as for
+/// [`run_heavy_hitter_batched`].
+pub fn run_heavy_hitter_distributed(
+    server: &mut dyn DynHhProtocol,
     data: &[u64],
     seed: u64,
     plan: &DistPlan,
-) -> DistributedRun
-where
-    P: ?Sized + HhFinish<S>,
-    for<'p> HhStream<'p, P>: StreamIngest<Shard = S> + Sync,
-{
+) -> DistributedRun {
     let start = Instant::now();
     plan.validate();
-    let (merged, stats) = one_shot_fleet(&HhStream(&*server), data, seed, plan);
+    let (merged, stats) = one_shot_fleet(&DynHhStream(&*server), data, seed, plan);
 
     // Fold the fleet's merged shard into the server.
     let t2 = Instant::now();
@@ -509,20 +504,15 @@ pub fn run_oracle<O: FrequencyOracle>(
 /// [`run_oracle_distributed`] on the fleet [`BatchPlan::fleet`] derives
 /// for this input.
 ///
-/// Takes a typed [`FrequencyOracle`] or a `dyn` [`DynOracle`] alike (the
-/// [`OracleFinish`] bridge). Output is bit-for-bit identical to
-/// [`run_oracle`] with the same seed, for every `plan`.
-pub fn run_oracle_batched<O, S>(
-    oracle: &mut O,
+/// A typed oracle runs wrapped in [`Erased`]. Output is bit-for-bit
+/// identical to [`run_oracle`] with the same seed, for every `plan`.
+pub fn run_oracle_batched(
+    oracle: &mut dyn DynOracle,
     data: &[u64],
     queries: &[u64],
     seed: u64,
     plan: &BatchPlan,
-) -> OracleRun
-where
-    O: ?Sized + OracleFinish<S>,
-    for<'o> OracleStream<'o, O>: StreamIngest<Shard = S> + Sync,
-{
+) -> OracleRun {
     run_oracle_distributed(oracle, data, queries, seed, &plan.fleet(data.len())).into()
 }
 
@@ -579,21 +569,17 @@ impl From<DistributedOracleRun> for OracleRun {
 /// oracle-level analogue of [`run_heavy_hitter_distributed`] (the same
 /// single-epoch run of the collector runtime), with the same wire
 /// round-trip and merge guarantees: answers are bit-for-bit identical
-/// to [`run_oracle`] for every `plan`. Takes typed and `dyn` oracles
-/// alike.
-pub fn run_oracle_distributed<O, S>(
-    oracle: &mut O,
+/// to [`run_oracle`] for every `plan`. A typed oracle runs wrapped in
+/// [`Erased`].
+pub fn run_oracle_distributed(
+    oracle: &mut dyn DynOracle,
     data: &[u64],
     queries: &[u64],
     seed: u64,
     plan: &DistPlan,
-) -> DistributedOracleRun
-where
-    O: ?Sized + OracleFinish<S>,
-    for<'o> OracleStream<'o, O>: StreamIngest<Shard = S> + Sync,
-{
+) -> DistributedOracleRun {
     plan.validate();
-    let (merged, stats) = one_shot_fleet(&OracleStream(&*oracle), data, seed, plan);
+    let (merged, stats) = one_shot_fleet(&DynOracleStream(&*oracle), data, seed, plan);
 
     let t1 = Instant::now();
     oracle.finish_shard(merged);
@@ -721,6 +707,7 @@ pub fn run_dyn_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erased::Erased;
     use crate::workload::Workload;
     use hh_core::baselines::scan::{ScanHeavyHitters, ScanParams};
     use hh_freq::hashtogram::{Hashtogram, HashtogramParams};
@@ -784,7 +771,10 @@ mod tests {
                     chunk_size,
                     threads,
                 };
-                let mut s = ScanHeavyHitters::new(ScanParams::new(n as u64, 512, 2.0, 0.1), 12);
+                let mut s = Erased(ScanHeavyHitters::new(
+                    ScanParams::new(n as u64, 512, 2.0, 0.1),
+                    12,
+                ));
                 let run = run_heavy_hitter_batched(&mut s, &data, 13, &plan);
                 assert_eq!(
                     run.estimates, serial,
@@ -806,7 +796,7 @@ mod tests {
             run_oracle(&mut o, &data, &queries, 19).answers
         };
         for chunk_size in [n, 1 << 10, 333] {
-            let mut o = Hashtogram::new(params(), 18);
+            let mut o = Erased(Hashtogram::new(params(), 18));
             let run = run_oracle_batched(
                 &mut o,
                 &data,
@@ -839,8 +829,12 @@ mod tests {
         let data = Workload::zipf(1 << 12, 1.2).generate(n, 21);
         let make = || ScanHeavyHitters::new(ScanParams::new(n as u64, 1 << 12, 2.0, 0.1), 22);
         let t = Instant::now();
-        let run =
-            run_heavy_hitter_distributed(&mut make(), &data, 23, &DistPlan::with_collectors(8));
+        let run = run_heavy_hitter_distributed(
+            &mut Erased(make()),
+            &data,
+            23,
+            &DistPlan::with_collectors(8),
+        );
         let outer = t.elapsed();
         assert!(
             run.total_time() <= outer,
@@ -850,7 +844,7 @@ mod tests {
         assert!(run.total_time() >= run.server_finish);
         let plan = BatchPlan::with_chunk_size(1 << 11);
         let t = Instant::now();
-        let run = run_heavy_hitter_batched(&mut make(), &data, 23, &plan);
+        let run = run_heavy_hitter_batched(&mut Erased(make()), &data, 23, &plan);
         let outer = t.elapsed();
         assert!(
             run.total_time() <= outer,

@@ -8,8 +8,11 @@
 //!
 //! * [`StreamIngest`] — the wire-native protocol surface (fused
 //!   `respond_encode_batch`, zero-copy `absorb_wire`, merge, and the
-//!   `WireShard` snapshot codec), with the [`HhStream`] / [`OracleStream`]
-//!   adapters over typed and type-erased protocols;
+//!   `WireShard` snapshot codec over [`DynShard`]s), implemented by the
+//!   [`DynHhStream`](crate::erased::DynHhStream) /
+//!   [`DynOracleStream`](crate::erased::DynOracleStream) adapters over
+//!   the dyn traits (a typed protocol joins through
+//!   [`Erased`](crate::erased::Erased));
 //! * [`StreamPlan`] — epoch size, checkpoint cadence and the collector
 //!   fleet's [`DistPlan`] (none of it affects output);
 //! * the collector steps — absorb a routed wire chunk, encode a
@@ -29,11 +32,10 @@
 //! distributed drivers in [`crate::run`] are single-epoch runs of the
 //! same runtime — one ingestion path, not three.
 
+use crate::erased::DynShard;
 use crate::run::{DistPlan, MergeOrder};
-use hh_core::traits::HeavyHitterProtocol;
-use hh_freq::traits::{Aggregator, FrequencyOracle};
-use hh_freq::wire::{FrameError, WireError, WireFrames, WireShard};
-use hh_math::par::{merge_tree, FinishScratch};
+use hh_freq::wire::{FrameError, WireError, WireFrames};
+use hh_math::par::merge_tree;
 use std::time::Duration;
 
 /// Seed label for heavy-hitter client coins (one hop off the run seed).
@@ -91,18 +93,15 @@ impl StreamPlan {
 
 /// The protocol surface a stream ingests through: produce a user
 /// range's wire frames, build/absorb/merge shards, and run the shard
-/// snapshot codec. Implemented by the [`HhStream`] and [`OracleStream`]
-/// adapters — over typed protocols here, over type-erased ones in
-/// [`crate::erased`] — so one runtime serves both protocol families.
+/// snapshot codec. Implemented by
+/// [`DynHhStream`](crate::erased::DynHhStream) and
+/// [`DynOracleStream`](crate::erased::DynOracleStream), so one runtime
+/// serves both protocol families.
 ///
-/// The surface is deliberately *wire-native and object-friendly*:
-/// reports only ever appear as encoded frames, and the shard codec runs
-/// through `&self` (not an associated-type bound), so a `dyn`-boxed
-/// protocol behind [`crate::erased::DynHhProtocol`] drives the same
-/// runtime as a monomorphized one.
+/// The surface is *wire-native*: reports only ever appear as encoded
+/// frames, live shards as opaque [`DynShard`]s, and durable ones as
+/// their snapshot bytes.
 pub trait StreamIngest {
-    /// The mergeable, durable partial aggregate.
-    type Shard: Send;
     /// Seed-derivation label for this family's client coins — must match
     /// the serial reference driver so streams reproduce one-shot runs.
     const CLIENT_LABEL: u64;
@@ -118,228 +117,30 @@ pub trait StreamIngest {
         out: &mut Vec<u8>,
     ) -> Vec<u32>;
     /// An empty partial aggregate.
-    fn new_shard(&self) -> Self::Shard;
+    fn new_shard(&self) -> DynShard;
     /// Zero-copy: fold a chunk of borrowed wire frames into `shard` —
     /// bit-for-bit equal to decoding every frame and absorbing the
     /// reports.
     fn absorb_wire(
         &self,
-        shard: &mut Self::Shard,
+        shard: &mut DynShard,
         start_index: u64,
         frames: &WireFrames<'_>,
     ) -> Result<(), FrameError>;
     /// Combine two partial aggregates.
-    fn merge(&self, a: Self::Shard, b: Self::Shard) -> Self::Shard;
+    fn merge(&self, a: DynShard, b: DynShard) -> DynShard;
     /// Exact byte length of `shard`'s snapshot encoding.
-    fn shard_encoded_len(&self, shard: &Self::Shard) -> usize;
+    fn shard_encoded_len(&self, shard: &DynShard) -> usize;
     /// Append `shard`'s snapshot encoding to `out` (the durable artifact
     /// a collector checkpoints).
-    fn encode_shard_into(&self, shard: &Self::Shard, out: &mut Vec<u8>);
+    fn encode_shard_into(&self, shard: &DynShard, out: &mut Vec<u8>);
     /// Decode a snapshot produced by [`StreamIngest::encode_shard_into`].
-    fn decode_shard(&self, bytes: &[u8]) -> Result<Self::Shard, WireError>;
+    fn decode_shard(&self, bytes: &[u8]) -> Result<DynShard, WireError>;
     /// Encode a shard snapshot into a fresh buffer.
-    fn encode_shard(&self, shard: &Self::Shard) -> Vec<u8> {
+    fn encode_shard(&self, shard: &DynShard) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.shard_encoded_len(shard));
         self.encode_shard_into(shard, &mut out);
         out
-    }
-}
-
-/// [`StreamIngest`] over a borrowed heavy-hitter protocol: a typed
-/// [`HeavyHitterProtocol`], or a `dyn`
-/// [`DynHhProtocol`](crate::erased::DynHhProtocol) (spelled
-/// [`DynHhStream`](type@crate::erased::DynHhStream)). One adapter type
-/// per family is what lets
-/// [`PipelineSession::finish_at_epoch`](crate::pipeline::PipelineSession)
-/// have one body per family.
-pub struct HhStream<'a, P: ?Sized>(pub &'a P);
-
-/// [`StreamIngest`] over a borrowed frequency oracle: a typed
-/// [`FrequencyOracle`], or a `dyn` [`DynOracle`](crate::erased::DynOracle)
-/// (spelled [`DynOracleStream`](type@crate::erased::DynOracleStream)).
-pub struct OracleStream<'a, O: ?Sized>(pub &'a O);
-
-impl<P: ?Sized> Clone for HhStream<'_, P> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<P: ?Sized> Copy for HhStream<'_, P> {}
-
-impl<O: ?Sized> Clone for OracleStream<'_, O> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<O: ?Sized> Copy for OracleStream<'_, O> {}
-
-/// The finish half of a heavy-hitter server — typed or type-erased —
-/// that the batched and distributed drivers and mid-stream queries fold
-/// an ingested aggregate into, plus the accessors a run record reads.
-/// One bridge per family is what lets each of those have one body for
-/// typed and `dyn` protocols alike.
-pub trait HhFinish<S> {
-    /// Fold a partial aggregate into the server state.
-    fn finish_shard(&mut self, shard: S);
-    /// The estimated heavy-hitter list, decoded through `scratch`.
-    fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)>;
-    /// Communication per user in bits.
-    fn report_bits(&self) -> usize;
-    /// Server working-memory estimate in bytes.
-    fn memory_bytes(&self) -> usize;
-    /// The protocol's detection threshold Δ.
-    fn detection_threshold(&self) -> f64;
-}
-
-/// The finish half of a frequency oracle — typed or type-erased — that
-/// the drivers and mid-stream queries fold an ingested aggregate into
-/// (see [`HhFinish`]).
-pub trait OracleFinish<S> {
-    /// Fold a partial aggregate into the oracle state.
-    fn finish_shard(&mut self, shard: S);
-    /// Finalize through `scratch`, so the caller can `estimate`.
-    fn finalize_with(&mut self, scratch: &mut FinishScratch);
-    /// Estimate `f_S(x)` (after `finalize_with`).
-    fn estimate(&self, x: u64) -> f64;
-    /// Communication per user in bits.
-    fn report_bits(&self) -> usize;
-    /// Server working-memory estimate in bytes.
-    fn memory_bytes(&self) -> usize;
-}
-
-impl<P: HeavyHitterProtocol> HhFinish<P::Shard> for P {
-    fn finish_shard(&mut self, shard: P::Shard) {
-        Aggregator::finish_shard(self, shard);
-    }
-
-    fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
-        HeavyHitterProtocol::finish_with(self, scratch)
-    }
-
-    fn report_bits(&self) -> usize {
-        Aggregator::report_bits(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        Aggregator::memory_bytes(self)
-    }
-
-    fn detection_threshold(&self) -> f64 {
-        HeavyHitterProtocol::detection_threshold(self)
-    }
-}
-
-impl<O: FrequencyOracle> OracleFinish<O::Shard> for O {
-    fn finish_shard(&mut self, shard: O::Shard) {
-        Aggregator::finish_shard(self, shard);
-    }
-
-    fn finalize_with(&mut self, scratch: &mut FinishScratch) {
-        FrequencyOracle::finalize_with(self, scratch);
-    }
-
-    fn estimate(&self, x: u64) -> f64 {
-        FrequencyOracle::estimate(self, x)
-    }
-
-    fn report_bits(&self) -> usize {
-        Aggregator::report_bits(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        Aggregator::memory_bytes(self)
-    }
-}
-
-impl<P: HeavyHitterProtocol + Sync> StreamIngest for HhStream<'_, P> {
-    type Shard = P::Shard;
-    const CLIENT_LABEL: u64 = HH_CLIENT_LABEL;
-
-    fn respond_encode_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        self.0
-            .respond_encode_batch(start_index, xs, client_seed, out)
-    }
-
-    fn new_shard(&self) -> P::Shard {
-        self.0.new_shard()
-    }
-
-    fn absorb_wire(
-        &self,
-        shard: &mut P::Shard,
-        start_index: u64,
-        frames: &WireFrames<'_>,
-    ) -> Result<(), FrameError> {
-        self.0.absorb_wire(shard, start_index, frames)
-    }
-
-    fn merge(&self, a: P::Shard, b: P::Shard) -> P::Shard {
-        self.0.merge(a, b)
-    }
-
-    fn shard_encoded_len(&self, shard: &P::Shard) -> usize {
-        shard.shard_encoded_len()
-    }
-
-    fn encode_shard_into(&self, shard: &P::Shard, out: &mut Vec<u8>) {
-        shard.encode_shard_into(out);
-    }
-
-    fn decode_shard(&self, bytes: &[u8]) -> Result<P::Shard, WireError> {
-        P::Shard::decode_shard(bytes)
-    }
-}
-
-impl<O: FrequencyOracle + Sync> StreamIngest for OracleStream<'_, O> {
-    type Shard = O::Shard;
-    const CLIENT_LABEL: u64 = ORACLE_CLIENT_LABEL;
-
-    fn respond_encode_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        self.0
-            .respond_encode_batch(start_index, xs, client_seed, out)
-    }
-
-    fn new_shard(&self) -> O::Shard {
-        self.0.new_shard()
-    }
-
-    fn absorb_wire(
-        &self,
-        shard: &mut O::Shard,
-        start_index: u64,
-        frames: &WireFrames<'_>,
-    ) -> Result<(), FrameError> {
-        self.0.absorb_wire(shard, start_index, frames)
-    }
-
-    fn merge(&self, a: O::Shard, b: O::Shard) -> O::Shard {
-        self.0.merge(a, b)
-    }
-
-    fn shard_encoded_len(&self, shard: &O::Shard) -> usize {
-        shard.shard_encoded_len()
-    }
-
-    fn encode_shard_into(&self, shard: &O::Shard, out: &mut Vec<u8>) {
-        shard.encode_shard_into(out);
-    }
-
-    fn decode_shard(&self, bytes: &[u8]) -> Result<O::Shard, WireError> {
-        O::Shard::decode_shard(bytes)
     }
 }
 
@@ -378,7 +179,7 @@ impl WireChunk {
 /// the frame index and byte offset, so a corrupt spool is diagnosable.
 pub(crate) fn absorb_chunk<I: StreamIngest>(
     ingest: &I,
-    shard: &mut I::Shard,
+    shard: &mut DynShard,
     collector: usize,
     chunk: &WireChunk,
 ) {
@@ -433,7 +234,7 @@ pub(crate) struct Snapshot {
 /// grown to the shard's encoded size).
 pub(crate) fn encode_snapshot<I: StreamIngest>(
     ingest: &I,
-    shard: &I::Shard,
+    shard: &DynShard,
     previous: Option<Snapshot>,
     epoch: u64,
 ) -> Snapshot {
@@ -458,7 +259,7 @@ pub(crate) fn rebuild_shard<I: StreamIngest>(
     collector: usize,
     snapshot: Option<&Snapshot>,
     log: &[WireChunk],
-) -> (I::Shard, Option<u64>, u64) {
+) -> (DynShard, Option<u64>, u64) {
     let (mut shard, from_epoch) = match snapshot {
         Some(snap) => (
             ingest.decode_shard(&snap.bytes).unwrap_or_else(|e| {

@@ -18,7 +18,9 @@
 //! let n: u64 = 1 << 18;
 //! let data: Vec<u64> = Workload::zipf(1 << 32, 1.2).generate(n as usize, 1);
 //! let params = SketchParams::optimal(n, 32, 2.0, 0.05);
-//! let mut server = ExpanderSketch::new(params, 42);
+//! // The fleet drivers take the object-safe `DynHhProtocol`; `Erased`
+//! // wraps a typed protocol into it.
+//! let mut server = Erased(ExpanderSketch::new(params, 42));
 //! // The batched driver: a one-shot run of the collector fleet — fused
 //! // client respond + encode on worker threads, one collector per
 //! // worker absorbing the wire chunks, tree merge, then finish.
@@ -51,8 +53,8 @@ pub mod prelude {
     pub use hh_sim::{
         build_hh, build_oracle, run_heavy_hitter, run_heavy_hitter_batched,
         run_heavy_hitter_distributed, run_oracle, run_oracle_batched, run_oracle_distributed,
-        run_pipelined, BatchPlan, DistPlan, DynHhProtocol, DynOracle, MergeOrder, PipelineConfig,
-        Workload,
+        run_pipelined, BatchPlan, DistPlan, DynHhProtocol, DynOracle, Erased, MergeOrder,
+        PipelineConfig, Workload,
     };
     pub use hh_structure::{ApproxComposedRr, ComposedRr, GenProt};
 }

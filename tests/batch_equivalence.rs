@@ -25,7 +25,7 @@ fn assert_equivalent<P, F>(
     threads: &[usize],
     protocol: &str,
 ) where
-    P: HeavyHitterProtocol + Sync,
+    P: HeavyHitterProtocol + Send + Sync,
     F: Fn() -> P,
 {
     let serial = {
@@ -38,7 +38,7 @@ fn assert_equivalent<P, F>(
     );
     for &chunk_size in chunk_sizes {
         for &t in threads {
-            let mut server = make();
+            let mut server = Erased(make());
             let plan = BatchPlan {
                 chunk_size,
                 threads: t,
@@ -135,7 +135,7 @@ fn hashtogram_oracle_batched_equals_serial() {
     assert!(serial[0] > 0.1 * n as f64, "vacuous: {serial:?}");
     for chunk_size in [n, n / 2, n / 8, 3000] {
         for threads in [1usize, 4] {
-            let mut o = Hashtogram::new(params(), 109);
+            let mut o = Erased(Hashtogram::new(params(), 109));
             let plan = BatchPlan {
                 chunk_size,
                 threads,

@@ -27,7 +27,7 @@ const ORDERS: [MergeOrder; 3] = [
 
 fn assert_distributed_equivalent<P, F>(make: F, input: &[u64], seed: u64, protocol: &str)
 where
-    P: HeavyHitterProtocol + Sync,
+    P: HeavyHitterProtocol + Send + Sync,
     F: Fn() -> P,
 {
     let serial = {
@@ -59,7 +59,7 @@ where
         });
     }
     for plan in &plans {
-        let mut server = make();
+        let mut server = Erased(make());
         let run = run_heavy_hitter_distributed(&mut server, input, seed, plan);
         assert_eq!(
             run.estimates, serial,
@@ -141,7 +141,7 @@ fn assert_oracle_distributed_equivalent<O, F>(
     seed: u64,
     oracle_name: &str,
 ) where
-    O: FrequencyOracle + Sync,
+    O: FrequencyOracle + Send + Sync,
     F: Fn() -> O,
 {
     let serial = {
@@ -156,7 +156,7 @@ fn assert_oracle_distributed_equivalent<O, F>(
                 threads: 2,
                 merge: order,
             };
-            let mut oracle = make();
+            let mut oracle = Erased(make());
             let run = run_oracle_distributed(&mut oracle, input, queries, seed, &plan);
             assert_eq!(
                 run.answers, serial,

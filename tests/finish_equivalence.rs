@@ -12,7 +12,7 @@
 use ldp_heavy_hitters::core::baselines::{ScanHeavyHitters, ScanParams};
 use ldp_heavy_hitters::prelude::*;
 use ldp_heavy_hitters::sim::registry::{hh_names, oracle_names};
-use ldp_heavy_hitters::sim::{HhStream, StreamPlan};
+use ldp_heavy_hitters::sim::{DynHhStream, StreamPlan};
 
 const N: usize = 1_500;
 const DOMAIN: u64 = 256;
@@ -168,7 +168,7 @@ mod incremental_equals_from_scratch {
             let input = Workload::planted(DOMAIN, vec![(9, 0.6)]).generate(N, seed ^ 0x53);
             let params = ScanParams::new(N as u64, DOMAIN, 4.0, 0.1);
             let make = || ScanHeavyHitters::new(params.clone(), seed ^ 0x61);
-            let server = make();
+            let server = Erased(make());
             let plan = StreamPlan {
                 epoch_size,
                 checkpoint_every,
@@ -181,7 +181,7 @@ mod incremental_equals_from_scratch {
             };
             let config = PipelineConfig::default();
             let (_, stats, checked) = run_pipelined(
-                &HhStream(&server),
+                &DynHhStream(&server),
                 &plan,
                 &config,
                 seed ^ 0x62,
@@ -197,7 +197,7 @@ mod incremental_equals_from_scratch {
                         }
                         // From-scratch reference: the pure, uncached durable view.
                         let reference = {
-                            let mut fresh = make();
+                            let mut fresh = Erased(make());
                             match session.snapshot_shard() {
                                 Some(shard) => fresh.finish_shard(shard),
                                 None => continue, // nothing durable yet this epoch
@@ -205,9 +205,9 @@ mod incremental_equals_from_scratch {
                             fresh.finish()
                         };
                         // Cold incremental query, then a warm repeat (memoized).
-                        let cold = session.finish_at_epoch(&mut make());
+                        let cold = session.finish_at_epoch(&mut Erased(make()));
                         prop_assert_eq!(&cold, &reference, "cold incremental query diverged");
-                        let warm = session.finish_at_epoch(&mut make());
+                        let warm = session.finish_at_epoch(&mut Erased(make()));
                         prop_assert_eq!(&warm, &reference, "warm incremental query diverged");
                         answered |= !reference.is_empty();
                     }

@@ -329,7 +329,7 @@ mod snapshot_replay {
 
     use ldp_heavy_hitters::core::baselines::{ScanHeavyHitters, ScanParams};
     use ldp_heavy_hitters::prelude::*;
-    use ldp_heavy_hitters::sim::{HhStream, StreamPlan};
+    use ldp_heavy_hitters::sim::{DynHhStream, StreamPlan};
     use proptest::prelude::*;
 
     const N: usize = 6_000;
@@ -341,11 +341,17 @@ mod snapshot_replay {
         crash: Option<(u64, usize, u64)>,
     ) -> Vec<(u64, f64)> {
         let input = Workload::planted(256, vec![(9, 0.35)]).generate(N, seed ^ 0x11);
-        let mut server =
-            ScanHeavyHitters::new(ScanParams::new(N as u64, 256, 4.0, 0.1), seed ^ 0x22);
+        let mut server = Erased(ScanHeavyHitters::new(
+            ScanParams::new(N as u64, 256, 4.0, 0.1),
+            seed ^ 0x22,
+        ));
         let config = PipelineConfig::default();
-        let (shard, stats, ()) =
-            run_pipelined(&HhStream(&server), plan, &config, seed ^ 0x33, |session| {
+        let (shard, stats, ()) = run_pipelined(
+            &DynHhStream(&server),
+            plan,
+            &config,
+            seed ^ 0x33,
+            |session| {
                 for slice in input.chunks(plan.epoch_size) {
                     session.ingest_epoch(slice);
                     if let Some((kill_epoch, node, recover_epoch)) = crash {
@@ -357,7 +363,8 @@ mod snapshot_replay {
                         }
                     }
                 }
-            });
+            },
+        );
         if crash.is_some() {
             assert_eq!(stats.recoveries, 1, "crash was never recovered");
         }

@@ -20,7 +20,9 @@ use ldp_heavy_hitters::freq::bassily_smith::BassilySmithOracle;
 use ldp_heavy_hitters::freq::krr::KrrOracle;
 use ldp_heavy_hitters::freq::rappor::Rappor;
 use ldp_heavy_hitters::prelude::*;
-use ldp_heavy_hitters::sim::{HhStream, OracleStream, StreamIngest, StreamPlan, StreamStats};
+use ldp_heavy_hitters::sim::{
+    DynHhStream, DynOracleStream, DynShard, StreamIngest, StreamPlan, StreamStats,
+};
 
 /// A crash in the schedule: kill `node` after `kill_after` epochs, and
 /// (optionally) recover it explicitly after `recover_after` epochs —
@@ -103,7 +105,7 @@ fn run_stream<I: StreamIngest + Sync>(
     seed: u64,
     input: &[u64],
     crashes: &[Crash],
-) -> (I::Shard, StreamStats) {
+) -> (DynShard, StreamStats) {
     let (shard, stats, ()) = run_pipelined(ingest, plan, config, seed, |session| {
         for slice in input.chunks(plan.epoch_size) {
             session.ingest_epoch(slice);
@@ -132,7 +134,7 @@ fn grid_config(shape: usize) -> PipelineConfig {
 
 fn assert_stream_equivalent<P, F>(make: F, input: &[u64], seed: u64, protocol: &str)
 where
-    P: HeavyHitterProtocol + Sync,
+    P: HeavyHitterProtocol + Send + Sync,
     F: Fn() -> P,
 {
     let serial = {
@@ -144,9 +146,9 @@ where
         "{protocol}: serial run found nothing — test is vacuous"
     );
     for (i, (plan, crashes)) in stream_grid(input.len()).into_iter().enumerate() {
-        let mut server = make();
+        let mut server = Erased(make());
         let (shard, stats) = run_stream(
-            &HhStream(&server),
+            &DynHhStream(&server),
             &plan,
             &grid_config(i),
             seed,
@@ -177,7 +179,7 @@ fn assert_oracle_stream_equivalent<O, F>(
     seed: u64,
     oracle_name: &str,
 ) where
-    O: FrequencyOracle + Sync,
+    O: FrequencyOracle + Send + Sync,
     F: Fn() -> O,
 {
     let serial = {
@@ -185,9 +187,9 @@ fn assert_oracle_stream_equivalent<O, F>(
         run_oracle(&mut oracle, input, queries, seed).answers
     };
     for (i, (plan, crashes)) in stream_grid(input.len()).into_iter().enumerate() {
-        let mut oracle = make();
+        let mut oracle = Erased(make());
         let (shard, _) = run_stream(
-            &OracleStream(&oracle),
+            &DynOracleStream(&oracle),
             &plan,
             &grid_config(i),
             seed,
@@ -348,8 +350,8 @@ fn assert_crash_grid_matches_serial(config: &PipelineConfig) -> (StreamPlan, Str
             recover_after: None,
         },
     ];
-    let mut server = make();
-    let (shard, stats) = run_stream(&HhStream(&server), &plan, config, seed, &input, &crashes);
+    let mut server = Erased(make());
+    let (shard, stats) = run_stream(&DynHhStream(&server), &plan, config, seed, &input, &crashes);
     server.finish_shard(shard);
     assert_eq!(server.finish(), serial, "crash grid diverged");
     assert_eq!(stats.users as usize, n);
@@ -397,12 +399,12 @@ fn assert_mid_stream_queries_match_prefix_runs(
             merge: MergeOrder::Tree,
         },
     };
-    let mut server = make();
-    let (shard, _, mids) = run_pipelined(&HhStream(&server), &plan, &config, seed, |session| {
+    let mut server = Erased(make());
+    let (shard, _, mids) = run_pipelined(&DynHhStream(&server), &plan, &config, seed, |session| {
         (0..4usize)
             .map(|e| {
                 session.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
-                let mid = session.finish_at_epoch(&mut make());
+                let mid = session.finish_at_epoch(&mut Erased(make()));
                 let prefix = {
                     let mut s = make();
                     run_heavy_hitter(&mut s, &input[..(e + 1) * epoch_size], seed).estimates
@@ -448,17 +450,17 @@ fn oracle_mid_stream_queries_match_prefix_runs() {
     let seed = 318;
     let queries = [0xABu64, 5, 999];
 
-    let oracle = make();
+    let oracle = Erased(make());
     let plan = StreamPlan {
         epoch_size,
         checkpoint_every: 1,
         dist: DistPlan::with_collectors(2),
     };
     let config = PipelineConfig::default();
-    run_pipelined(&OracleStream(&oracle), &plan, &config, seed, |session| {
+    run_pipelined(&DynOracleStream(&oracle), &plan, &config, seed, |session| {
         for e in 0..4usize {
             session.ingest_epoch(&input[e * epoch_size..(e + 1) * epoch_size]);
-            let mut mid = make();
+            let mut mid = Erased(make());
             session.finish_at_epoch(&mut mid);
             let mid_answers: Vec<f64> = queries.iter().map(|&q| mid.estimate(q)).collect();
             let prefix = {
@@ -476,7 +478,7 @@ fn oracle_mid_stream_queries_match_prefix_runs() {
 #[test]
 #[should_panic(expected = "DistPlan.collectors must be >= 1")]
 fn zero_collectors_is_rejected_up_front() {
-    let mut params = ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1);
+    let mut params = Erased(ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1));
     let plan = DistPlan {
         collectors: 0,
         ..DistPlan::default()
@@ -487,7 +489,7 @@ fn zero_collectors_is_rejected_up_front() {
 #[test]
 #[should_panic(expected = "DistPlan.chunk_size must be >= 1")]
 fn zero_dist_chunk_size_is_rejected_up_front() {
-    let mut params = ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1);
+    let mut params = Erased(ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1));
     let plan = DistPlan {
         chunk_size: 0,
         ..DistPlan::default()
@@ -498,7 +500,7 @@ fn zero_dist_chunk_size_is_rejected_up_front() {
 #[test]
 #[should_panic(expected = "BatchPlan.chunk_size must be >= 1")]
 fn zero_batch_chunk_size_is_rejected_up_front() {
-    let mut params = ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1);
+    let mut params = Erased(ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1));
     let plan = BatchPlan {
         chunk_size: 0,
         threads: 2,
@@ -515,16 +517,16 @@ fn mid_stream_query_without_checkpoint_panics() {
     let input = Workload::planted(256, vec![(9, 0.35)]).generate(n, 101);
     let params = ScanParams::new(n as u64, 256, 4.0, 0.1);
     let make = || ScanHeavyHitters::new(params.clone(), 319);
-    let server = make();
+    let server = Erased(make());
     let plan = StreamPlan {
         epoch_size: n,
         checkpoint_every: 0,
         ..StreamPlan::default()
     };
     let config = PipelineConfig::default();
-    run_pipelined(&HhStream(&server), &plan, &config, 320, |session| {
+    run_pipelined(&DynHhStream(&server), &plan, &config, 320, |session| {
         session.ingest_epoch(&input);
-        let _ = session.finish_at_epoch(&mut make());
+        let _ = session.finish_at_epoch(&mut Erased(make()));
     });
 }
 
@@ -535,7 +537,7 @@ fn snapshot_epochs_expose_ragged_views() {
     let n = 4_000usize;
     let input = Workload::planted(256, vec![(9, 0.35)]).generate(n, 102);
     let params = ScanParams::new(n as u64, 256, 4.0, 0.1);
-    let server = ScanHeavyHitters::new(params, 321);
+    let server = Erased(ScanHeavyHitters::new(params, 321));
     let plan = StreamPlan {
         epoch_size: n / 4,
         checkpoint_every: 1,
@@ -547,7 +549,7 @@ fn snapshot_epochs_expose_ragged_views() {
         },
     };
     let config = PipelineConfig::default();
-    run_pipelined(&HhStream(&server), &plan, &config, 322, |session| {
+    run_pipelined(&DynHhStream(&server), &plan, &config, 322, |session| {
         assert_eq!(session.snapshot_epochs(), vec![None, None]);
         session.ingest_epoch(&input[..n / 4]);
         session.ingest_epoch(&input[n / 4..n / 2]);
@@ -571,13 +573,13 @@ fn snapshot_epochs_expose_ragged_views() {
 #[test]
 #[should_panic(expected = "StreamPlan.epoch_size must be >= 1")]
 fn zero_epoch_size_is_rejected_up_front() {
-    let server = ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1);
+    let server = Erased(ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1));
     let plan = StreamPlan {
         epoch_size: 0,
         ..StreamPlan::default()
     };
     run_pipelined(
-        &HhStream(&server),
+        &DynHhStream(&server),
         &plan,
         &PipelineConfig::default(),
         2,
@@ -592,9 +594,7 @@ mod pipelined {
     use ldp_heavy_hitters::sim::registry::{
         build_hh, build_oracle, hh_names, oracle_names, ProtocolSpec,
     };
-    use ldp_heavy_hitters::sim::{
-        run_dyn_heavy_hitter, run_dyn_oracle, DynHhStream, DynOracleStream,
-    };
+    use ldp_heavy_hitters::sim::{run_dyn_heavy_hitter, run_dyn_oracle};
     use proptest::prelude::*;
 
     /// The crash schedule of one property case, clamped to the fleet.
@@ -781,13 +781,13 @@ mod pipelined {
     #[test]
     #[should_panic(expected = "PipelineConfig.queue_depth must be >= 1")]
     fn zero_queue_depth_is_rejected_up_front() {
-        let server = ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1);
+        let server = Erased(ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1));
         let config = PipelineConfig {
             queue_depth: 0,
             workers: 1,
         };
         run_pipelined(
-            &HhStream(&server),
+            &DynHhStream(&server),
             &StreamPlan::default(),
             &config,
             2,
@@ -798,17 +798,155 @@ mod pipelined {
     #[test]
     #[should_panic(expected = "PipelineConfig.workers must be >= 1")]
     fn zero_workers_is_rejected_up_front() {
-        let server = ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1);
+        let server = Erased(ScanHeavyHitters::new(ScanParams::new(100, 64, 2.0, 0.1), 1));
         let config = PipelineConfig {
             queue_depth: 4,
             workers: 0,
         };
         run_pipelined(
-            &HhStream(&server),
+            &DynHhStream(&server),
             &StreamPlan::default(),
             &config,
             2,
             |_| {},
         );
     }
+}
+
+/// A heavy-hitter protocol whose collector panics absorbing the chunk
+/// that starts at user `poisoned_start`, to exercise a collector's death.
+struct PanicsOnChunk {
+    inner: Box<dyn DynHhProtocol>,
+    poisoned_start: u64,
+}
+
+impl DynHhProtocol for PanicsOnChunk {
+    fn respond_encode_batch(
+        &self,
+        start_index: u64,
+        xs: &[u64],
+        client_seed: u64,
+        out: &mut Vec<u8>,
+    ) -> Vec<u32> {
+        self.inner
+            .respond_encode_batch(start_index, xs, client_seed, out)
+    }
+
+    fn new_shard(&self) -> DynShard {
+        self.inner.new_shard()
+    }
+
+    fn absorb_wire(
+        &self,
+        shard: &mut DynShard,
+        start_index: u64,
+        frames: &WireFrames<'_>,
+    ) -> Result<(), FrameError> {
+        assert_ne!(start_index, self.poisoned_start, "injected collector fault");
+        self.inner.absorb_wire(shard, start_index, frames)
+    }
+
+    fn merge(&self, a: DynShard, b: DynShard) -> DynShard {
+        self.inner.merge(a, b)
+    }
+
+    fn shard_encoded_len(&self, shard: &DynShard) -> usize {
+        self.inner.shard_encoded_len(shard)
+    }
+
+    fn encode_shard_into(&self, shard: &DynShard, out: &mut Vec<u8>) {
+        self.inner.encode_shard_into(shard, out);
+    }
+
+    fn decode_shard(&self, bytes: &[u8]) -> Result<DynShard, WireError> {
+        self.inner.decode_shard(bytes)
+    }
+
+    fn finish_shard(&mut self, shard: DynShard) {
+        self.inner.finish_shard(shard);
+    }
+
+    fn finish(&mut self) -> Vec<(u64, f64)> {
+        self.inner.finish()
+    }
+
+    fn report_bits(&self) -> usize {
+        self.inner.report_bits()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.inner.epsilon()
+    }
+
+    fn detection_threshold(&self) -> f64 {
+        self.inner.detection_threshold()
+    }
+}
+
+#[test]
+fn collector_death_panics_the_session_naming_the_collector() {
+    // Eight chunks over two collectors: chunk 7 is the last one routed to
+    // collector 1, so the next command it is sent is the checkpoint —
+    // whether it dies before or after that send, the session must panic
+    // naming it instead of waiting for its reply forever.
+    let n = 4_000usize;
+    let chunk_size = 500;
+    let input = Workload::planted(256, vec![(9, 0.35)]).generate(n, 104);
+    let protocol = PanicsOnChunk {
+        inner: Box::new(Erased(ScanHeavyHitters::new(
+            ScanParams::new(n as u64, 256, 4.0, 0.1),
+            325,
+        ))),
+        poisoned_start: 7 * chunk_size as u64,
+    };
+    let plan = StreamPlan {
+        epoch_size: n,
+        checkpoint_every: 0,
+        dist: DistPlan {
+            collectors: 2,
+            chunk_size,
+            threads: 1,
+            merge: MergeOrder::Tree,
+        },
+    };
+    let config = PipelineConfig {
+        queue_depth: 2,
+        workers: 1,
+    };
+    // The stream runs on a helper thread, so a session that hangs fails
+    // this test at the deadline instead of wedging the suite (the hung
+    // thread is then left detached).
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_pipelined(&DynHhStream(&protocol), &plan, &config, 326, |session| {
+                session.ingest_epoch(&input);
+                session.checkpoint();
+            });
+        }));
+        let message = outcome
+            .err()
+            .map(|payload| match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |s| s.to_string()),
+            });
+        let _ = tx.send(message);
+    });
+    let message = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the session hung after a collector died")
+        .expect("the stream completed although a collector died");
+    helper
+        .join()
+        .expect("the helper catches the session's panic");
+    assert!(
+        message.contains("collector 1 died mid-checkpoint"),
+        "unexpected panic: {message:?}"
+    );
 }
