@@ -71,27 +71,32 @@ fn bench_wht(c: &mut Criterion) {
         });
     }
     // The exact integer kernel over one 2^16-cell decode slab, in both
-    // cell widths, on ±1 data (the sum fits `i16`), from level `FOLD` as
-    // the sketch decode runs it. Each iteration copies the input into a
-    // reused slab, as the decode refills one.
-    let w = WHT_BLOCK;
+    // cell widths, and over the 2^18-cell `i16` slab a bench-shape
+    // coordinate (n = 2^18, |X| = 2^20, M = 10) decodes in, on ±1 data
+    // (the sum fits `i16`), from level `FOLD` as the sketch decode runs
+    // it. Each iteration copies the input into a reused slab, as the
+    // decode refills one.
     let mut rng = seeded_rng(5);
-    let narrow: Vec<i16> = (0..w)
+    let narrow: Vec<i16> = (0..4 * WHT_BLOCK)
         .map(|_| match rng.gen_range(0..4u32) {
             0 => 1,
             1 => -1,
             _ => 0,
         })
         .collect();
-    let wide: Vec<i32> = narrow.iter().map(|&v| i32::from(v)).collect();
-    let mut slab = narrow.clone();
-    group.bench_with_input(BenchmarkId::new("int_i16", w), &w, |b, _| {
-        b.iter(|| {
-            slab.copy_from_slice(&narrow);
-            fwht_int(&mut slab, FOLD);
-            slab[0]
+    let wide: Vec<i32> = narrow[..WHT_BLOCK].iter().map(|&v| i32::from(v)).collect();
+    for w in [WHT_BLOCK, 4 * WHT_BLOCK] {
+        let input = &narrow[..w];
+        let mut slab = input.to_vec();
+        group.bench_with_input(BenchmarkId::new("int_i16", w), &w, |b, _| {
+            b.iter(|| {
+                slab.copy_from_slice(input);
+                fwht_int(&mut slab, FOLD);
+                slab[0]
+            });
         });
-    });
+    }
+    let w = WHT_BLOCK;
     let mut slab = wide.clone();
     group.bench_with_input(BenchmarkId::new("int_i32", w), &w, |b, _| {
         b.iter(|| {

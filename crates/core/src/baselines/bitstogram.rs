@@ -342,7 +342,10 @@ impl Aggregator for Bitstogram {
         // Zero-copy: split each composite frame in place — the inner
         // report tallies into its (recomputed) group's shard, the outer
         // one into the outer shard, each through its oracle's hoisted
-        // absorber, which rejects a row outside its `W`.
+        // absorber. A frame is absorbed whole or not at all: the inner
+        // row is checked before the outer report is absorbed (which
+        // checks its own row first), so an `Err` leaves the shard holding
+        // exactly the frames before it.
         let group_seed = self.assignment_seed();
         let num_groups = self.params.num_groups() as u64;
         let inner_absorber = self.inner_proto.absorber();
@@ -351,11 +354,14 @@ impl Aggregator for Bitstogram {
             let (inner, outer) = wire::decode_pair::<HashtogramReport, HashtogramReport>(frame)
                 .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
+            inner_absorber
+                .check(inner)
+                .and_then(|()| outer_absorber.absorb_one(&mut shard.outer, i, outer))
+                .map_err(|e| frames.frame_error(k, e))?;
             let group = Self::group_at(group_seed, i, num_groups);
             inner_absorber
                 .absorb_one(&mut shard.inner[group], i, inner)
-                .and_then(|()| outer_absorber.absorb_one(&mut shard.outer, i, outer))
-                .map_err(|e| frames.frame_error(k, e))?;
+                .expect("the inner row was checked above");
         }
         Ok(())
     }

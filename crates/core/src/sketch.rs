@@ -453,12 +453,35 @@ fn narrow_cells(reports: usize) -> bool {
 }
 
 /// Cells per decode slab of a coordinate holding `reports` reports over
-/// a `w`-cell transform: at least one L2-resident [`WHT_BLOCK`], at least
-/// the report count, so adding every report into every slab costs at
-/// most one more pass over the `w` cells, and at most `w`.
+/// a `w`-cell transform: the scatter against the transform.
+///
+/// An `s`-cell slab costs the coordinate `r·w/s` report row adds (every
+/// report is added into every slab) and `w·log₂s` cell butterflies.
+/// Doubling `s` halves the first and adds `w` butterflies to the second,
+/// so at [`ROW_ADD_COST`] butterflies per row add it pays while
+/// `s < r·ROW_ADD_COST/2`. The slab is the next power of two from there,
+/// at least one [`WHT_BLOCK`] and at most [`SLAB_MAX_CELLS`], past which
+/// its transform leaves L2 — unless the report count is larger still:
+/// `s ≥ r` bounds the scatter by one row add per cell. Never past `w`.
 fn slab_cells(reports: usize, w: usize) -> usize {
-    reports.next_power_of_two().max(WHT_BLOCK).min(w)
+    reports
+        .saturating_mul(ROW_ADD_COST / 2)
+        .clamp(WHT_BLOCK, SLAB_MAX_CELLS)
+        .max(reports)
+        .next_power_of_two()
+        .min(w)
 }
+
+/// Cell butterflies of [`fwht_int`] that cost about as much as one report
+/// row add of [`add_folded`] into an L2-resident slab: 30–46, measured over
+/// `2^16`- and `2^18`-cell slabs in both cell widths on an AVX2 x86-64
+/// server core (a row add is a load, add and store at a random row).
+const ROW_ADD_COST: usize = 32;
+
+/// The largest slab of [`slab_cells`] while the report count is below it:
+/// `2^18` cells, 512 KiB of `i16` and 1 MiB of `i32`, which stay resident
+/// in the per-core L2 of current server cores.
+const SLAB_MAX_CELLS: usize = 1 << 18;
 
 /// One finish worker's decode scratch, reused across its coordinates:
 /// the grouped reports and one slab per cell width.
@@ -601,7 +624,10 @@ impl Aggregator for ExpanderSketch {
         // report buffers into its (recomputed) coordinate, the outer
         // report tallies straight into the outer shard through the
         // hoisted absorber. No `Vec<SketchReport>`, no per-chunk outer
-        // report vec.
+        // report vec. A frame is absorbed whole or not at all: the inner
+        // row is checked before the outer report is absorbed (which
+        // checks its own row first), so an `Err` leaves the shard holding
+        // exactly the frames before it, each counted.
         let part_seed = self.partition_seed();
         let num_coords = self.params.num_coords as u64;
         let outer_absorber = self.outer.absorber();
@@ -609,16 +635,14 @@ impl Aggregator for ExpanderSketch {
             let (inner, outer) = wire::decode_pair::<HashtogramReport, HashtogramReport>(frame)
                 .map_err(|e| frames.frame_error(k, e))?;
             let inner = pack_row_bit(inner.ell, inner.bit);
-            self.check_inner_row(inner)
-                .map_err(|e| frames.frame_error(k, e))?;
             let i = start_index + k as u64;
+            self.check_inner_row(inner)
+                .and_then(|()| outer_absorber.absorb_one(&mut shard.outer, i, outer))
+                .map_err(|e| frames.frame_error(k, e))?;
             let m = Self::coord_at(part_seed, i, num_coords);
             shard.inner[m].push(inner);
-            outer_absorber
-                .absorb_one(&mut shard.outer, i, outer)
-                .map_err(|e| frames.frame_error(k, e))?;
+            shard.users += 1;
         }
-        shard.users += frames.len() as u64;
         Ok(())
     }
 
@@ -656,9 +680,11 @@ impl Aggregator for ExpanderSketch {
     fn memory_bytes(&self) -> usize {
         // The buffered inner reports (one packed `u64` each) + the decode
         // scratch of the coordinate with the most reports — its slab, the
-        // largest and widest any coordinate uses, and its grouped reports
-        // (a parallel finish holds one scratch per worker; this is the
-        // serial floor) + the outer oracle sketch + stand-out lists.
+        // largest and widest any coordinate uses (`slab_cells` grows with
+        // the report count: 16 cells per report from `WHT_BLOCK` up to
+        // `SLAB_MAX_CELLS`, the report count past that), and its grouped
+        // reports (a parallel finish holds one scratch per worker; this is
+        // the serial floor) + the outer oracle sketch + stand-out lists.
         let buffered = self.shard.inner.iter().map(Vec::len).sum::<usize>();
         let most = self.shard.inner.iter().map(Vec::len).max().unwrap_or(0);
         let decode = if most == 0 {
@@ -981,10 +1007,15 @@ mod tests {
         let w = 1 << 23;
         // One L2 block at least, whatever the report count.
         assert_eq!(slab_cells(0, w), WHT_BLOCK);
-        assert_eq!(slab_cells(26_000, w), WHT_BLOCK);
-        assert_eq!(slab_cells(1 << 16, w), 1 << 16);
-        // At least the report count past one block's worth of reports.
-        assert_eq!(slab_cells((1 << 16) + 1, w), 1 << 17);
+        assert_eq!(slab_cells(1 << 12, w), WHT_BLOCK);
+        // Sixteen cells per report past that ...
+        assert_eq!(slab_cells((1 << 12) + 1, w), 1 << 17);
+        // ... up to the L2 cap: a bench-shape coordinate (n = 2^18,
+        // M = 10) scatters 32 times, not 128.
+        assert_eq!(slab_cells(26_000, w), SLAB_MAX_CELLS);
+        assert_eq!(slab_cells(1 << 18, w), SLAB_MAX_CELLS);
+        // At least the report count past the cap.
+        assert_eq!(slab_cells((1 << 18) + 1, w), 1 << 19);
         assert_eq!(slab_cells(3 << 19, w), 1 << 21);
         // Never past the whole transform.
         assert_eq!(slab_cells((1 << 22) + 5, w), w);
@@ -1013,6 +1044,13 @@ mod tests {
         assert_eq!(
             server.memory_bytes(),
             (1 << 12) * 8 + WHT_BLOCK * 2 + most * 4 + outer(&server) + lists
+        );
+        // A coordinate of 5000 reports decodes in a `2^17`-cell slab.
+        server.shard.inner[0] = vec![pack_row_bit(0, 1); 5000];
+        let buffered = server.shard.inner.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(
+            server.memory_bytes(),
+            buffered * 8 + (1 << 17) * 2 + 5000 * 4 + outer(&server) + lists
         );
     }
 

@@ -455,18 +455,28 @@ pub struct HashtogramAbsorber {
 }
 
 impl HashtogramAbsorber {
-    /// Fold one report for `user_index` into `shard`. `Err` when the
-    /// row index is outside `W` — a corrupt frame would otherwise alias
-    /// into a *neighboring group's* row of the flat tally.
+    /// `Err` when the report's row index is outside `W`: the one check
+    /// [`HashtogramAbsorber::absorb_one`] makes, for a composite frame
+    /// that validates all its reports before absorbing any.
+    pub fn check(&self, rep: HashtogramReport) -> Result<(), WireError> {
+        if rep.ell < self.buckets as u64 {
+            Ok(())
+        } else {
+            Err(WireError::Invalid("report row outside W"))
+        }
+    }
+
+    /// Fold one report for `user_index` into `shard`. `Err`, with
+    /// `shard` untouched, when the row index is outside `W` — a corrupt
+    /// frame would otherwise alias into a *neighboring group's* row of
+    /// the flat tally.
     pub fn absorb_one(
         &self,
         shard: &mut HashtogramShard,
         user_index: u64,
         rep: HashtogramReport,
     ) -> Result<(), WireError> {
-        if rep.ell as usize >= self.buckets {
-            return Err(WireError::Invalid("report row outside W"));
-        }
+        self.check(rep)?;
         let g = Hashtogram::group_at(self.assign_seed, user_index, self.groups) as usize;
         shard.tallies[g * self.buckets + rep.ell as usize] += i64::from(rep.bit);
         shard.group_counts[g] += 1;

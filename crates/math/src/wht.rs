@@ -49,7 +49,10 @@ pub fn fwht(data: &mut [f64]) {
 
 /// Cells per cache block of [`fwht_int`]: `2^16` cells (128 KiB of
 /// `i16`, 256 KiB of `i32`), which stay resident in a per-core L2 while
-/// the levels inside the block run.
+/// the levels inside the block run; the levels above it then run over
+/// the whole buffer. It is also the smallest slab of the sketch's
+/// decode, whose slabs of up to `2^18` cells (512 KiB of `i16`) take one
+/// radix-4 pass over the whole slab past their blocks.
 pub const WHT_BLOCK: usize = 1 << 16;
 
 /// A cell of the exact integer transform [`fwht_int`]: `i16` or `i32`.
@@ -122,14 +125,58 @@ pub fn add_folded<T: WhtCell>(cells: &mut [T], reports: &[u32], negate: bool) {
 /// input, so the result is exact whenever that sum fits `T` (a tally of
 /// at most `T::MAX` ±1 reports, say); keeping it there is the caller's
 /// precondition. The butterflies use plain `+`/`-`, so a build with
-/// overflow checks panics when it is broken.
+/// overflow checks panics when it is broken. Integer adds are exact, so
+/// the result does not depend on the order the levels run in.
 ///
-/// The levels below [`WHT_BLOCK`] pair cells inside one block, so each
-/// block runs all of them while it is cache-resident; the remaining
-/// levels then run over the whole buffer. Levels go two at a time
+/// The levels below 128, for `from ≤ FOLD`, run in one pass over
+/// 128-cell chunks copied into a local array, which stays in vector
+/// registers where it fits them: 128 `i16` cells in SSE2's or AVX2's
+/// 16 registers, 128 `i32` cells in AVX2's. Where it does not, those
+/// levels run as the passes above them do. The levels below
+/// [`WHT_BLOCK`] pair cells inside one block, so each block runs all of
+/// them while it is cache-resident; the remaining levels then run over
+/// the whole buffer. Past the register block, levels go two at a time
 /// (radix 4), so each pass loads and stores every cell once per pair of
 /// levels.
+///
+/// On x86 each call checks once whether the CPU has AVX2 and runs an
+/// AVX2 instantiation of the one generic body if so, the portable
+/// instantiation otherwise; other targets build only the portable one.
 pub fn fwht_int<T: WhtCell>(data: &mut [T], from: usize) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { fwht_int_avx2(data, from) };
+    }
+    fwht_int_portable(data, from);
+}
+
+/// [`fwht_int`] compiled for AVX2, whose 16 vector registers hold 512
+/// bytes.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn fwht_int_avx2<T: WhtCell>(data: &mut [T], from: usize) {
+    fwht_int_body::<T, 512>(data, from);
+}
+
+/// [`fwht_int`] compiled for the build's baseline target features,
+/// assumed to hold 256 bytes in vector registers (x86-64's 16 SSE2
+/// registers).
+fn fwht_int_portable<T: WhtCell>(data: &mut [T], from: usize) {
+    fwht_int_body::<T, 256>(data, from);
+}
+
+/// The one body of [`fwht_int`], inlined into each instantiation so
+/// that it compiles with that instantiation's target features. The
+/// low levels are register-blocked when a [`REG_BLOCK`]-cell chunk fits
+/// the instantiation's `REG_BYTES` of vector registers: 128 `i32` cells
+/// do not fit SSE2's, and spilled they run slower than radix-4 passes.
+#[inline(always)]
+fn fwht_int_body<T: WhtCell, const REG_BYTES: usize>(data: &mut [T], from: usize) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
@@ -139,18 +186,67 @@ pub fn fwht_int<T: WhtCell>(data: &mut [T], from: usize) {
         from.is_power_of_two(),
         "WHT level {from} is not a power of two"
     );
+    let in_registers = REG_BLOCK * std::mem::size_of::<T>() <= REG_BYTES;
     let block = n.min(WHT_BLOCK);
     if from < block {
         for row in data.chunks_exact_mut(block) {
-            levels_from(row, from);
+            let mut h = from;
+            if in_registers && from <= FOLD && REG_BLOCK <= block {
+                register_levels(row, from);
+                h = REG_BLOCK;
+            }
+            levels_from(row, h);
         }
     }
     levels_from(data, block.max(from));
 }
 
+/// Cells per chunk of [`fwht_int`]'s register-blocked low levels: 128
+/// `i16` cells are 8 AVX2 registers or all 16 of SSE2, 128 `i32` cells
+/// all 16 of AVX2.
+const REG_BLOCK: usize = 128;
+
+/// The butterfly levels `from, 2·from, …` below [`REG_BLOCK`] of
+/// [`fwht_int`] for `from ≤ FOLD`, one pass over `REG_BLOCK`-cell
+/// chunks: each chunk is copied into a local array, runs the levels
+/// `8 … 64` there, and is stored back. Those levels are spelled out with
+/// constant strides so that each compiles to whole-vector butterflies
+/// on registers. The levels below [`FOLD`], which only a transform from
+/// level 1 runs, go first over the chunk's 8-cell rows.
+#[inline(always)]
+fn register_levels<T: WhtCell>(data: &mut [T], from: usize) {
+    // `data` is a power of two of at least `REG_BLOCK` cells, so whole
+    // chunks cover it.
+    for chunk in data.as_chunks_mut::<REG_BLOCK>().0 {
+        if from < FOLD {
+            for row in chunk.chunks_exact_mut(FOLD) {
+                levels_from(row, from);
+            }
+        }
+        let mut x = *chunk;
+        register_level(&mut x, 8);
+        register_level(&mut x, 16);
+        register_level(&mut x, 32);
+        register_level(&mut x, 64);
+        *chunk = x;
+    }
+}
+
+/// Butterfly level `h` over one register-blocked chunk.
+#[inline(always)]
+fn register_level<T: WhtCell>(x: &mut [T; REG_BLOCK], h: usize) {
+    for pair in x.chunks_exact_mut(2 * h) {
+        let (a, b) = pair.split_at_mut(h);
+        for (a, b) in a.iter_mut().zip(b) {
+            (*a, *b) = (*a + *b, *a - *b);
+        }
+    }
+}
+
 /// The butterfly levels `h, 2h, …` below `data.len()` of [`fwht_int`]:
 /// pairs of levels fused into one radix-4 pass, an odd last level as a
 /// radix-2 pass.
+#[inline(always)]
 fn levels_from<T: WhtCell>(data: &mut [T], mut h: usize) {
     let n = data.len();
     while 4 * h <= n {
@@ -452,6 +548,80 @@ mod tests {
         fwht_int(&mut x, 1);
         let got: Vec<i32> = x.iter().map(|&v| i32::from(v)).collect();
         assert_eq!(got, want);
+    }
+
+    /// Cells whose absolute values sum to exactly `i16::MAX`: `±1` in up
+    /// to 64 random cells, the rest of the mass in one more (all positive
+    /// with `positive`, so output cell 0 is `i16::MAX` itself).
+    fn at_the_i16_bound(rng: &mut SmallRng, n: usize, positive: bool) -> Vec<i32> {
+        let mut x = vec![0i32; n];
+        let mut sign = || if positive || rng.gen::<bool>() { 1 } else { -1 };
+        let ones = (n - 1).min(64);
+        for cell in &mut x[1..=ones] {
+            *cell = sign();
+        }
+        x[0] = sign() * (i32::from(i16::MAX) - ones as i32);
+        let mut shuffled = vec![0i32; n];
+        let offset = rng.gen_range(0..n);
+        for (k, &v) in x.iter().enumerate() {
+            shuffled[(k * 5 + offset) % n] = v;
+        }
+        shuffled
+    }
+
+    #[test]
+    fn portable_and_dispatched_kernels_match_the_naive_transform() {
+        // Lengths below the 128-cell register block (its fallback), at
+        // it, across `WHT_BLOCK` and up to a `2^18`-cell decode slab;
+        // `from = FOLD` starts from cells whose rows of 8 already ran the
+        // levels below it. The f64 kernel stands in for `wht_naive` past
+        // `2^10` cells: integer sums below 2^53 are exact, and
+        // `fast_matches_naive` pins it to the naive transform.
+        let mut rng = SmallRng::seed_from_u64(43);
+        for k in 3..=18u32 {
+            let n = 1usize << k;
+            for positive in [true, false] {
+                let x = at_the_i16_bound(&mut rng, n, positive);
+                let floats: Vec<f64> = x.iter().map(|&v| f64::from(v)).collect();
+                let want = if k <= 10 {
+                    wht_naive(&floats)
+                } else {
+                    let mut want = floats.clone();
+                    fwht(&mut want);
+                    want
+                };
+                if positive {
+                    assert_eq!(want[0], f64::from(i16::MAX));
+                }
+                let mut rows = x.clone();
+                for row in rows.chunks_exact_mut(FOLD) {
+                    fwht_int(row, 1);
+                }
+                for (from, input) in [(1, &x), (FOLD, &rows)] {
+                    let wide = input.clone();
+                    let narrow: Vec<i16> = input.iter().map(|&v| v as i16).collect();
+                    check_kernels(wide, &want, &format!("i32, n = {n}, from = {from}"), from);
+                    check_kernels(narrow, &want, &format!("i16, n = {n}, from = {from}"), from);
+                }
+            }
+        }
+    }
+
+    /// The portable kernel and the dispatched [`fwht_int`] on `x` from
+    /// level `from` both equal `want`.
+    fn check_kernels<T: WhtCell>(x: Vec<T>, want: &[f64], what: &str, from: usize) {
+        let mut portable = x.clone();
+        fwht_int_portable(&mut portable, from);
+        let mut dispatched = x;
+        fwht_int(&mut dispatched, from);
+        assert!(
+            portable == dispatched,
+            "{what}: portable and dispatched differ"
+        );
+        assert!(
+            portable.into_iter().zip(want).all(|(g, &w)| g.into() == w),
+            "{what}: not the transform"
+        );
     }
 
     #[test]

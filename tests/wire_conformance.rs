@@ -294,6 +294,62 @@ fn bitstogram_rejects_an_inner_row_outside_w_at_ingest() {
     assert!(msg.contains(&want), "panic {msg:?} does not name the row");
 }
 
+/// `reports` framed into one chunk; `absorb_wire` over all of it must
+/// fail naming the last frame and leave the shard's snapshot equal to
+/// that of a shard that absorbed only the frames before it.
+fn assert_absorb_is_atomic_per_frame<A>(server: &A, reports: &[A::Report], protocol: &str)
+where
+    A: Aggregator,
+    A::Report: WireReport,
+    A::Shard: WireShard,
+{
+    let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+    for rep in reports {
+        rep.encode_into(&mut bytes);
+        lens.push(rep.encoded_len() as u32);
+    }
+    let bad = reports.len() - 1;
+    let prefix_bytes: usize = lens[..bad].iter().map(|&l| l as usize).sum();
+    let frames = WireFrames::new(&bytes, &lens).expect("well-framed");
+    let mut shard = server.new_shard();
+    let err = server
+        .absorb_wire(&mut shard, 0, &frames)
+        .expect_err("outer row outside W must be rejected");
+    assert_eq!(err.frame, bad, "{protocol}");
+    assert_eq!(err.byte_offset, prefix_bytes, "{protocol}");
+    assert_eq!(err.error, WireError::Invalid("report row outside W"));
+    let prefix = WireFrames::new(&bytes[..prefix_bytes], &lens[..bad]).expect("well-framed");
+    let mut want = server.new_shard();
+    server
+        .absorb_wire(&mut want, 0, &prefix)
+        .expect("the valid prefix absorbs");
+    assert!(
+        shard.encode_shard() == want.encode_shard(),
+        "{protocol}: the rejected frame left a partial absorption behind"
+    );
+}
+
+#[test]
+fn a_rejected_frame_leaves_nothing_behind() {
+    // Valid frames, then one whose inner report is valid and whose
+    // outer row lies outside the outer oracle's `W`: the inner half of
+    // that frame must not be buffered (sketch) or tallied (Bitstogram),
+    // and the sketch must count every frame before it.
+    let xs = inputs(40, 1 << 16, 3);
+    let params = SketchParams::optimal(1 << 10, 16, 2.0, 0.1);
+    let outer_w = params.outer_oracle_params().buckets;
+    let sketch = ExpanderSketch::new(params, 5);
+    let mut reports = scalar_reports(&sketch, &xs, 7);
+    reports.last_mut().expect("40 reports").outer.ell = outer_w;
+    assert_absorb_is_atomic_per_frame(&sketch, &reports, "expander_sketch");
+
+    let params = BitstogramParams::optimal(1 << 10, 16, 2.0, 0.2);
+    let bitstogram = Bitstogram::new(params, 5);
+    let mut reports = scalar_reports(&bitstogram, &xs, 7);
+    reports.last_mut().expect("40 reports").outer.ell = 1 << 40;
+    assert_absorb_is_atomic_per_frame(&bitstogram, &reports, "bitstogram");
+}
+
 /// FNV-1a (64-bit) — a fixed, dependency-free digest for golden values.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
