@@ -132,6 +132,16 @@ fn bench_ulrc(c: &mut Criterion) {
             code.encode(x)
         });
     });
+    // One coordinate's `E~nc(x)_m` alone, as a client computes it.
+    let num_coords = code.params().num_coords;
+    group.bench_function("enc_tilde", |b| {
+        let (mut x, mut m) = (0u64, 0usize);
+        b.iter(|| {
+            x = (x + 7919) & 0xFF_FFFF;
+            m = (m + 1) % num_coords;
+            code.enc_tilde(x, m)
+        });
+    });
     // A realistic decode instance: 3 messages, light junk.
     let xs = [0xF00Du64, 0xBEEF, 0x1234];
     let mut lists: Vec<Vec<(u64, u64)>> = vec![Vec::new(); code.params().num_coords];

@@ -12,7 +12,11 @@
 //! and memory in n are printed next to the claimed ones. Every table cell
 //! is the median of [`TIMED_RUNS`] runs by server time, so the time
 //! exponents do not swing with one noisy timing (memory is the same in
-//! every run).
+//! every run). The runs go round-robin over all cells — one run of every
+//! (n, protocol) cell per round — so a slow phase of the machine lands
+//! on one run of many cells instead of on every run of one cell; the
+//! JSON record keeps each cell's fastest and slowest time next to the
+//! median.
 //!
 //! Every protocol in this binary is **registry-dispatched**: rows name
 //! protocols by their `hh_sim::registry` names and run them through the
@@ -93,7 +97,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 /// server memory: Table 1's, logarithmic factors dropped. \[4\] is
 /// claimed as implemented here (hash-compressed Φ with `w = n` rows), so
 /// its memory is linear and its scan at a fixed |X| linear in n.
-const CLAIMED_EXPONENTS: [(&str, f64, f64); 3] = [
+const CLAIMED_EXPONENTS: [(&str, f64, f64); ROWS] = [
     ("ours", 1.0, 0.5),
     ("bitstogram [3]", 1.0, 0.5),
     ("bassily-smith [4]", 1.0, 1.0),
@@ -103,11 +107,13 @@ const CLAIMED_EXPONENTS: [(&str, f64, f64); 3] = [
 /// on, the run with the median server time.
 const TIMED_RUNS: usize = 3;
 
-/// The run with the median `server_secs` of [`TIMED_RUNS`] runs of `run`.
-fn median_run<R>(mut run: impl FnMut() -> R, server_secs: impl Fn(&R) -> f64) -> R {
-    let mut runs: Vec<R> = (0..TIMED_RUNS).map(|_| run()).collect();
-    runs.sort_by(|a, b| server_secs(a).total_cmp(&server_secs(b)));
-    runs.swap_remove(TIMED_RUNS / 2)
+/// One timed run of a table cell: its server seconds (the cell's median
+/// run is picked by these), its server memory, and the table row it
+/// prints.
+struct CellRun {
+    secs: f64,
+    memory: f64,
+    row: Vec<String>,
 }
 
 /// How many leading users the `--serial` rows sample to measure mean
@@ -245,6 +251,82 @@ fn merge_scaling(
     out
 }
 
+/// Table rows per n: the registry-dispatched heavy-hitter protocols of
+/// [`HH_ROWS`], then Bassily–Smith.
+const ROWS: usize = 3;
+
+/// The registry-dispatched heavy-hitter rows: display label, registry
+/// name, construction seed, run seed, public-randomness note.
+const HH_ROWS: [(&str, &str, u64, u64, &str); 2] = [
+    ("ours", "expander_sketch", 1, 2, "64 bits (one seed)"),
+    ("bitstogram [3]", "bitstogram", 3, 4, "64 bits (one seed)"),
+];
+
+/// One timed run of table row `row` (an [`HH_ROWS`] entry, or
+/// Bassily–Smith last) on `data`, under the table's driver; `base` is
+/// the row's spec up to its construction seed.
+fn run_cell(row: usize, logn: u32, data: &[u64], base: &ProtocolSpec, serial: bool) -> CellRun {
+    let spec = |seed| ProtocolSpec {
+        seed,
+        ..base.clone()
+    };
+    if let Some(&(display, name, build_seed, run_seed, pub_rand)) = HH_ROWS.get(row) {
+        let mut s = build_hh(name, &spec(build_seed)).expect("registered protocol");
+        let (run, wire) = drive(s.as_mut(), data, run_seed, serial);
+        return CellRun {
+            secs: run.server_time().as_secs_f64(),
+            memory: run.memory_bytes as f64,
+            row: vec![
+                display.into(),
+                format!("2^{logn}"),
+                fmt_dur(run.server_time()),
+                fmt_dur(run.user_time()),
+                format!("{} KiB", run.memory_bytes / 1024),
+                run.report_bits.to_string(),
+                format!("{wire:.2}"),
+                pub_rand.into(),
+            ],
+        };
+    }
+    // Bassily–Smith FO with w = n rows; query cost O(n) each. A full
+    // heavy-hitter scan would be n·|X| — measure a 512-query slice and
+    // extrapolate.
+    let queries: Vec<u64> = (0..512u64).collect();
+    let mut o = build_oracle("bassily_smith", &spec(5)).expect("registered oracle");
+    let (run, wire): (OracleRun, f64) = if serial {
+        let wire = sample_wire_bytes(data, |xs, buf| {
+            o.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
+        });
+        (run_dyn_oracle(o.as_mut(), data, &queries, 6), wire)
+    } else {
+        let plan = BatchPlan::default().fleet(data.len());
+        let d = run_oracle_distributed(o.as_mut(), data, &queries, 6, &plan);
+        let wire = d.wire_bytes_per_user();
+        (d.into(), wire)
+    };
+    let full_scan = run.query_total.as_secs_f64() / queries.len() as f64 * base.domain as f64;
+    CellRun {
+        secs: run.server_build.as_secs_f64() + full_scan,
+        memory: run.memory_bytes as f64,
+        row: vec![
+            "bassily-smith [4]".into(),
+            format!("2^{logn}"),
+            format!(
+                "{} (+{} scan-extrapolated)",
+                fmt_dur(run.server_build),
+                fmt_dur(std::time::Duration::from_secs_f64(full_scan))
+            ),
+            fmt_dur(std::time::Duration::from_nanos(
+                (run.client_total.as_nanos() as u64) / data.len() as u64,
+            )),
+            format!("{} KiB", run.memory_bytes / 1024),
+            run.report_bits.to_string(),
+            format!("{wire:.2}"),
+            "64 bits (hash-compressed Phi)".into(),
+        ],
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|e| {
@@ -270,16 +352,35 @@ fn main() {
     let beta = 0.1;
     let logns: &[u32] = if quick { &[12, 13] } else { &[14, 16, 18] };
 
-    // The registry-dispatched heavy-hitter rows: display label, registry
-    // name, construction seed, run seed, public-randomness note.
-    let hh_rows: &[(&str, &str, u64, u64, &str)] = &[
-        ("ours", "expander_sketch", 1, 2, "64 bits (one seed)"),
-        ("bitstogram [3]", "bitstogram", 3, 4, "64 bits (one seed)"),
-    ];
+    let datasets: Vec<(u32, Vec<u64>)> = logns
+        .iter()
+        .map(|&logn| {
+            let workload = Workload::zipf(1u64 << bits, 1.2);
+            let data = workload.generate(1 << logn, derive_seed(7, u64::from(logn)));
+            (logn, data)
+        })
+        .collect();
+    // `cells[i · ROWS + row]`: the runs of row `row` at `datasets[i]`,
+    // filled one round at a time.
+    let mut cells: Vec<Vec<CellRun>> = (0..datasets.len() * ROWS).map(|_| Vec::new()).collect();
+    for _ in 0..TIMED_RUNS {
+        for (i, (logn, data)) in datasets.iter().enumerate() {
+            let base = ProtocolSpec {
+                n: data.len() as u64,
+                domain: 1u64 << bits,
+                eps,
+                beta,
+                seed: 0,
+            };
+            for row in 0..ROWS {
+                cells[i * ROWS + row].push(run_cell(row, *logn, data, &base, serial));
+            }
+        }
+    }
 
-    // Per row of `CLAIMED_EXPONENTS`: (n, server seconds, memory bytes)
-    // at each n.
-    let mut points: [Vec<(f64, f64, f64)>; 3] = Default::default();
+    // Per row of `CLAIMED_EXPONENTS`: (n, median, min and max server
+    // seconds, memory bytes) at each n.
+    let mut points: [Vec<[f64; 5]>; ROWS] = Default::default();
     let mut t = Table::new(&[
         "protocol",
         "n",
@@ -290,96 +391,28 @@ fn main() {
         "wire B/user",
         "pub rand",
     ]);
-    for &logn in logns {
-        let n = 1u64 << logn;
-        let workload = Workload::zipf(1u64 << bits, 1.2);
-        let data = workload.generate(n as usize, derive_seed(7, u64::from(logn)));
-        let spec = |seed| ProtocolSpec {
-            n,
-            domain: 1u64 << bits,
-            eps,
-            beta,
-            seed,
-        };
-
-        for (row, &(display, name, build_seed, run_seed, pub_rand)) in hh_rows.iter().enumerate() {
-            let (run, wire) = median_run(
-                || {
-                    let mut s = build_hh(name, &spec(build_seed)).expect("registered protocol");
-                    drive(s.as_mut(), &data, run_seed, serial)
-                },
-                |(run, _)| run.server_time().as_secs_f64(),
-            );
-            let secs = run.server_time().as_secs_f64();
-            points[row].push((n as f64, secs, run.memory_bytes as f64));
-            t.row(&[
-                display.into(),
-                format!("2^{logn}"),
-                fmt_dur(run.server_time()),
-                fmt_dur(run.user_time()),
-                format!("{} KiB", run.memory_bytes / 1024),
-                run.report_bits.to_string(),
-                format!("{wire:.2}"),
-                pub_rand.into(),
-            ]);
-        }
-
-        // Bassily–Smith FO with w = n rows; query cost O(n) each. A
-        // full heavy-hitter scan would be n·|X| — measure a 512-query
-        // slice and extrapolate.
-        let queries: Vec<u64> = (0..512u64).collect();
-        let full_scan =
-            |run: &OracleRun| run.query_total.as_secs_f64() / 512.0 * (1u64 << bits) as f64;
-        // Under the same driver as the other rows.
-        let (run, wire): (OracleRun, f64) = median_run(
-            || {
-                let mut o = build_oracle("bassily_smith", &spec(5)).expect("registered oracle");
-                if serial {
-                    let wire = sample_wire_bytes(&data, |xs, buf| {
-                        o.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
-                    });
-                    (run_dyn_oracle(o.as_mut(), &data, &queries, 6), wire)
-                } else {
-                    let plan = BatchPlan::default().fleet(data.len());
-                    let d = run_oracle_distributed(o.as_mut(), &data, &queries, 6, &plan);
-                    let wire = d.wire_bytes_per_user();
-                    (d.into(), wire)
-                }
-            },
-            |(run, _)| run.server_build.as_secs_f64() + full_scan(run),
-        );
-        let full_scan = full_scan(&run);
-        let secs = run.server_build.as_secs_f64() + full_scan;
-        points[2].push((n as f64, secs, run.memory_bytes as f64));
-        t.row(&[
-            "bassily-smith [4]".into(),
-            format!("2^{logn}"),
-            format!(
-                "{} (+{} scan-extrapolated)",
-                fmt_dur(run.server_build),
-                fmt_dur(std::time::Duration::from_secs_f64(full_scan))
-            ),
-            fmt_dur(std::time::Duration::from_nanos(
-                (run.client_total.as_nanos() as u64) / n,
-            )),
-            format!("{} KiB", run.memory_bytes / 1024),
-            run.report_bits.to_string(),
-            format!("{wire:.2}"),
-            "64 bits (hash-compressed Phi)".into(),
-        ]);
+    for (c, mut runs) in cells.into_iter().enumerate() {
+        runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
+        let n = datasets[c / ROWS].1.len() as f64;
+        let (min, max) = (runs[0].secs, runs[TIMED_RUNS - 1].secs);
+        let median = runs.swap_remove(TIMED_RUNS / 2);
+        points[c % ROWS].push([n, median.secs, min, max, median.memory]);
+        t.row(&median.row);
     }
     t.print();
 
     println!(
         "\nlog-log exponents in n (least-squares over the rows above; server time is \
-         each cell's median of {TIMED_RUNS} runs):\n"
+         each cell's median of {TIMED_RUNS} round-robin runs):\n"
     );
     let mut fits = Table::new(&["protocol", "server time", "claimed", "memory", "claimed"]);
     let mut scaling = Vec::new();
     for ((label, time_claim, mem_claim), pts) in CLAIMED_EXPONENTS.into_iter().zip(&points) {
-        let ns: Vec<f64> = pts.iter().map(|p| p.0).collect();
-        let time = loglog_slope(&ns, &pts.iter().map(|p| p.1).collect::<Vec<_>>());
-        let mem = loglog_slope(&ns, &pts.iter().map(|p| p.2).collect::<Vec<_>>());
+        let column = |k: usize| pts.iter().map(|p| p[k]).collect::<Vec<f64>>();
+        let ns = column(0);
+        let time = loglog_slope(&ns, &column(1));
+        let mem = loglog_slope(&ns, &column(4));
+        let secs = |k: usize| json_array(column(k).iter().map(|s| s.to_string()));
         fits.row(&[
             label.into(),
             fmt(time),
@@ -392,6 +425,9 @@ fn main() {
                 .str("protocol", label)
                 .raw("n", json_array(ns.iter().map(|n| n.to_string())))
                 .int("timed_runs", TIMED_RUNS as u64)
+                .raw("server_secs", secs(1))
+                .raw("server_secs_min", secs(2))
+                .raw("server_secs_max", secs(3))
                 .num("time_exponent", time)
                 .num("claimed_time_exponent", time_claim)
                 .num("memory_exponent", mem)

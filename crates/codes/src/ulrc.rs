@@ -88,6 +88,12 @@ pub struct UniqueListCode {
     rs: ReedSolomon,
     graph: ExpanderGraph,
     hashes: Vec<PairwiseHash>,
+    /// `symbol_tables[m · nibbles + j][v]`, with `nibbles` =
+    /// `⌈domain_bits / 4⌉`: the contribution of a message whose only
+    /// nonzero bits are nibble `j` of `x` (value `v`) to outer codeword
+    /// symbol `m`. Symbol `m` is GF(2)-linear in the message bits, so it
+    /// is the XOR of one entry per nibble of `x`.
+    symbol_tables: Vec<[u16; 16]>,
     /// `neighbor_slot[m]` maps each neighbor `m'` of `m` to the slot index
     /// of `m` in `neighbors(m')` — the back-pointer used for mutual edge
     /// verification.
@@ -143,11 +149,13 @@ impl UniqueListCode {
                     .collect()
             })
             .collect();
+        let symbol_tables = symbol_tables(&rs, params.gf_bits, params.domain_bits);
         Self {
             params,
             rs,
             graph,
             hashes,
+            symbol_tables,
             neighbor_slot,
         }
     }
@@ -167,19 +175,21 @@ impl UniqueListCode {
         self.hashes[m].hash(x)
     }
 
-    /// Message symbols of `x` (little-endian `gf_bits` chunks).
-    fn message_symbols(
-        &self,
-        x: u64,
-    ) -> impl DoubleEndedIterator<Item = u16> + ExactSizeIterator + Clone {
+    /// Outer codeword symbol `m` of `x`: one table entry per nibble of
+    /// `x`, XORed — the value [`ReedSolomon::encode_at`] gives on `x`'s
+    /// little-endian `gf_bits` digits.
+    fn outer_symbol(&self, x: u64, m: usize) -> u16 {
         assert!(
             self.params.domain_bits == 64 || x < (1u64 << self.params.domain_bits),
             "x = {x} outside the {}-bit domain",
             self.params.domain_bits
         );
-        let bits = self.params.gf_bits;
-        let mask = (1u64 << bits) - 1;
-        (0..self.rs.message_len() as u32).map(move |i| ((x >> (i * bits)) & mask) as u16)
+        let nibbles = self.params.domain_bits.div_ceil(4) as usize;
+        let tables = &self.symbol_tables[m * nibbles..][..nibbles];
+        tables
+            .iter()
+            .enumerate()
+            .fold(0, |sym, (j, t)| sym ^ t[((x >> (4 * j)) & 0xF) as usize])
     }
 
     fn symbols_to_message(&self, syms: &[u16]) -> u64 {
@@ -219,11 +229,11 @@ impl UniqueListCode {
     }
 
     /// `E~nc(x)_m` packed as `z` (everything except the leading `h_m(x)`):
-    /// the outer codeword's symbol `m` alone — one Horner evaluation of
-    /// `x`'s digits — packed with the neighbors' coordinate hashes, with
-    /// no allocation.
+    /// the outer codeword's symbol `m` alone — a table lookup per nibble
+    /// of `x` — packed with the neighbors' coordinate hashes, with no
+    /// allocation.
     pub fn enc_tilde(&self, x: u64, m: usize) -> u64 {
-        let sym = self.rs.encode_at(self.message_symbols(x), m);
+        let sym = self.outer_symbol(x, m);
         let ys_rev = self.graph.neighbors(m).iter().rev();
         self.pack_z_rev(sym, ys_rev.map(|&mp| self.coord_hash(mp as usize, x)))
     }
@@ -327,6 +337,33 @@ impl UniqueListCode {
         }
         out
     }
+}
+
+/// The per-nibble symbol tables of [`UniqueListCode`], position-major:
+/// entry `[m · nibbles + j][v]` is codeword symbol `m` of the message
+/// whose bits are `v << 4j`. Each bit's column is one
+/// [`ReedSolomon::encode_at`] of a unit digit; the other entries of a
+/// nibble's table XOR one column onto an entry with fewer bits.
+fn symbol_tables(rs: &ReedSolomon, gf_bits: u32, domain_bits: u32) -> Vec<[u16; 16]> {
+    let (k, nibbles) = (rs.message_len(), domain_bits.div_ceil(4) as usize);
+    let column = |bit: usize, m: usize| -> u16 {
+        let (digit, shift) = (bit / gf_bits as usize, bit % gf_bits as usize);
+        if digit >= k {
+            return 0; // past the message: that bit of `x` is always 0
+        }
+        let unit = (0..k).map(|i| if i == digit { 1 << shift } else { 0 });
+        rs.encode_at(unit, m)
+    };
+    let mut tables = vec![[0u16; 16]; rs.block_len() * nibbles];
+    for m in 0..rs.block_len() {
+        for (j, t) in tables[m * nibbles..][..nibbles].iter_mut().enumerate() {
+            let columns: [u16; 4] = std::array::from_fn(|b| column(4 * j + b, m));
+            for v in 1..16usize {
+                t[v] = t[v & (v - 1)] ^ columns[v.trailing_zeros() as usize];
+            }
+        }
+    }
+    tables
 }
 
 #[cfg(test)]
@@ -595,15 +632,35 @@ mod tests {
         c.pack_z(cw[m], &ys)
     }
 
+    /// A code over `GF(2^gf_bits)` with `num_coords` coordinates.
+    fn code_over(gf_bits: u32, domain_bits: u32, num_coords: usize, seed: u64) -> UniqueListCode {
+        let mut params = UlrcParams::for_domain_bits(16);
+        params.gf_bits = gf_bits;
+        params.domain_bits = domain_bits;
+        params.num_coords = num_coords;
+        UniqueListCode::new(params, seed)
+    }
+
     #[test]
     fn single_symbol_enc_tilde_equals_full_encode() {
         let mut rng = SmallRng::seed_from_u64(31);
+        // The 4-bit profile at three domains, then every other field
+        // width `Gf` supports (3..=8 bits), at domains that end inside a
+        // digit and a nibble, up to 60 bits (the coordinate hashes take
+        // inputs below 2^61 − 1).
         for (c, bits) in [
             (code(16, 30), 16u32),
             (wide_code(20, 32), 20),
             (code(24, 33), 24),
+            (code_over(3, 9, 7, 35), 9),
+            (code_over(5, 23, 12, 36), 23),
+            (code_over(6, 30, 12, 37), 30),
+            (code_over(7, 33, 14, 38), 33),
+            (code_over(8, 40, 12, 39), 40),
+            (code_over(8, 60, 16, 40), 60),
         ] {
-            let top = (1u64 << bits) - 1;
+            assert_eq!(c.params().domain_bits, bits);
+            let top = u64::MAX >> (64 - bits);
             let mut xs = vec![0, top];
             xs.extend((0..50).map(|_| rng.gen_range(0..=top)));
             for &x in &xs {

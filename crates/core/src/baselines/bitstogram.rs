@@ -29,7 +29,6 @@ use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash};
 use hh_math::par::{par_chunk_zip_map, par_map_owned, planned_threads};
 use hh_math::rng::derive_seed;
-use hh_math::sampler::ClientCoins;
 use rand::Rng;
 
 /// Configuration of the [`Bitstogram`] baseline.
@@ -201,7 +200,9 @@ impl WireShard for BitstogramShard {
 /// The Bitstogram protocol object.
 pub struct Bitstogram {
     params: BitstogramParams,
-    seed: u64,
+    /// Derivation seed of the public group assignment, fixed at
+    /// construction so no report re-derives it.
+    group_seed: u64,
     hashes: Vec<PairwiseHash>,
     /// The inner oracles' public randomness: one group, identity buckets
     /// over the `2·Y'` cells.
@@ -225,7 +226,7 @@ impl Bitstogram {
         let outer = Hashtogram::new(params.outer_oracle_params(), derive_seed(seed, 0x0074));
         let mut server = Self {
             params,
-            seed,
+            group_seed: derive_seed(seed, 0x617),
             hashes,
             inner_proto,
             outer,
@@ -241,26 +242,9 @@ impl Bitstogram {
         &self.params
     }
 
-    /// The derivation seed of the public group assignment (hoistable by
-    /// batch paths; one value per protocol instance).
-    fn assignment_seed(&self) -> u64 {
-        derive_seed(self.seed, 0x617)
-    }
-
-    /// The group of `user_index` under a hoisted assignment seed — the
-    /// single definition both [`Bitstogram::group_of`] and the batch path
-    /// go through, so they cannot diverge.
-    fn group_at(assignment_seed: u64, user_index: u64, num_groups: u64) -> usize {
-        (derive_seed(assignment_seed, user_index) % num_groups) as usize
-    }
-
     /// Public group assignment `i ↦ (t, m)` flattened.
     pub fn group_of(&self, user_index: u64) -> usize {
-        Self::group_at(
-            self.assignment_seed(),
-            user_index,
-            self.params.num_groups() as u64,
-        )
+        (derive_seed(self.group_seed, user_index) % self.params.num_groups() as u64) as usize
     }
 
     /// The inner cell reported by a user holding `x` in group `(t, m)`.
@@ -284,38 +268,6 @@ impl Aggregator for Bitstogram {
             inner: self.inner_proto.respond(user_index, cell, rng),
             outer: self.outer.respond(user_index, x, rng),
         }
-    }
-
-    fn respond_encode_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        // Fused: write each composite pair frame straight to the wire —
-        // no intermediate report vec. Per-user derived coin streams with
-        // the group-assignment seed hoisted; inner, then outer — the same
-        // draw order as `respond`.
-        let group_seed = self.assignment_seed();
-        let num_groups = self.params.num_groups() as u64;
-        let coins = ClientCoins::new(client_seed);
-        let mut lens = Vec::with_capacity(xs.len());
-        for (k, &x) in xs.iter().enumerate() {
-            let i = start_index + k as u64;
-            let mut rng = coins.user(i);
-            let group = Self::group_at(group_seed, i, num_groups);
-            let rep = BitstogramReport {
-                inner: self
-                    .inner_proto
-                    .respond(i, self.cell_of(group, x), &mut rng),
-                outer: self.outer.respond(i, x, &mut rng),
-            };
-            let before = out.len();
-            rep.encode_into(out);
-            lens.push((out.len() - before) as u32);
-        }
-        lens
     }
 
     fn collect(&mut self, user_index: u64, report: BitstogramReport) {
@@ -346,8 +298,6 @@ impl Aggregator for Bitstogram {
         // row is checked before the outer report is absorbed (which
         // checks its own row first), so an `Err` leaves the shard holding
         // exactly the frames before it.
-        let group_seed = self.assignment_seed();
-        let num_groups = self.params.num_groups() as u64;
         let inner_absorber = self.inner_proto.absorber();
         let outer_absorber = self.outer.absorber();
         for (k, frame) in frames.iter().enumerate() {
@@ -358,9 +308,8 @@ impl Aggregator for Bitstogram {
                 .check(inner)
                 .and_then(|()| outer_absorber.absorb_one(&mut shard.outer, i, outer))
                 .map_err(|e| frames.frame_error(k, e))?;
-            let group = Self::group_at(group_seed, i, num_groups);
             inner_absorber
-                .absorb_one(&mut shard.inner[group], i, inner)
+                .absorb_one(&mut shard.inner[self.group_of(i)], i, inner)
                 .expect("the inner row was checked above");
         }
         Ok(())

@@ -93,17 +93,6 @@ impl Aggregator for ScanHeavyHitters {
         self.oracle.respond(user_index, x, rng)
     }
 
-    fn respond_encode_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        self.oracle
-            .respond_encode_batch(start_index, xs, client_seed, out)
-    }
-
     fn collect(&mut self, user_index: u64, report: HashtogramReport) {
         assert!(!self.finished, "collect after finish");
         self.oracle.collect(user_index, report);

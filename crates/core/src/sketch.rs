@@ -156,7 +156,9 @@ const G_TILE: usize = 64;
 /// `PrivateExpanderSketch`: public randomness + server state.
 pub struct ExpanderSketch {
     params: SketchParams,
-    seed: u64,
+    /// Derivation seed of the public partition, fixed at construction
+    /// so no report re-derives it.
+    partition_seed: u64,
     ulrc: UniqueListCode,
     group_hash: KWiseHash,
     /// Prototype inner oracle: the public randomness and parameters all
@@ -189,7 +191,7 @@ impl ExpanderSketch {
         let outer = Hashtogram::new(params.outer_oracle_params(), derive_seed(seed, 0x0173));
         let mut sketch = Self {
             params,
-            seed,
+            partition_seed: derive_seed(seed, labels::SKETCH_PARTITION),
             ulrc,
             group_hash,
             inner_proto,
@@ -218,27 +220,10 @@ impl ExpanderSketch {
         &self.outer
     }
 
-    /// The derivation seed of the public partition (hoistable by batch
-    /// paths; one value per sketch instance).
-    fn partition_seed(&self) -> u64 {
-        derive_seed(self.seed, labels::SKETCH_PARTITION)
-    }
-
-    /// The coordinate of `user_index` under a hoisted partition seed —
-    /// the single definition both [`ExpanderSketch::coord_of`] and the
-    /// batch path go through, so they cannot diverge.
-    fn coord_at(partition_seed: u64, user_index: u64, num_coords: u64) -> usize {
-        (derive_seed(partition_seed, user_index) % num_coords) as usize
-    }
-
     /// The public coordinate assignment `i ↦ m` (the random partition
     /// `I_1, …, I_M`).
     pub fn coord_of(&self, user_index: u64) -> usize {
-        Self::coord_at(
-            self.partition_seed(),
-            user_index,
-            self.params.num_coords as u64,
-        )
+        (derive_seed(self.partition_seed, user_index) % self.params.num_coords as u64) as usize
     }
 
     /// The group hash `g(x) ∈ [B]`.
@@ -257,6 +242,23 @@ impl ExpanderSketch {
         let y = self.ulrc.coord_hash(m, x);
         let z = self.ulrc.enc_tilde(x, m);
         self.params.cell_id(b, y, z)
+    }
+
+    /// The one per-user client body, given `b = g(x)`: the scalar
+    /// [`Aggregator::respond`] and the fused batch both run it, so they
+    /// draw the same coins in the same order — inner report, then outer.
+    fn respond_in_bucket<R: Rng + ?Sized>(
+        &self,
+        user_index: u64,
+        x: u64,
+        b: u64,
+        rng: &mut R,
+    ) -> SketchReport {
+        let cell = self.cell_in_bucket(b, self.coord_of(user_index), x);
+        SketchReport {
+            inner: self.inner_proto.respond(user_index, cell, rng),
+            outer: self.outer.respond(user_index, x, rng),
+        }
     }
 
     /// `Err` when a packed inner report's row `ℓ` lies outside `W_in`:
@@ -548,11 +550,7 @@ impl Aggregator for ExpanderSketch {
     type Shard = SketchShard;
 
     fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> SketchReport {
-        let m = self.coord_of(user_index);
-        let cell = self.cell_of(m, x);
-        let inner = self.inner_proto.respond(user_index, cell, rng);
-        let outer = self.outer.respond(user_index, x, rng);
-        SketchReport { inner, outer }
+        self.respond_in_bucket(user_index, x, self.bucket_of(x), rng)
     }
 
     fn respond_encode_batch(
@@ -563,13 +561,12 @@ impl Aggregator for ExpanderSketch {
         out: &mut Vec<u8>,
     ) -> Vec<u32> {
         // Fused: write each composite pair frame straight to the wire —
-        // no intermediate report vec. The group hash g runs over tiles of
-        // `G_TILE` users through the interleaved `hash_into`; then per-user
-        // derived coin streams with the partition component seed hoisted
-        // out of the loop; inner, then outer — the same draw order as
-        // `respond`.
-        let part_seed = self.partition_seed();
-        let num_coords = self.params.num_coords as u64;
+        // no intermediate report vec. The group hash g (the one k-wise
+        // hash of the client) runs over tiles of `G_TILE` users through
+        // the interleaved `hash_into`; every other per-user step is
+        // `respond`'s own body: the coordinate from the stored partition
+        // seed, the code symbol from `enc_tilde`'s tables, the inline
+        // pairwise hashes `h_m`, and the two oracles' reports.
         let coins = ClientCoins::new(client_seed);
         let mut lens = Vec::with_capacity(xs.len());
         let mut buckets = [0u64; G_TILE];
@@ -578,14 +575,7 @@ impl Aggregator for ExpanderSketch {
             self.group_hash.hash_into(tile, buckets);
             for (k, (&x, &b)) in tile.iter().zip(buckets.iter()).enumerate() {
                 let i = start_index + (t * G_TILE + k) as u64;
-                let mut rng = coins.user(i);
-                let m = Self::coord_at(part_seed, i, num_coords);
-                let rep = SketchReport {
-                    inner: self
-                        .inner_proto
-                        .respond(i, self.cell_in_bucket(b, m, x), &mut rng),
-                    outer: self.outer.respond(i, x, &mut rng),
-                };
+                let rep = self.respond_in_bucket(i, x, b, &mut coins.user(i));
                 let before = out.len();
                 rep.encode_into(out);
                 lens.push((out.len() - before) as u32);
@@ -628,8 +618,6 @@ impl Aggregator for ExpanderSketch {
         // row is checked before the outer report is absorbed (which
         // checks its own row first), so an `Err` leaves the shard holding
         // exactly the frames before it, each counted.
-        let part_seed = self.partition_seed();
-        let num_coords = self.params.num_coords as u64;
         let outer_absorber = self.outer.absorber();
         for (k, frame) in frames.iter().enumerate() {
             let (inner, outer) = wire::decode_pair::<HashtogramReport, HashtogramReport>(frame)
@@ -639,8 +627,7 @@ impl Aggregator for ExpanderSketch {
             self.check_inner_row(inner)
                 .and_then(|()| outer_absorber.absorb_one(&mut shard.outer, i, outer))
                 .map_err(|e| frames.frame_error(k, e))?;
-            let m = Self::coord_at(part_seed, i, num_coords);
-            shard.inner[m].push(inner);
+            shard.inner[self.coord_of(i)].push(inner);
             shard.users += 1;
         }
         Ok(())

@@ -37,7 +37,7 @@ use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash, SignHash};
 use hh_math::par::{par_chunk_map, FinishScratch};
 use hh_math::rng::derive_seed;
-use hh_math::sampler::{ClientCoins, Uniform64};
+use hh_math::sampler::Uniform64;
 use hh_math::stats::median_in_place;
 use hh_math::wht::{fwht_threaded, hadamard_entry};
 use rand::Rng;
@@ -198,7 +198,9 @@ impl WireShard for HashtogramShard {
 #[derive(Debug, Clone)]
 pub struct Hashtogram {
     params: HashtogramParams,
-    family: HashFamily,
+    /// Derivation seed of the public group assignment, fixed at
+    /// construction so no report re-derives it.
+    assign_seed: u64,
     bucket_hashes: Vec<PairwiseHash>,
     sign_hashes: Vec<SignHash>,
     rr: BinaryRandomizedResponse,
@@ -243,7 +245,7 @@ impl Hashtogram {
         let row = Uniform64::new(params.buckets);
         let mut oracle = Self {
             params,
-            family,
+            assign_seed: family.component_seed(labels::HASHTOGRAM_ASSIGN, 0),
             bucket_hashes,
             sign_hashes,
             rr,
@@ -261,26 +263,20 @@ impl Hashtogram {
         &self.params
     }
 
-    /// The derivation seed of the public group assignment (hoistable by
-    /// batch paths; one value per oracle instance).
-    fn assignment_seed(&self) -> u64 {
-        self.family.component_seed(labels::HASHTOGRAM_ASSIGN, 0)
-    }
-
-    /// The group of `user_index` under a hoisted assignment seed — the
-    /// single definition both [`Hashtogram::group_of`] and the batch
-    /// paths go through, so they cannot diverge.
-    fn group_at(assignment_seed: u64, user_index: u64, groups: u64) -> u32 {
-        (derive_seed(assignment_seed, user_index) % groups) as u32
+    /// The group of `user_index` under the assignment seed — the single
+    /// definition both [`Hashtogram::group_of`] and the absorber go
+    /// through, so they cannot diverge. One group needs no draw.
+    fn group_at(assign_seed: u64, user_index: u64, groups: u64) -> u32 {
+        if groups == 1 {
+            0
+        } else {
+            (derive_seed(assign_seed, user_index) % groups) as u32
+        }
     }
 
     /// The public group assignment of a user (uniform via seed mixing).
     pub fn group_of(&self, user_index: u64) -> u32 {
-        Self::group_at(
-            self.assignment_seed(),
-            user_index,
-            self.params.groups as u64,
-        )
+        Self::group_at(self.assign_seed, user_index, self.params.groups as u64)
     }
 
     /// Bucket of `x` in group `r`.
@@ -312,35 +308,14 @@ impl Hashtogram {
         crate::randomizers::HadamardResponse::new(self.params.buckets, self.params.eps)
     }
 
-    /// The per-user draw body shared by the scalar
-    /// [`Aggregator::respond`] and the fused
-    /// [`Aggregator::respond_encode_batch`]:
-    /// one coin word for the Hadamard row (via the hoisted `row` kernel;
-    /// `W` is a power of two, so the draw never rejects) and one ε-RR
-    /// bit through the binary word kernel. Both entry points consume
-    /// identical coin words, so serial and fused runs agree bit for bit.
-    fn respond_with<R: Rng + ?Sized>(&self, group: u32, x: u64, rng: &mut R) -> HashtogramReport {
-        assert!(x < self.params.domain, "input {x} outside domain");
-        let b = self.bucket(group, x);
-        let s = self.sign(group, x);
-        let ell = self.row.sample(rng);
-        let true_pm = i64::from(hadamard_entry(ell, b)) * s;
-        let true_bit = u64::from(true_pm > 0);
-        let sent = self.rr.sample(RandomizerInput::Value(true_bit), rng);
-        HashtogramReport {
-            ell,
-            bit: if sent == 1 { 1 } else { -1 },
-        }
-    }
-
-    /// The hoisted zero-copy ingester: assignment seed and shapes derived
+    /// The hoisted zero-copy ingester: assignment seed and shapes read
     /// once per batch. Shared by this oracle's own wire path and by the
     /// composite protocols that wrap it (`ExpanderSketch` / `Bitstogram`
     /// outer halves), so their per-report folds cannot drift from this
     /// oracle's [`Aggregator::absorb_wire`].
     pub fn absorber(&self) -> HashtogramAbsorber {
         HashtogramAbsorber {
-            assign_seed: self.assignment_seed(),
+            assign_seed: self.assign_seed,
             groups: self.params.groups as u64,
             buckets: self.params.buckets as usize,
         }
@@ -497,34 +472,24 @@ impl Aggregator for Hashtogram {
     type Report = HashtogramReport;
     type Shard = HashtogramShard;
 
+    /// The one per-user body of every Hashtogram-family client, run by
+    /// the provided fused batch and by the composite protocols' inner and
+    /// outer halves: one coin word for the Hadamard row (via the hoisted
+    /// `row` kernel; `W` is a power of two, so the draw never rejects)
+    /// and one ε-RR bit through the binary word kernel.
     fn respond<R: Rng + ?Sized>(&self, user_index: u64, x: u64, rng: &mut R) -> HashtogramReport {
-        self.respond_with(self.group_of(user_index), x, rng)
-    }
-
-    fn respond_encode_batch(
-        &self,
-        start_index: u64,
-        xs: &[u64],
-        client_seed: u64,
-        out: &mut Vec<u8>,
-    ) -> Vec<u32> {
-        // Fused: the scalar path's per-user draws, written straight to
-        // the wire — no intermediate report vec. The group-assignment
-        // component seed is hoisted out of the loop (it costs two
-        // SplitMix hops per user in the scalar path).
-        let assign_seed = self.assignment_seed();
-        let groups = self.params.groups as u64;
-        let coins = ClientCoins::new(client_seed);
-        let mut lens = Vec::with_capacity(xs.len());
-        for (k, &x) in xs.iter().enumerate() {
-            let i = start_index + k as u64;
-            let mut rng = coins.user(i);
-            let rep = self.respond_with(Self::group_at(assign_seed, i, groups), x, &mut rng);
-            let before = out.len();
-            rep.encode_into(out);
-            lens.push((out.len() - before) as u32);
+        assert!(x < self.params.domain, "input {x} outside domain");
+        let group = self.group_of(user_index);
+        let b = self.bucket(group, x);
+        let s = self.sign(group, x);
+        let ell = self.row.sample(rng);
+        let true_pm = i64::from(hadamard_entry(ell, b)) * s;
+        let true_bit = u64::from(true_pm > 0);
+        let sent = self.rr.sample(RandomizerInput::Value(true_bit), rng);
+        HashtogramReport {
+            ell,
+            bit: if sent == 1 { 1 } else { -1 },
         }
-        lens
     }
 
     fn collect(&mut self, user_index: u64, report: HashtogramReport) {
@@ -887,8 +852,9 @@ mod tests {
         let mut vals: Vec<f64> = (0..o.params.groups)
             .map(|r| {
                 let (b, s) = if o.params.hashed {
-                    let b = horner(o.bucket_hashes[r].as_kwise().coefficients()) % o.params.buckets;
-                    let parity = horner(o.sign_hashes[r].as_kwise().coefficients()) % (1 << 32) % 2;
+                    let b = horner(o.bucket_hashes[r].coefficients()) % o.params.buckets;
+                    let parity =
+                        horner(o.sign_hashes[r].as_pairwise().coefficients()) % (1 << 32) % 2;
                     (b, if parity == 0 { 1.0 } else { -1.0 })
                 } else {
                     (x, 1.0)

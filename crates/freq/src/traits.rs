@@ -48,6 +48,7 @@
 //! count, collector assignment, or merge order.
 
 use crate::wire::{FrameError, WireFrames, WireReport, WireShard};
+use hh_math::sampler::ClientCoins;
 use rand::Rng;
 
 pub use hh_math::par::FinishScratch;
@@ -153,13 +154,29 @@ pub trait Aggregator {
     /// chunking of the population produces identical frames. `out` is
     /// typically a pooled buffer reused across batches, which makes the
     /// steady-state client phase allocation-free.
+    ///
+    /// The provided body is exactly that: `respond` on each user's coin
+    /// stream, encoded straight into `out` with no intermediate report
+    /// vec. A protocol overrides it to share work across users or to
+    /// skip building the report.
     fn respond_encode_batch(
         &self,
         start_index: u64,
         xs: &[u64],
         client_seed: u64,
         out: &mut Vec<u8>,
-    ) -> Vec<u32>;
+    ) -> Vec<u32> {
+        let coins = ClientCoins::new(client_seed);
+        let mut lens = Vec::with_capacity(xs.len());
+        for (k, &x) in xs.iter().enumerate() {
+            let i = start_index + k as u64;
+            let rep = self.respond(i, x, &mut coins.user(i));
+            let before = out.len();
+            rep.encode_into(out);
+            lens.push((out.len() - before) as u32);
+        }
+        lens
+    }
 
     /// Server: ingest one report. The semantic ground truth every shard
     /// path must match observationally.

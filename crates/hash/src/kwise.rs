@@ -13,11 +13,14 @@ use rand::Rng;
 /// mask `& (range − 1)`, which equals `% range` on every `u64`.
 ///
 /// Evaluation is Horner's rule with lazy Mersenne reduction: the
-/// accumulator stays below `2^62` but is not canonical between steps,
-/// and one [`PrimeField::reduce64`] at the end returns the canonical
-/// field value — the value a fully reduced Horner chain gives, hence
-/// the same hash. [`KWiseHash::hash_into`] runs four independent chains
-/// side by side, hiding the multiply latency a single chain waits on.
+/// accumulator is congruent mod `p` but not canonical between steps, and
+/// one [`PrimeField::reduce64`] at the end returns the canonical field
+/// value — the value a fully reduced Horner chain gives, hence the same
+/// hash. A chain whose inputs are all below `2^32` folds each step's
+/// product once (the accumulator stays below `2^63`); any larger input
+/// folds it twice (below `2^62`). [`KWiseHash::hash_into`] runs four
+/// independent chains side by side, hiding the multiply latency a single
+/// chain waits on.
 ///
 /// Inputs must be below `p = 2^61 − 1` (asserted); every domain in the
 /// workspace satisfies this.
@@ -31,15 +34,52 @@ pub struct KWiseHash {
 /// Independent Horner chains [`KWiseHash::hash_into`] interleaves.
 const LANES: usize = 4;
 
-/// One lazily reduced Horner step `acc·x + c` over `F_p`, congruent mod
-/// `p` and kept below `2^62`. With `acc < 2^62` and `x, c < 2^61` the
-/// product is below `2^123`; its 61-bit fold plus `c` is below `2^63`,
-/// and a second fold brings it under `2^61 + 4`.
+/// Inputs below this bound keep a once-folded Horner accumulator below
+/// `2^63` (see [`single_fold_step`]).
+const SINGLE_FOLD_INPUT: u64 = 1 << 32;
+
+/// One Horner step `acc·x + c` over `F_p` with a single 61-bit fold of
+/// the product, congruent mod `p`. With `acc < 2^63` and `x < 2^32` the
+/// product is below `2^95`, so the result is below
+/// `2^61 + 2^34 + 2^61 < 2^63`: the accumulator stays in range for the
+/// next step. With `acc < 2^62` and `x < 2^61` (any field input) the
+/// product is below `2^123` and the result below `2^63`.
+#[inline(always)]
+fn single_fold_step(acc: u64, x: u64, c: u64) -> u64 {
+    let prod = u128::from(acc) * u128::from(x);
+    ((prod as u64) & MERSENNE_P) + (prod >> 61) as u64 + c
+}
+
+/// One Horner step `acc·x + c` for any field input: the single fold,
+/// then a second fold that brings the result under `2^61 + 4`, so
+/// `acc < 2^62` holds for the next step.
 #[inline(always)]
 fn lazy_horner_step(acc: u64, x: u64, c: u64) -> u64 {
-    let prod = u128::from(acc) * u128::from(x);
-    let v = ((prod as u64) & MERSENNE_P) + (prod >> 61) as u64 + c;
+    let v = single_fold_step(acc, x, c);
     (v & MERSENNE_P) + (v >> 61)
+}
+
+/// The canonical field values of the polynomial `rest ‖ lead` (constant
+/// term first, `lead` highest) at each of `xs`: `N` interleaved Horner
+/// chains, once-folded when every input is below `2^32`, twice-folded
+/// otherwise.
+#[inline(always)]
+fn horner_lanes<const N: usize>(lead: u64, rest: &[u64], xs: [u64; N]) -> [u64; N] {
+    let mut acc = [lead; N];
+    if xs.iter().all(|&x| x < SINGLE_FOLD_INPUT) {
+        for &c in rest.iter().rev() {
+            for (a, &x) in acc.iter_mut().zip(&xs) {
+                *a = single_fold_step(*a, x, c);
+            }
+        }
+    } else {
+        for &c in rest.iter().rev() {
+            for (a, &x) in acc.iter_mut().zip(&xs) {
+                *a = lazy_horner_step(*a, x, c);
+            }
+        }
+    }
+    acc.map(PrimeField::reduce64)
 }
 
 #[inline]
@@ -47,18 +87,39 @@ fn assert_in_field(x: u64) {
     assert!(x < MERSENNE_P, "input {x} outside F_p domain");
 }
 
+/// The `k` coefficients (constant term first) of the polynomial `seed`
+/// selects, after checking `k` and `range` — the one draw every hash
+/// type makes, so a pairwise hash equals the `k = 2` [`KWiseHash`] of
+/// the same seed.
+fn draw_coeffs(seed: u64, k: usize, range: u64) -> impl Iterator<Item = u64> {
+    assert!(k >= 1, "independence level must be >= 1");
+    assert!(range >= 1, "range must be nonempty");
+    assert!(
+        range <= 1 << 48,
+        "range {range} too large for negligible modular bias"
+    );
+    let mut rng = seeded_rng(derive_seed(seed, 0x6B77_6973_6531)); // "kwise1"
+    (0..k).map(move |_| rng.gen_range(0..MERSENNE_P))
+}
+
+/// Reduce a field value into `[0, range)`: a mask on power-of-two
+/// ranges (every hot range is one), `%` otherwise — the same value.
+#[inline]
+fn reduce_range(v: u64, range: u64) -> u64 {
+    if range.is_power_of_two() {
+        v & (range - 1)
+    } else {
+        v % range
+    }
+}
+
 impl KWiseHash {
     /// Sample a fresh `k`-wise independent function into `[range]`.
     pub fn new(seed: u64, k: usize, range: u64) -> Self {
-        assert!(k >= 1, "independence level must be >= 1");
-        assert!(range >= 1, "range must be nonempty");
-        assert!(
-            range <= 1 << 48,
-            "range {range} too large for negligible modular bias"
-        );
-        let mut rng = seeded_rng(derive_seed(seed, 0x6B77_6973_6531)); // "kwise1"
-        let coeffs = (0..k).map(|_| rng.gen_range(0..MERSENNE_P)).collect();
-        Self { coeffs, range }
+        Self {
+            coeffs: draw_coeffs(seed, k, range).collect(),
+            range,
+        }
     }
 
     /// Independence level `k`.
@@ -76,13 +137,9 @@ impl KWiseHash {
     #[inline]
     pub fn eval_field(&self, x: u64) -> u64 {
         assert_in_field(x);
-        // Horner's rule, highest coefficient first.
         let (lead, rest) = self.split_lead();
-        let acc = rest
-            .iter()
-            .rev()
-            .fold(lead, |acc, &c| lazy_horner_step(acc, x, c));
-        PrimeField::reduce64(acc)
+        let [v] = horner_lanes(lead, rest, [x]);
+        v
     }
 
     /// The leading coefficient, which starts every Horner chain (it is
@@ -99,29 +156,20 @@ impl KWiseHash {
         &self.coeffs
     }
 
-    /// Reduce a field value into `[0, range)`: a mask on power-of-two
-    /// ranges (every hot range is one), `%` otherwise — the same value.
-    #[inline]
-    fn reduce(&self, v: u64) -> u64 {
-        if self.range.is_power_of_two() {
-            v & (self.range - 1)
-        } else {
-            v % self.range
-        }
-    }
-
     /// Hash into `[0, range)`.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        self.reduce(self.eval_field(x))
+        reduce_range(self.eval_field(x), self.range)
     }
 
     /// [`KWiseHash::hash`] of every input: `out[i] = hash(xs[i])`.
     ///
-    /// Groups of four inputs run their Horner chains interleaved,
-    /// each with the lazy step of [`KWiseHash::eval_field`], so the
-    /// values are identical; the tail runs the scalar hash. Every input
-    /// is checked against the `< p` domain.
+    /// Groups of four inputs run their Horner chains interleaved — once
+    /// folded per step when all four are below `2^32`, twice otherwise —
+    /// and reach the same canonical field values as
+    /// [`KWiseHash::eval_field`], so the hashes are identical; the tail
+    /// runs the scalar hash. Every input is checked against the `< p`
+    /// domain.
     pub fn hash_into(&self, xs: &[u64], out: &mut [u64]) {
         assert_eq!(
             xs.len(),
@@ -134,28 +182,67 @@ impl KWiseHash {
         for (xg, og) in (&mut groups).zip(&mut outs) {
             let xg: [u64; LANES] = xg.try_into().expect("exact chunk");
             xg.iter().for_each(|&x| assert_in_field(x));
-            let mut acc = [lead; LANES];
-            for &c in rest.iter().rev() {
-                for (a, &x) in acc.iter_mut().zip(&xg) {
-                    *a = lazy_horner_step(*a, x, c);
-                }
-            }
-            for (o, a) in og.iter_mut().zip(acc) {
-                *o = self.reduce(PrimeField::reduce64(a));
+            for (o, v) in og.iter_mut().zip(horner_lanes(lead, rest, xg)) {
+                *o = reduce_range(v, self.range);
             }
         }
         for (o, &x) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
             *o = self.hash(x);
         }
     }
+}
 
-    /// [`KWiseHash::hash`] over the run `start..start + len` of a
-    /// degree-1 hash, stepped as `v(x + 1) = v(x) + c₁ mod p`: one field
-    /// addition per input, and the same canonical field value as
-    /// Horner's rule, hence the same hashes. The `< p` domain check runs
-    /// once, on the run's end.
+/// Pairwise independent hash (`k = 2`), the `h_m` functions of the paper.
+///
+/// The same function as the `k = 2` [`KWiseHash`] of its seed, with the
+/// two coefficients held inline: an evaluation reads no heap memory.
+#[derive(Debug, Clone)]
+pub struct PairwiseHash {
+    /// `[c₀, c₁]`: the polynomial `c₀ + c₁·x`.
+    coeffs: [u64; 2],
+    range: u64,
+}
+
+impl PairwiseHash {
+    /// Sample a pairwise independent function into `[range]`.
+    pub fn new(seed: u64, range: u64) -> Self {
+        let mut draws = draw_coeffs(seed, 2, range);
+        let coeffs = [(); 2].map(|()| draws.next().expect("two draws"));
+        Self { coeffs, range }
+    }
+
+    /// Output range size.
+    pub fn range(&self) -> u64 {
+        self.range
+    }
+
+    /// Polynomial coefficients `[c₀, c₁]` (read-only, for reference
+    /// evaluations).
+    pub fn coefficients(&self) -> &[u64] {
+        &self.coeffs
+    }
+
+    /// `c₀ + c₁·x` as a canonical value in `[0, p)`. One Horner step
+    /// from `c₁ < 2^61`, once folded, is below `2^63`, and
+    /// [`PrimeField::reduce64`] makes it canonical for every field input.
+    #[inline]
+    fn eval_field(&self, x: u64) -> u64 {
+        assert_in_field(x);
+        let [c0, c1] = self.coeffs;
+        PrimeField::reduce64(single_fold_step(c1, x, c0))
+    }
+
+    /// Hash into `[0, range)`.
+    #[inline]
+    pub fn hash(&self, x: u64) -> u64 {
+        reduce_range(self.eval_field(x), self.range)
+    }
+
+    /// [`PairwiseHash::hash`] over the run `start..start + len`, stepped
+    /// as `v(x + 1) = v(x) + c₁ mod p`: one field addition per input,
+    /// and the same canonical field value as Horner's rule, hence the
+    /// same hashes. The `< p` domain check runs once, on the run's end.
     pub fn hash_run(&self, start: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
-        assert_eq!(self.coeffs.len(), 2, "stepped runs need a degree-1 hash");
         assert!(
             start
                 .checked_add(len as u64)
@@ -166,50 +253,14 @@ impl KWiseHash {
         let step = self.coeffs[1];
         std::iter::successors(Some(first), move |&v| Some(PrimeField::add(v, step)))
             .take(len)
-            .map(|v| self.reduce(v))
-    }
-}
-
-/// Pairwise independent hash (`k = 2`), the `h_m` functions of the paper.
-#[derive(Debug, Clone)]
-pub struct PairwiseHash {
-    inner: KWiseHash,
-}
-
-impl PairwiseHash {
-    /// Sample a pairwise independent function into `[range]`.
-    pub fn new(seed: u64, range: u64) -> Self {
-        Self {
-            inner: KWiseHash::new(seed, 2, range),
-        }
-    }
-
-    /// Output range size.
-    pub fn range(&self) -> u64 {
-        self.inner.range()
-    }
-
-    /// Hash into `[0, range)`.
-    #[inline]
-    pub fn hash(&self, x: u64) -> u64 {
-        self.inner.hash(x)
-    }
-
-    /// [`PairwiseHash::hash`] over a run (see [`KWiseHash::hash_run`]).
-    pub fn hash_run(&self, start: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
-        self.inner.hash_run(start, len)
-    }
-
-    /// The underlying polynomial hash.
-    pub fn as_kwise(&self) -> &KWiseHash {
-        &self.inner
+            .map(|v| reduce_range(v, self.range))
     }
 }
 
 /// Pairwise independent ±1 sign hash (used by count-sketch style oracles).
 #[derive(Debug, Clone)]
 pub struct SignHash {
-    inner: KWiseHash,
+    inner: PairwiseHash,
 }
 
 impl SignHash {
@@ -218,7 +269,7 @@ impl SignHash {
         Self {
             // Range 2^32 then take a bit: avoids the tiny parity bias of
             // `mod 2` on a field of odd order.
-            inner: KWiseHash::new(seed, 2, 1 << 32),
+            inner: PairwiseHash::new(seed, 1 << 32),
         }
     }
 
@@ -228,13 +279,13 @@ impl SignHash {
         parity_sign(self.inner.hash(x))
     }
 
-    /// [`SignHash::sign`] over a run (see [`KWiseHash::hash_run`]).
+    /// [`SignHash::sign`] over a run (see [`PairwiseHash::hash_run`]).
     pub fn sign_run(&self, start: u64, len: usize) -> impl Iterator<Item = i64> + '_ {
         self.inner.hash_run(start, len).map(parity_sign)
     }
 
-    /// The underlying polynomial hash.
-    pub fn as_kwise(&self) -> &KWiseHash {
+    /// The underlying pairwise hash into `[2^32]`.
+    pub fn as_pairwise(&self) -> &PairwiseHash {
         &self.inner
     }
 }
@@ -444,6 +495,70 @@ mod tests {
                     let want: Vec<u64> = xs.iter().map(|&x| h.hash(x)).collect();
                     assert_eq!(out, want, "k = {k}, range = {range}, len = {len}");
                 }
+            }
+        }
+    }
+
+    /// Canonical Horner over the field's own fully reduced operations.
+    fn field_horner(coeffs: &[u64], x: u64) -> u64 {
+        coeffs
+            .iter()
+            .rev()
+            .fold(0, |acc, &c| PrimeField::add(PrimeField::mul(acc, x), c))
+    }
+
+    #[test]
+    fn single_and_double_fold_groups_equal_the_field_horner() {
+        // Lane groups all below 2^32 (single fold), mixed across the
+        // boundary, and all above it (double fold), then tails of 1–3.
+        let small = (1u64 << 32) - 1;
+        let groups = [
+            [small, small - 1, 0, 1],
+            [small, 1 << 32, 5, small],
+            [MERSENNE_P - 1, 0, small, 3],
+            [1 << 32, (1 << 32) + 1, MERSENNE_P - 1, MERSENNE_P - 2],
+        ];
+        let tail = [small, 1 << 32, MERSENNE_P - 1];
+        for k in [1usize, 2, 40, 64] {
+            let mut hashes = vec![KWiseHash {
+                coeffs: vec![MERSENNE_P - 1; k],
+                range: 1 << 20,
+            }];
+            hashes.extend((0..4u64).map(|seed| KWiseHash::new(seed, k, 1000)));
+            for h in &hashes {
+                for t in 0..=tail.len() {
+                    let mut xs: Vec<u64> = groups.concat();
+                    xs.extend(&tail[..t]);
+                    let mut out = vec![u64::MAX; xs.len()];
+                    h.hash_into(&xs, &mut out);
+                    for (&x, &o) in xs.iter().zip(&out) {
+                        let want = field_horner(h.coefficients(), x);
+                        assert_eq!(h.eval_field(x), want, "k = {k}, x = {x}");
+                        assert_eq!(h.hash(x), want % h.range(), "k = {k}, x = {x}");
+                        assert_eq!(o, want % h.range(), "k = {k}, x = {x}, tail {t}");
+                    }
+                }
+            }
+        }
+        for seed in 0..8u64 {
+            let h = PairwiseHash::new(seed, 1000);
+            let s = SignHash::new(seed);
+            for x in groups.concat() {
+                assert_eq!(h.hash(x), field_horner(h.coefficients(), x) % 1000);
+                let parity = field_horner(s.as_pairwise().coefficients(), x) % (1 << 32) % 2;
+                assert_eq!(s.sign(x), 1 - 2 * parity as i64);
+            }
+        }
+    }
+
+    #[test]
+    fn pairwise_hash_equals_the_degree_one_kwise_hash() {
+        for seed in 0..50u64 {
+            let h = PairwiseHash::new(seed, 4096);
+            let k = KWiseHash::new(seed, 2, 4096);
+            assert_eq!(h.coefficients(), k.coefficients());
+            for x in [0u64, 1, 77, (1 << 32) - 1, 1 << 32, MERSENNE_P - 1] {
+                assert_eq!(h.hash(x), k.hash(x));
             }
         }
     }

@@ -357,32 +357,58 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// The `expander_sketch` client's wire output at |X| = 2^20, pinned: the
-/// FNV-1a digest of the `respond_encode_batch` bytes followed by the
-/// little-endian frame lengths. Any change to the client's hashes, outer
-/// code or coin draws moves it. Chunks of 1000 users (not a multiple of
-/// the client's hashing tile) must give the same bytes as one batch.
+/// FNV-1a digest of one client's `respond_encode_batch` output for
+/// `xs`, run in chunks of `chunk` users: the wire bytes followed by the
+/// little-endian frame lengths.
+fn client_digest<A: Aggregator>(server: &A, xs: &[u64], chunk: usize) -> u64 {
+    let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+    for (c, part) in xs.chunks(chunk).enumerate() {
+        lens.extend(server.respond_encode_batch((c * chunk) as u64, part, 22, &mut bytes));
+    }
+    assert_eq!(lens.len(), xs.len());
+    fnv1a(
+        bytes
+            .into_iter()
+            .chain(lens.iter().flat_map(|l| l.to_le_bytes())),
+    )
+}
+
+/// The Hashtogram-family clients' wire output at |X| = 2^20, pinned: one
+/// golden digest ([`client_digest`]) per protocol. Any change to a
+/// client's hashes, outer code, group assignment or coin draws moves its
+/// digest. Chunks of 1000 users (not a multiple of the sketch's hashing
+/// tile) must give the same bytes as one batch.
 #[test]
-fn expander_sketch_wire_bytes_are_pinned() {
-    const GOLDEN: u64 = 0x123a_e49b_c16f_f7a2;
+fn client_wire_bytes_are_pinned() {
     let n = 1usize << 12;
-    let server = ExpanderSketch::new(SketchParams::optimal(n as u64, 20, 4.0, 0.1), 0x5EED);
     let xs = inputs(n, 1 << 20, 21);
-    let digest = |chunk: usize| {
-        let (mut bytes, mut lens) = (Vec::new(), Vec::new());
-        for (c, part) in xs.chunks(chunk).enumerate() {
-            lens.extend(server.respond_encode_batch((c * chunk) as u64, part, 22, &mut bytes));
-        }
-        assert_eq!(lens.len(), n);
-        fnv1a(
-            bytes
-                .into_iter()
-                .chain(lens.iter().flat_map(|l| l.to_le_bytes())),
-        )
-    };
-    let whole = digest(n);
-    assert_eq!(digest(1000), whole);
-    assert_eq!(whole, GOLDEN, "expander_sketch wire bytes moved");
+    let sketch = ExpanderSketch::new(SketchParams::optimal(n as u64, 20, 4.0, 0.1), 0x5EED);
+    let bitstogram = Bitstogram::new(BitstogramParams::optimal(n as u64, 20, 4.0, 0.1), 0x5EED);
+    let scan = ScanHeavyHitters::new(ScanParams::new(n as u64, 1 << 20, 4.0, 0.1), 0x5EED);
+    // (protocol, digest at a chunk size, golden digest)
+    type Case<'a> = (&'a str, &'a dyn Fn(usize) -> u64, u64);
+    let cases: [Case; 3] = [
+        (
+            "expander_sketch",
+            &|chunk| client_digest(&sketch, &xs, chunk),
+            0x123a_e49b_c16f_f7a2,
+        ),
+        (
+            "bitstogram",
+            &|chunk| client_digest(&bitstogram, &xs, chunk),
+            0x1c45_39a2_ce6c_f580,
+        ),
+        (
+            "scan",
+            &|chunk| client_digest(&scan, &xs, chunk),
+            0x54c9_33c9_3617_f9fc,
+        ),
+    ];
+    for (protocol, digest, golden) in cases {
+        let whole = digest(n);
+        assert_eq!(digest(1000), whole, "{protocol}: chunked bytes differ");
+        assert_eq!(whole, golden, "{protocol} wire bytes moved");
+    }
 }
 
 mod zero_copy_ingest {
