@@ -46,7 +46,7 @@ use hh_math::stats::loglog_slope;
 use hh_sim::registry::{build_hh, build_oracle, ProtocolSpec};
 use hh_sim::{
     run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter_batched, run_heavy_hitter_distributed,
-    run_oracle_distributed, BatchPlan, DistPlan, DynHhProtocol, OracleRun, ProtocolRun, Workload,
+    run_oracle_batched, BatchPlan, DistPlan, DynHhProtocol, ProtocolRun, Workload,
 };
 
 /// The accepted command line, for the usage line printed on a bad one.
@@ -116,41 +116,13 @@ struct CellRun {
     row: Vec<String>,
 }
 
-/// How many leading users the `--serial` rows sample to measure mean
-/// wire bytes (the fleet measures end-to-end instead).
-const WIRE_SAMPLE_CAP: usize = 1 << 13;
-/// Client seed of the wire-size sample (any fixed value works — report
-/// sizes concentrate; fixed so reruns print identical columns).
-const WIRE_SAMPLE_SEED: u64 = 0x317E;
-
-/// Mean encoded report size over a leading sample of the population,
-/// measured through the fused wire path `encode` (`respond_encode_batch`
-/// from user 0 at [`WIRE_SAMPLE_SEED`]).
-fn sample_wire_bytes(data: &[u64], encode: impl FnOnce(&[u64], &mut Vec<u8>)) -> f64 {
-    let sample = &data[..data.len().min(WIRE_SAMPLE_CAP)];
-    let mut buf = Vec::new();
-    encode(sample, &mut buf);
-    buf.len() as f64 / sample.len().max(1) as f64
-}
-
-/// One table row's run and its mean wire bytes per user: measured end
-/// to end through the fleet by default, sampled under `--serial`.
-fn drive(
-    server: &mut dyn DynHhProtocol,
-    data: &[u64],
-    seed: u64,
-    serial: bool,
-) -> (ProtocolRun, f64) {
+/// One table row's run: end to end through the fleet by default,
+/// through the serial reference under `--serial`.
+fn drive(server: &mut dyn DynHhProtocol, data: &[u64], seed: u64, serial: bool) -> ProtocolRun {
     if serial {
-        let wire = sample_wire_bytes(data, |xs, buf| {
-            server.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
-        });
-        (run_dyn_heavy_hitter(server, data, seed), wire)
+        run_dyn_heavy_hitter(server, data, seed)
     } else {
-        let plan = BatchPlan::default().fleet(data.len());
-        let d = run_heavy_hitter_distributed(server, data, seed, &plan);
-        let wire = d.wire_bytes_per_user();
-        (d.into(), wire)
+        run_heavy_hitter_batched(server, data, seed, &BatchPlan::default())
     }
 }
 
@@ -177,11 +149,11 @@ fn compare_at_scale(
         serial.estimates, batched.estimates,
         "{name}: batched output diverged from serial"
     );
-    let speedup = serial.total_time().as_secs_f64() / batched.total_time().as_secs_f64();
+    let speedup = serial.wall.as_secs_f64() / batched.wall.as_secs_f64();
     println!(
         "  {name:>16}: serial {} | batched {} ({} fleet threads = encoders + collectors, chunk {}) | speedup x{speedup:.2}",
-        fmt_dur(serial.total_time()),
-        fmt_dur(batched.total_time()),
+        fmt_dur(serial.wall),
+        fmt_dur(batched.wall),
         batched.threads,
         plan.chunk_size,
     );
@@ -190,13 +162,19 @@ fn compare_at_scale(
         .int("n", data.len() as u64)
         .int("fleet_threads", batched.threads as u64)
         .int("chunk_size", plan.chunk_size as u64)
-        .num("serial_total_secs", serial.total_time().as_secs_f64())
+        .num("serial_total_secs", serial.wall.as_secs_f64())
         .num("serial_client_secs", serial.client_total.as_secs_f64())
-        .num("serial_ingest_secs", serial.server_ingest.as_secs_f64())
+        .num(
+            "serial_ingest_secs",
+            (serial.server_ingest + serial.server_merge).as_secs_f64(),
+        )
         .num("serial_finish_secs", serial.server_finish.as_secs_f64())
-        .num("batched_total_secs", batched.total_time().as_secs_f64())
+        .num("batched_total_secs", batched.wall.as_secs_f64())
         .num("batched_client_secs", batched.client_total.as_secs_f64())
-        .num("batched_ingest_secs", batched.server_ingest.as_secs_f64())
+        .num(
+            "batched_ingest_secs",
+            (batched.server_ingest + batched.server_merge).as_secs_f64(),
+        )
         .num("batched_finish_secs", batched.server_finish.as_secs_f64())
         .num("speedup_total", speedup)
         .build();
@@ -231,7 +209,7 @@ fn merge_scaling(
             run.wire_bytes_per_user(),
             fmt_dur(run.server_ingest),
             fmt_dur(run.server_merge),
-            fmt_dur(run.total_time()),
+            fmt_dur(run.wall),
         );
         out.push(
             JsonObject::new()
@@ -244,7 +222,7 @@ fn merge_scaling(
                 .num("ingest_secs", run.server_ingest.as_secs_f64())
                 .num("merge_secs", run.server_merge.as_secs_f64())
                 .num("finish_secs", run.server_finish.as_secs_f64())
-                .num("total_secs", run.total_time().as_secs_f64())
+                .num("total_secs", run.wall.as_secs_f64())
                 .build(),
         );
     }
@@ -272,7 +250,7 @@ fn run_cell(row: usize, logn: u32, data: &[u64], base: &ProtocolSpec, serial: bo
     };
     if let Some(&(display, name, build_seed, run_seed, pub_rand)) = HH_ROWS.get(row) {
         let mut s = build_hh(name, &spec(build_seed)).expect("registered protocol");
-        let (run, wire) = drive(s.as_mut(), data, run_seed, serial);
+        let run = drive(s.as_mut(), data, run_seed, serial);
         return CellRun {
             secs: run.server_time().as_secs_f64(),
             memory: run.memory_bytes as f64,
@@ -283,7 +261,7 @@ fn run_cell(row: usize, logn: u32, data: &[u64], base: &ProtocolSpec, serial: bo
                 fmt_dur(run.user_time()),
                 format!("{} KiB", run.memory_bytes / 1024),
                 run.report_bits.to_string(),
-                format!("{wire:.2}"),
+                format!("{:.2}", run.wire_bytes_per_user()),
                 pub_rand.into(),
             ],
         };
@@ -293,16 +271,10 @@ fn run_cell(row: usize, logn: u32, data: &[u64], base: &ProtocolSpec, serial: bo
     // extrapolate.
     let queries: Vec<u64> = (0..512u64).collect();
     let mut o = build_oracle("bassily_smith", &spec(5)).expect("registered oracle");
-    let (run, wire): (OracleRun, f64) = if serial {
-        let wire = sample_wire_bytes(data, |xs, buf| {
-            o.respond_encode_batch(0, xs, WIRE_SAMPLE_SEED, buf);
-        });
-        (run_dyn_oracle(o.as_mut(), data, &queries, 6), wire)
+    let run = if serial {
+        run_dyn_oracle(o.as_mut(), data, &queries, 6)
     } else {
-        let plan = BatchPlan::default().fleet(data.len());
-        let d = run_oracle_distributed(o.as_mut(), data, &queries, 6, &plan);
-        let wire = d.wire_bytes_per_user();
-        (d.into(), wire)
+        run_oracle_batched(o.as_mut(), data, &queries, 6, &BatchPlan::default())
     };
     let full_scan = run.query_total.as_secs_f64() / queries.len() as f64 * base.domain as f64;
     CellRun {
@@ -321,7 +293,7 @@ fn run_cell(row: usize, logn: u32, data: &[u64], base: &ProtocolSpec, serial: bo
             )),
             format!("{} KiB", run.memory_bytes / 1024),
             run.report_bits.to_string(),
-            format!("{wire:.2}"),
+            format!("{:.2}", run.wire_bytes_per_user()),
             "64 bits (hash-compressed Phi)".into(),
         ],
     }
@@ -445,10 +417,9 @@ fn main() {
     println!("  - all rows dispatch through hh_sim::registry (type-erased protocols);");
     println!("    the serial driver ingests per-user through the same wire path.");
     println!("  - claim bits is report_bits() (the protocol's worst-case message claim);");
-    println!("    wire B/user is the measured mean size of the actual encoded reports");
-    println!("    (end-to-end through the collector fleet; a leading sample under");
-    println!("    --serial). The wire_conformance tests pin wire <= ceil(claim / 8)");
-    println!("    bytes per report.");
+    println!("    wire B/user is the measured mean size of every encoded report, counted");
+    println!("    by the driver itself (the same under --serial). The wire_conformance");
+    println!("    tests pin wire <= ceil(claim / 8) bytes per report.");
     println!("  - [4]'s Table-1 entries (n^1.5 user, n^2.5 server, n^1.5 public coins)");
     println!("    assume explicitly materialized public randomness; our implementation");
     println!("    hash-compresses Phi (the option their footnote 2 concedes), so the");

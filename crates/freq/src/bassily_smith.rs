@@ -258,22 +258,14 @@ impl Aggregator for BassilySmithOracle {
 }
 
 impl FrequencyOracle for BassilySmithOracle {
-    fn finalize(&mut self) {
-        assert!(!self.finalized, "double finalize");
-        let c = self.rr.debias_factor();
-        let tallies = std::mem::take(&mut self.shard.tallies);
-        self.acc = tallies.iter().map(|&t| c * t as f64).collect();
-        self.finalized = true;
-    }
-
     fn finalize_with(&mut self, scratch: &mut FinishScratch) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
         let tallies = std::mem::take(&mut self.shard.tallies);
         // Element-wise debias: chunks are independent and come back in
-        // chunk order, so the concatenation is bit-for-bit `finalize()`'s
-        // (the per-query dot product in `estimate` stays serial — its FP
-        // accumulation order is part of the result).
+        // chunk order, so the concatenation is the same at every thread
+        // count (the per-query dot product in `estimate` stays serial —
+        // its FP accumulation order is part of the result).
         let workers = planned_threads(scratch.threads, tallies.len(), 1);
         let chunk = tallies.len().div_ceil(workers).max(1);
         let parts = par_chunk_map(&tallies, chunk, scratch.threads, |_, ts| {

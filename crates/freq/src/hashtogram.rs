@@ -568,17 +568,6 @@ impl Aggregator for Hashtogram {
 }
 
 impl FrequencyOracle for Hashtogram {
-    fn finalize(&mut self) {
-        assert!(!self.finalized, "double finalize");
-        let c = self.rr.debias_factor();
-        let tallies = std::mem::take(&mut self.shard.tallies);
-        self.acc = tallies
-            .chunks(self.params.buckets as usize)
-            .map(|row| bucket_sums(row, c, 1))
-            .collect();
-        self.finalized = true;
-    }
-
     fn finalize_with(&mut self, scratch: &mut FinishScratch) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
@@ -590,8 +579,8 @@ impl FrequencyOracle for Hashtogram {
             vec![bucket_sums(&tallies, c, threads)]
         } else {
             // One row per group; rows are independent, results come back
-            // in row order — the debias + WHT per row is the serial
-            // kernel, so the output is bit-for-bit `finalize()`'s.
+            // in row order — the debias + WHT per row is the one-thread
+            // kernel, so the output is the same at every thread count.
             par_chunk_map(&tallies, self.params.buckets as usize, threads, |_, row| {
                 bucket_sums(row, c, 1)
             })

@@ -7,7 +7,7 @@
 //! composition experiments).
 
 use crate::randomizers::GeneralizedRandomizedResponse;
-use crate::traits::{Aggregator, FrequencyOracle, LocalRandomizer, RandomizerInput};
+use crate::traits::{Aggregator, FinishScratch, FrequencyOracle, LocalRandomizer, RandomizerInput};
 use crate::wire::{
     count_run_len, read_count_run, read_uint, varint_len, write_count_run, write_uint,
     write_varint, FrameError, ShardReader, WireError, WireFrames, WireShard,
@@ -173,7 +173,7 @@ impl Aggregator for KrrOracle {
 }
 
 impl FrequencyOracle for KrrOracle {
-    fn finalize(&mut self) {
+    fn finalize_with(&mut self, _scratch: &mut FinishScratch) {
         self.finalized = true;
     }
 

@@ -9,7 +9,7 @@
 //! report, versus Hashtogram's `O~(1)` — the contrast the Table 1
 //! communication rows of `exp_table1_resources` measure.
 
-use crate::traits::{Aggregator, FrequencyOracle};
+use crate::traits::{Aggregator, FinishScratch, FrequencyOracle};
 use crate::wire::{
     count_run_len, read_count_run, varint_len, write_count_run, write_varint, FrameError,
     ShardReader, WireError, WireFrames, WireShard,
@@ -232,7 +232,7 @@ impl Aggregator for Rappor {
 }
 
 impl FrequencyOracle for Rappor {
-    fn finalize(&mut self) {
+    fn finalize_with(&mut self, _scratch: &mut FinishScratch) {
         self.finalized = true;
     }
 

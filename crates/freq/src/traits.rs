@@ -231,24 +231,21 @@ pub trait Aggregator {
 /// A one-round LDP frequency-oracle protocol (Definition 3.2): the
 /// shared [`Aggregator`] ingest half plus point estimates.
 pub trait FrequencyOracle: Aggregator {
-    /// Server-side: finish ingestion (e.g. apply the inverse transform).
-    /// Must be called before [`FrequencyOracle::estimate`].
-    fn finalize(&mut self);
-
-    /// Server-side: [`FrequencyOracle::finalize`] with an explicit
-    /// [`FinishScratch`] — the parallel, allocation-recycling entry
-    /// point of the finish path.
+    /// Server-side: finish ingestion (e.g. apply the inverse transform)
+    /// with an explicit [`FinishScratch`] — the parallel,
+    /// allocation-recycling finish path. Must be called before
+    /// [`FrequencyOracle::estimate`].
     ///
     /// The scratch carries the worker-thread knob the debias/transform
     /// sweeps run under and pooled buffers reused across calls; neither
-    /// may change the result: after `finalize_with`, every
-    /// [`FrequencyOracle::estimate`] answer is **bit-for-bit equal** to
-    /// the plain [`FrequencyOracle::finalize`] path for every scratch
-    /// state and thread count (the `finish_equivalence` proptests pin
-    /// every override). The default ignores the scratch and runs the
-    /// plain serial `finalize`.
-    fn finalize_with(&mut self, _scratch: &mut FinishScratch) {
-        self.finalize();
+    /// may change the result: every [`FrequencyOracle::estimate`] answer
+    /// is **bit-for-bit equal** for every scratch state and thread count
+    /// (the `finish_equivalence` proptests pin every implementation).
+    fn finalize_with(&mut self, scratch: &mut FinishScratch);
+
+    /// Server-side: [`FrequencyOracle::finalize_with`] on one thread.
+    fn finalize(&mut self) {
+        self.finalize_with(&mut FinishScratch::serial());
     }
 
     /// Estimate `f_S(x)`.

@@ -157,14 +157,14 @@ pub trait DynOracle: Send + Sync {
     fn decode_shard(&self, bytes: &[u8]) -> Result<DynShard, WireError>;
     /// Fold a partial aggregate into the server state.
     fn finish_shard(&mut self, shard: DynShard);
-    /// Finish ingestion; must be called before [`DynOracle::estimate`].
-    fn finalize(&mut self);
-    /// [`DynOracle::finalize`] with caller-owned scratch (thread plan +
-    /// reusable decode buffers); resulting state is bit-for-bit identical
-    /// to [`DynOracle::finalize`].
-    fn finalize_with(&mut self, scratch: &mut FinishScratch) {
-        let _ = scratch;
-        self.finalize();
+    /// Finish ingestion with caller-owned scratch (thread plan +
+    /// reusable decode buffers); must be called before
+    /// [`DynOracle::estimate`]. The resulting state is bit-for-bit the
+    /// same for every scratch.
+    fn finalize_with(&mut self, scratch: &mut FinishScratch);
+    /// [`DynOracle::finalize_with`] on one thread.
+    fn finalize(&mut self) {
+        self.finalize_with(&mut FinishScratch::serial());
     }
     /// Estimate `f_S(x)`.
     fn estimate(&self, x: u64) -> f64;
@@ -312,10 +312,6 @@ where
 
     fn finish_shard(&mut self, shard: DynShard) {
         self.0.finish_shard(shard.downcast("finish_shard"));
-    }
-
-    fn finalize(&mut self) {
-        self.0.finalize();
     }
 
     fn finalize_with(&mut self, scratch: &mut FinishScratch) {

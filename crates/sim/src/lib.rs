@@ -11,8 +11,10 @@
 //!   [`StreamWorkload`] cuts one of them into epochs with jittered
 //!   arrival counts;
 //! * [`run`] executes a protocol over the population and times each
-//!   phase. Three drivers share one reproducibility contract and two
-//!   ingest paths, the serial reference and the collector runtime:
+//!   phase. Three drivers share one reproducibility contract, two
+//!   ingest paths (the serial reference and the collector runtime) and
+//!   one run record per family — [`ProtocolRun`] for heavy hitters,
+//!   [`OracleRun`] for frequency oracles, measured wire bytes included:
 //!   - [`run_heavy_hitter`] / [`run_oracle`] — the serial reference
 //!     path, one user at a time through scalar `respond` + `collect`
 //!     ([`run_dyn_heavy_hitter`] / [`run_dyn_oracle`] are the wire-path
@@ -24,7 +26,7 @@
 //!     borrowed frames, and the shards are merged (tree-wise by
 //!     default) before `finish`. Configured by [`DistPlan`] (collector
 //!     count, chunk size, threads, [`MergeOrder`] — none affects
-//!     output); also accounts measured wire bytes;
+//!     output);
 //!   - [`run_heavy_hitter_batched`] / [`run_oracle_batched`] — the same
 //!     fleet run, one-shot on the fleet [`BatchPlan::fleet`] derives
 //!     from a [`BatchPlan`] (chunk size, thread count — neither affects
@@ -82,7 +84,7 @@ pub use erased::{
     Erased,
 };
 pub use metrics::FinishPhase;
-pub use pipeline::{run_pipelined, run_pipelined_all, PipelineConfig, PipelineSession};
+pub use pipeline::{run_pipelined, PipelineConfig, PipelineSession};
 pub use registry::{build_hh, build_oracle, ProtocolSpec};
 /// The batched driver under its former `dyn` name: [`run_heavy_hitter_batched`]
 /// takes `&mut dyn DynHhProtocol` directly.
@@ -90,7 +92,7 @@ pub use run::run_heavy_hitter_batched as run_dyn_heavy_hitter_batched;
 pub use run::{
     run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter, run_heavy_hitter_batched,
     run_heavy_hitter_distributed, run_oracle, run_oracle_batched, run_oracle_distributed,
-    BatchPlan, DistPlan, DistributedOracleRun, DistributedRun, MergeOrder, OracleRun, ProtocolRun,
+    BatchPlan, DistPlan, MergeOrder, OracleRun, ProtocolRun,
 };
 pub use stream::{CheckpointReport, RecoveryReport, StreamIngest, StreamPlan, StreamStats};
 pub use workload::{StreamWorkload, Workload};

@@ -918,21 +918,3 @@ where
         (shard, stats, out)
     })
 }
-
-/// Convenience: ingest `data` in [`StreamPlan::epoch_size`] epochs
-/// through the runtime and return the merged final shard and stats.
-pub fn run_pipelined_all<I>(
-    ingest: &I,
-    plan: &StreamPlan,
-    config: &PipelineConfig,
-    seed: u64,
-    data: &[u64],
-) -> (DynShard, StreamStats)
-where
-    I: StreamIngest + Sync,
-{
-    let (shard, stats, ()) = run_pipelined(ingest, plan, config, seed, |session| {
-        session.ingest_all(data);
-    });
-    (shard, stats)
-}

@@ -1,7 +1,8 @@
 //! Protocol execution with the Table 1 resource accounting: a serial
 //! reference driver and a collector-fleet driver, whose one-shot run on
 //! a fleet sized to the machine is the batched driver — all with
-//! identical output.
+//! identical output and one run record per family: [`ProtocolRun`] for
+//! heavy hitters, [`OracleRun`] for frequency oracles.
 //!
 //! # The reproducibility contract
 //!
@@ -20,15 +21,14 @@
 //!
 //! [`run_heavy_hitter_distributed`] simulates a collector fleet. It is
 //! a thin wrapper over the collector runtime
-//! ([`crate::pipeline::run_pipelined_all`]) run as a single epoch:
+//! ([`run_pipelined`]) run as a single epoch:
 //!
 //! 1. **respond + encode** — the population is partitioned into chunks
 //!    of [`DistPlan::chunk_size`]; encoder workers run the fused
 //!    `respond_encode_batch`, sampling each user's report straight into
-//!    its [`WireReport`](hh_core::traits::WireReport) encoding (the
-//!    client's message as it would leave the device — no intermediate
-//!    `Report` vec), and send each chunk to its collector; total wire
-//!    bytes are accounted;
+//!    its [`WireReport`] encoding (the client's message as it would
+//!    leave the device — no intermediate `Report` vec), and send each
+//!    chunk to its collector; total wire bytes are accounted;
 //! 2. **collect** — chunk `c`'s bytes are routed to collector
 //!    `c % collectors`; each collector actor folds its chunks' borrowed
 //!    wire frames straight into its own shard while the rest are still
@@ -51,31 +51,30 @@
 //! runs on the same runtime ([`crate::pipeline`]), so there is one
 //! ingest path.
 //!
-//! # Typed and type-erased protocols
+//! # The serial reference
 //!
-//! The batched and distributed drivers take a `&mut dyn`
-//! [`DynHhProtocol`] / [`DynOracle`]: they ingest through the
-//! [`DynHhStream`] / [`DynOracleStream`] adapter and fold the fleet's
-//! [`DynShard`] in through the same trait. A
-//! typed protocol runs on them wrapped in [`Erased`]:
-//! `run_heavy_hitter_batched(&mut Erased(server), ..)`. Only the serial
-//! drivers come in two forms: the typed ones run scalar `respond` +
-//! `collect` (the ground truth), the `dyn` ones run the wire path one
-//! user at a time.
+//! The serial drivers run one user at a time on one collector. The
+//! typed ones ([`run_heavy_hitter`], [`run_oracle`]) run scalar
+//! `respond` + `collect`, the ground truth; the `dyn` ones
+//! ([`run_dyn_heavy_hitter`], [`run_dyn_oracle`]) run the fused wire
+//! path, through the same [`DynHhStream`] / [`DynOracleStream`]
+//! adapter as the fleet. Every driver fills the same record, wire bytes
+//! included. The fleet drivers take a `&mut dyn` [`DynHhProtocol`] /
+//! [`DynOracle`]; a typed protocol runs on them wrapped in [`Erased`]:
+//! `run_heavy_hitter_batched(&mut Erased(server), ..)`.
 
 #[cfg(doc)]
 use crate::erased::Erased;
 use crate::erased::{DynHhProtocol, DynHhStream, DynOracle, DynOracleStream, DynShard};
-use crate::pipeline::{run_pipelined_all, PipelineConfig};
+use crate::pipeline::{run_pipelined, PipelineConfig};
 use crate::stream::{StreamIngest, StreamPlan, StreamStats};
+use crate::stream::{HH_CLIENT_LABEL, ORACLE_CLIENT_LABEL};
 use hh_core::traits::HeavyHitterProtocol;
-use hh_freq::traits::FrequencyOracle;
-use hh_freq::wire::WireFrames;
+use hh_freq::traits::{Aggregator, FrequencyOracle};
+use hh_freq::wire::{WireFrames, WireReport};
 use hh_math::par::{planned_threads, FinishScratch};
 use hh_math::rng::{client_rng, derive_seed};
 use std::time::{Duration, Instant};
-
-use crate::stream::{HH_CLIENT_LABEL, ORACLE_CLIENT_LABEL};
 
 /// Execution shape of the batched drivers.
 #[derive(Debug, Clone)]
@@ -127,152 +126,6 @@ impl BatchPlan {
             merge: MergeOrder::Tree,
         }
     }
-}
-
-/// Measured resources of one heavy-hitter protocol run.
-#[derive(Debug, Clone)]
-pub struct ProtocolRun {
-    /// The output list `Est`.
-    pub estimates: Vec<(u64, f64)>,
-    /// Number of users simulated.
-    pub n: usize,
-    /// Client-side time. Serial drivers: summed per-user `respond` time
-    /// (Table 1 "User time" is this divided by `n`). Batched driver:
-    /// wall-clock time of the session's encode + enqueue phase,
-    /// including time blocked on full collector queues (backpressure).
-    pub client_total: Duration,
-    /// Server-side ingestion time. Serial drivers: summed per-user
-    /// collect. Batched driver: the collectors' summed decode + absorb
-    /// busy time plus the merge and fold.
-    pub server_ingest: Duration,
-    /// Server-side aggregation/decoding time (finish).
-    pub server_finish: Duration,
-    /// Threads the run used: 1 for the serial drivers; encoder workers
-    /// plus collector actors for the batched driver.
-    pub threads: usize,
-    /// Per-user communication in bits.
-    pub report_bits: usize,
-    /// Server working memory in bytes.
-    pub memory_bytes: usize,
-    /// The protocol's detection threshold Δ.
-    pub detection_threshold: f64,
-    /// Wall-clock time of the whole run, from driver entry to return.
-    pub wall: Duration,
-}
-
-impl ProtocolRun {
-    /// Mean per-user client time (serial driver) / mean wall-clock cost
-    /// per user of the encode phase (batched driver).
-    pub fn user_time(&self) -> Duration {
-        self.client_total / self.n.max(1) as u32
-    }
-
-    /// Total server time (ingest + finish).
-    pub fn server_time(&self) -> Duration {
-        self.server_ingest + self.server_finish
-    }
-
-    /// End-to-end wall-clock time of the run ([`Self::wall`]). Not the
-    /// sum of the phase times: the batched driver's ingest overlaps its
-    /// client phase and is summed over collector threads.
-    pub fn total_time(&self) -> Duration {
-        self.wall
-    }
-}
-
-impl From<DistributedRun> for ProtocolRun {
-    /// A fleet run's record in the batched drivers' shape: the
-    /// collectors' ingest and the merge count as server ingest.
-    fn from(d: DistributedRun) -> Self {
-        Self {
-            estimates: d.estimates,
-            n: d.n,
-            client_total: d.client_total,
-            server_ingest: d.server_ingest + d.server_merge,
-            server_finish: d.server_finish,
-            threads: d.threads,
-            report_bits: d.report_bits,
-            memory_bytes: d.memory_bytes,
-            detection_threshold: d.detection_threshold,
-            wall: d.wall,
-        }
-    }
-}
-
-/// Run a heavy-hitter protocol over a dataset serially, timing each phase.
-///
-/// User `i` draws her coins from the stream `(seed, i)` (see the module
-/// docs), so runs are exactly reproducible, each user's coins are
-/// independent, and the output is identical to
-/// [`run_heavy_hitter_batched`].
-pub fn run_heavy_hitter<P: HeavyHitterProtocol>(
-    server: &mut P,
-    data: &[u64],
-    seed: u64,
-) -> ProtocolRun {
-    let start = Instant::now();
-    let mut client_total = Duration::ZERO;
-    let mut server_ingest = Duration::ZERO;
-    let client_seed = derive_seed(seed, HH_CLIENT_LABEL);
-    for (i, &x) in data.iter().enumerate() {
-        let t0 = Instant::now();
-        let mut rng = client_rng(client_seed, i as u64);
-        let report = server.respond(i as u64, x, &mut rng);
-        client_total += t0.elapsed();
-        let t1 = Instant::now();
-        server.collect(i as u64, report);
-        server_ingest += t1.elapsed();
-    }
-    let t2 = Instant::now();
-    // Forced-serial decode: this driver is the timing reference the
-    // batched/distributed speedups are measured against.
-    let estimates = server.finish_with(&mut FinishScratch::serial());
-    let server_finish = t2.elapsed();
-    ProtocolRun {
-        estimates,
-        n: data.len(),
-        client_total,
-        server_ingest,
-        server_finish,
-        threads: 1,
-        report_bits: server.report_bits(),
-        memory_bytes: server.memory_bytes(),
-        detection_threshold: server.detection_threshold(),
-        wall: start.elapsed(),
-    }
-}
-
-/// Run a heavy-hitter protocol as one batch: a one-shot run of
-/// [`run_heavy_hitter_distributed`] on the fleet [`BatchPlan::fleet`]
-/// derives for this input.
-///
-/// A typed protocol runs wrapped in [`Erased`]. Output is bit-for-bit
-/// identical to [`run_heavy_hitter`] with the same `seed`, for every
-/// `plan` (chunk size and thread count only change the schedule, never
-/// the result).
-pub fn run_heavy_hitter_batched(
-    server: &mut dyn DynHhProtocol,
-    data: &[u64],
-    seed: u64,
-    plan: &BatchPlan,
-) -> ProtocolRun {
-    run_heavy_hitter_distributed(server, data, seed, &plan.fleet(data.len())).into()
-}
-
-/// The shared collector-fleet ingest of both families: a single-epoch
-/// run of the collector runtime, with as many encoder workers as the
-/// plan's thread policy gives this input.
-fn one_shot_fleet<I: StreamIngest + Sync>(
-    ingest: &I,
-    data: &[u64],
-    seed: u64,
-    plan: &DistPlan,
-) -> (DynShard, StreamStats) {
-    let config = PipelineConfig {
-        workers: planned_threads(plan.threads, data.len(), plan.chunk_size),
-        ..PipelineConfig::default()
-    };
-    run_pipelined_all(ingest, &StreamPlan::one_shot(plan), &config, seed, data)
 }
 
 /// The order in which collector shards are combined. Every order yields
@@ -340,27 +193,36 @@ impl DistPlan {
     }
 }
 
-/// Measured resources of one distributed heavy-hitter run.
+/// Measured resources of one heavy-hitter protocol run, by any driver.
 #[derive(Debug, Clone)]
-pub struct DistributedRun {
-    /// The output list `Est` — bit-for-bit equal to the serial run's.
+pub struct ProtocolRun {
+    /// The output list `Est` — bit-for-bit the same from every driver.
     pub estimates: Vec<(u64, f64)>,
     /// Number of users simulated.
     pub n: usize,
-    /// Collector nodes simulated.
+    /// Collector nodes the reports went to: 1 for the serial drivers.
     pub collectors: usize,
-    /// Total bytes all reports occupied on the (simulated) wire.
+    /// Total bytes all reports occupied on the wire: the fused frames
+    /// the `dyn` and fleet drivers write, the summed `encoded_len()` of
+    /// the typed serial driver's reports.
     pub wire_bytes: u64,
-    /// Wall-clock time of the respond + encode phase (including any time
-    /// blocked on full collector queues).
+    /// Client-side time. Serial drivers: summed per-user `respond` time
+    /// (Table 1 "User time" is this divided by `n`). Fleet drivers:
+    /// wall-clock time of the session's encode + enqueue phase,
+    /// including time blocked on full collector queues (backpressure).
     pub client_total: Duration,
-    /// The collectors' summed decode + absorb busy time.
+    /// Server-side ingestion time. Serial drivers: summed per-user
+    /// collect. Fleet drivers: the collectors' summed decode + absorb
+    /// busy time.
     pub server_ingest: Duration,
-    /// Time to combine the collector shards and fold them in.
+    /// Time to combine the collector shards and fold them into the
+    /// server (zero for the typed serial driver, whose `collect` writes
+    /// into the server itself).
     pub server_merge: Duration,
-    /// Aggregation/decoding time (finish).
+    /// Server-side aggregation/decoding time (finish).
     pub server_finish: Duration,
-    /// Threads the fleet ran: encoder workers plus collector actors.
+    /// Threads the run used: 1 for the serial drivers; encoder workers
+    /// plus collector actors for the fleet drivers.
     pub threads: usize,
     /// Per-user communication claim in bits.
     pub report_bits: usize,
@@ -369,13 +231,16 @@ pub struct DistributedRun {
     /// The protocol's detection threshold Δ.
     pub detection_threshold: f64,
     /// Wall-clock time of the whole run, from driver entry to return.
+    /// Not the sum of the phase times: the fleet's ingest overlaps its
+    /// client phase and is summed over collector threads.
     pub wall: Duration,
 }
 
-impl DistributedRun {
-    /// Mean measured wire bytes per user.
-    pub fn wire_bytes_per_user(&self) -> f64 {
-        self.wire_bytes as f64 / self.n.max(1) as f64
+impl ProtocolRun {
+    /// Mean per-user client time (serial drivers) / mean wall-clock cost
+    /// per user of the encode phase (fleet drivers).
+    pub fn user_time(&self) -> Duration {
+        self.client_total / self.n.max(1) as u32
     }
 
     /// Total server time (ingest + merge + finish).
@@ -383,19 +248,225 @@ impl DistributedRun {
         self.server_ingest + self.server_merge + self.server_finish
     }
 
-    /// End-to-end wall-clock time of the run ([`Self::wall`]). Not the
-    /// sum of the phase times: collector ingest overlaps the client
-    /// phase and is summed over collector threads.
-    pub fn total_time(&self) -> Duration {
-        self.wall
+    /// Mean measured wire bytes per user.
+    pub fn wire_bytes_per_user(&self) -> f64 {
+        self.wire_bytes as f64 / self.n.max(1) as f64
     }
+}
+
+/// Measured resources of one frequency-oracle run, by any driver.
+#[derive(Debug, Clone)]
+pub struct OracleRun {
+    /// Estimates for the queried elements, in query order — bit-for-bit
+    /// the same from every driver.
+    pub answers: Vec<f64>,
+    /// Number of users simulated.
+    pub n: usize,
+    /// Collector nodes the reports went to, as in
+    /// [`ProtocolRun::collectors`].
+    pub collectors: usize,
+    /// Total bytes all reports occupied on the wire, as in
+    /// [`ProtocolRun::wire_bytes`].
+    pub wire_bytes: u64,
+    /// Client-side time (summed serial / wall-clock fleet, as in
+    /// [`ProtocolRun::client_total`]).
+    pub client_total: Duration,
+    /// Server ingestion + merge + finalization time.
+    pub server_build: Duration,
+    /// Total query time.
+    pub query_total: Duration,
+    /// Threads the run used, as in [`ProtocolRun::threads`].
+    pub threads: usize,
+    /// Per-user communication claim in bits.
+    pub report_bits: usize,
+    /// Server memory bytes.
+    pub memory_bytes: usize,
+}
+
+impl OracleRun {
+    /// Mean measured wire bytes per user.
+    pub fn wire_bytes_per_user(&self) -> f64 {
+        self.wire_bytes as f64 / self.n.max(1) as f64
+    }
+}
+
+/// The typed serial loop of both families: scalar `respond` + `collect`
+/// one user at a time on the coin stream of `label`. Returns the summed
+/// client and collect times and the reports' wire bytes (their
+/// `encoded_len()`, added outside the timers).
+fn serial_collect<A: Aggregator>(
+    server: &mut A,
+    label: u64,
+    data: &[u64],
+    seed: u64,
+) -> (Duration, Duration, u64) {
+    let client_seed = derive_seed(seed, label);
+    let (mut client_total, mut server_ingest, mut wire_bytes) = (Duration::ZERO, Duration::ZERO, 0);
+    for (i, &x) in data.iter().enumerate() {
+        let t0 = Instant::now();
+        let mut rng = client_rng(client_seed, i as u64);
+        let report = server.respond(i as u64, x, &mut rng);
+        client_total += t0.elapsed();
+        wire_bytes += report.encoded_len() as u64;
+        let t1 = Instant::now();
+        server.collect(i as u64, report);
+        server_ingest += t1.elapsed();
+    }
+    (client_total, server_ingest, wire_bytes)
+}
+
+/// The `dyn` serial loop of both families: the fused
+/// `respond_encode_batch` + `absorb_wire` one user at a time, on the
+/// coin stream of [`StreamIngest::CLIENT_LABEL`]. Returns the ingested
+/// shard, the summed client and absorb times and the bytes written.
+fn serial_wire<I: StreamIngest>(
+    ingest: &I,
+    data: &[u64],
+    seed: u64,
+) -> (DynShard, Duration, Duration, u64) {
+    let client_seed = derive_seed(seed, I::CLIENT_LABEL);
+    let (mut client_total, mut server_ingest, mut wire_bytes) = (Duration::ZERO, Duration::ZERO, 0);
+    let mut shard = ingest.new_shard();
+    let mut buf: Vec<u8> = Vec::new();
+    for (i, &x) in data.iter().enumerate() {
+        let t0 = Instant::now();
+        buf.clear();
+        let lens =
+            ingest.respond_encode_batch(i as u64, std::slice::from_ref(&x), client_seed, &mut buf);
+        client_total += t0.elapsed();
+        let t1 = Instant::now();
+        let frames = WireFrames::new(&buf, &lens)
+            .unwrap_or_else(|e| panic!("user {i}: misframed report: {e}"));
+        ingest
+            .absorb_wire(&mut shard, i as u64, &frames)
+            .unwrap_or_else(|e| panic!("user {i}: {e}"));
+        server_ingest += t1.elapsed();
+        wire_bytes += buf.len() as u64;
+    }
+    (shard, client_total, server_ingest, wire_bytes)
+}
+
+/// The shared collector-fleet ingest of both families: a single-epoch,
+/// checkpoint-free run of the collector runtime, with as many encoder
+/// workers as the plan's thread policy gives this input.
+fn fleet_ingest<I: StreamIngest + Sync>(
+    ingest: &I,
+    data: &[u64],
+    seed: u64,
+    plan: &DistPlan,
+) -> (DynShard, StreamStats) {
+    let stream = StreamPlan {
+        epoch_size: usize::MAX,
+        checkpoint_every: 0,
+        dist: plan.clone(),
+    };
+    let config = PipelineConfig {
+        workers: planned_threads(plan.threads, data.len(), plan.chunk_size),
+        ..PipelineConfig::default()
+    };
+    let (shard, stats, ()) = run_pipelined(ingest, &stream, &config, seed, |session| {
+        session.ingest_all(data)
+    });
+    (shard, stats)
+}
+
+/// Run a heavy-hitter protocol over a dataset serially, timing each phase.
+///
+/// User `i` draws her coins from the stream `(seed, i)` (see the module
+/// docs), so runs are exactly reproducible, each user's coins are
+/// independent, and the output is identical to
+/// [`run_heavy_hitter_batched`].
+pub fn run_heavy_hitter<P: HeavyHitterProtocol>(
+    server: &mut P,
+    data: &[u64],
+    seed: u64,
+) -> ProtocolRun {
+    let start = Instant::now();
+    let (client_total, server_ingest, wire_bytes) =
+        serial_collect(server, HH_CLIENT_LABEL, data, seed);
+    let t2 = Instant::now();
+    // Forced-serial decode: this driver is the timing reference the
+    // batched/distributed speedups are measured against.
+    let estimates = server.finish_with(&mut FinishScratch::serial());
+    let server_finish = t2.elapsed();
+    ProtocolRun {
+        estimates,
+        n: data.len(),
+        collectors: 1,
+        wire_bytes,
+        client_total,
+        server_ingest,
+        server_merge: Duration::ZERO,
+        server_finish,
+        threads: 1,
+        report_bits: server.report_bits(),
+        memory_bytes: server.memory_bytes(),
+        detection_threshold: server.detection_threshold(),
+        wall: start.elapsed(),
+    }
+}
+
+/// Run a type-erased heavy-hitter protocol serially — the dyn twin of
+/// [`run_heavy_hitter`], used by registry-dispatched binaries.
+///
+/// Reports are produced and ingested through the wire-native surface
+/// (per-user `respond_encode_batch` / `absorb_wire`) into one shard,
+/// folded in once, so the coins — and therefore the estimates — are
+/// bit-for-bit the typed serial run's.
+pub fn run_dyn_heavy_hitter(
+    server: &mut dyn DynHhProtocol,
+    data: &[u64],
+    seed: u64,
+) -> ProtocolRun {
+    let start = Instant::now();
+    let (shard, client_total, server_ingest, wire_bytes) =
+        serial_wire(&DynHhStream(&*server), data, seed);
+    let t1 = Instant::now();
+    server.finish_shard(shard);
+    let server_merge = t1.elapsed();
+    let t2 = Instant::now();
+    // Forced-serial decode, like the typed serial reference.
+    let estimates = server.finish_with(&mut FinishScratch::serial());
+    let server_finish = t2.elapsed();
+    ProtocolRun {
+        estimates,
+        n: data.len(),
+        collectors: 1,
+        wire_bytes,
+        client_total,
+        server_ingest,
+        server_merge,
+        server_finish,
+        threads: 1,
+        report_bits: server.report_bits(),
+        memory_bytes: server.memory_bytes(),
+        detection_threshold: server.detection_threshold(),
+        wall: start.elapsed(),
+    }
+}
+
+/// Run a heavy-hitter protocol as one batch: a one-shot run of
+/// [`run_heavy_hitter_distributed`] on the fleet [`BatchPlan::fleet`]
+/// derives for this input.
+///
+/// A typed protocol runs wrapped in [`Erased`]. Output is bit-for-bit
+/// identical to [`run_heavy_hitter`] with the same `seed`, for every
+/// `plan` (chunk size and thread count only change the schedule, never
+/// the result).
+pub fn run_heavy_hitter_batched(
+    server: &mut dyn DynHhProtocol,
+    data: &[u64],
+    seed: u64,
+    plan: &BatchPlan,
+) -> ProtocolRun {
+    run_heavy_hitter_distributed(server, data, seed, &plan.fleet(data.len()))
 }
 
 /// Run a heavy-hitter protocol across a simulated collector fleet — a
 /// single-epoch run of the collector runtime ([`crate::pipeline`]).
 ///
 /// Every report crosses a real serialization boundary (its
-/// [`WireReport`](hh_core::traits::WireReport) encoding) on the way to its collector; collectors
+/// [`WireReport`] encoding) on the way to its collector; collectors
 /// build independent shards which are merged and finished centrally.
 /// Output is bit-for-bit identical to [`run_heavy_hitter`] with the
 /// same `seed`, for every `plan` — collector count, chunk size, thread
@@ -408,10 +479,10 @@ pub fn run_heavy_hitter_distributed(
     data: &[u64],
     seed: u64,
     plan: &DistPlan,
-) -> DistributedRun {
+) -> ProtocolRun {
     let start = Instant::now();
     plan.validate();
-    let (merged, stats) = one_shot_fleet(&DynHhStream(&*server), data, seed, plan);
+    let (merged, stats) = fleet_ingest(&DynHhStream(&*server), data, seed, plan);
 
     // Fold the fleet's merged shard into the server.
     let t2 = Instant::now();
@@ -423,7 +494,7 @@ pub fn run_heavy_hitter_distributed(
     let estimates = server.finish_with(&mut FinishScratch::with_threads(plan.threads));
     let server_finish = t3.elapsed();
 
-    DistributedRun {
+    ProtocolRun {
         estimates,
         n: data.len(),
         collectors: plan.collectors,
@@ -440,28 +511,6 @@ pub fn run_heavy_hitter_distributed(
     }
 }
 
-/// Measured resources of one frequency-oracle run.
-#[derive(Debug, Clone)]
-pub struct OracleRun {
-    /// Estimates for the queried elements, in query order.
-    pub answers: Vec<f64>,
-    /// Number of users simulated.
-    pub n: usize,
-    /// Client-side time (summed serial / wall-clock batched, as in
-    /// [`ProtocolRun::client_total`]).
-    pub client_total: Duration,
-    /// Server ingestion + finalization time.
-    pub server_build: Duration,
-    /// Total query time.
-    pub query_total: Duration,
-    /// Threads the run used, as in [`ProtocolRun::threads`].
-    pub threads: usize,
-    /// Per-user communication bits.
-    pub report_bits: usize,
-    /// Server memory bytes.
-    pub memory_bytes: usize,
-}
-
 /// Run a frequency oracle over a dataset and a query set, serially.
 pub fn run_oracle<O: FrequencyOracle>(
     oracle: &mut O,
@@ -469,28 +518,52 @@ pub fn run_oracle<O: FrequencyOracle>(
     queries: &[u64],
     seed: u64,
 ) -> OracleRun {
-    let mut client_total = Duration::ZERO;
-    let mut server_build = Duration::ZERO;
-    let client_seed = derive_seed(seed, ORACLE_CLIENT_LABEL);
-    for (i, &x) in data.iter().enumerate() {
-        let t0 = Instant::now();
-        let mut rng = client_rng(client_seed, i as u64);
-        let report = oracle.respond(i as u64, x, &mut rng);
-        client_total += t0.elapsed();
-        let t1 = Instant::now();
-        oracle.collect(i as u64, report);
-        server_build += t1.elapsed();
-    }
+    let (client_total, server_ingest, wire_bytes) =
+        serial_collect(oracle, ORACLE_CLIENT_LABEL, data, seed);
     let t2 = Instant::now();
     // Forced-serial finalize: the serial timing reference.
     oracle.finalize_with(&mut FinishScratch::serial());
-    server_build += t2.elapsed();
+    let server_build = server_ingest + t2.elapsed();
     let t3 = Instant::now();
     let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
     let query_total = t3.elapsed();
     OracleRun {
         answers,
         n: data.len(),
+        collectors: 1,
+        wire_bytes,
+        client_total,
+        server_build,
+        query_total,
+        threads: 1,
+        report_bits: oracle.report_bits(),
+        memory_bytes: oracle.memory_bytes(),
+    }
+}
+
+/// Run a type-erased frequency oracle serially — the dyn twin of
+/// [`run_oracle`], on the wire path of [`run_dyn_heavy_hitter`].
+pub fn run_dyn_oracle(
+    oracle: &mut dyn DynOracle,
+    data: &[u64],
+    queries: &[u64],
+    seed: u64,
+) -> OracleRun {
+    let (shard, client_total, server_ingest, wire_bytes) =
+        serial_wire(&DynOracleStream(&*oracle), data, seed);
+    let t2 = Instant::now();
+    oracle.finish_shard(shard);
+    // Forced-serial finalize, like the typed serial reference.
+    oracle.finalize_with(&mut FinishScratch::serial());
+    let server_build = server_ingest + t2.elapsed();
+    let t3 = Instant::now();
+    let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
+    let query_total = t3.elapsed();
+    OracleRun {
+        answers,
+        n: data.len(),
+        collectors: 1,
+        wire_bytes,
         client_total,
         server_build,
         query_total,
@@ -513,56 +586,7 @@ pub fn run_oracle_batched(
     seed: u64,
     plan: &BatchPlan,
 ) -> OracleRun {
-    run_oracle_distributed(oracle, data, queries, seed, &plan.fleet(data.len())).into()
-}
-
-/// Measured resources of one distributed frequency-oracle run.
-#[derive(Debug, Clone)]
-pub struct DistributedOracleRun {
-    /// Estimates for the queried elements, in query order — bit-for-bit
-    /// equal to the serial run's.
-    pub answers: Vec<f64>,
-    /// Number of users simulated.
-    pub n: usize,
-    /// Collector nodes simulated.
-    pub collectors: usize,
-    /// Total bytes all reports occupied on the (simulated) wire.
-    pub wire_bytes: u64,
-    /// Wall-clock time of the respond + encode phase.
-    pub client_total: Duration,
-    /// Collector decode/absorb + merge + finalize time.
-    pub server_build: Duration,
-    /// Total query time.
-    pub query_total: Duration,
-    /// Threads the fleet ran: encoder workers plus collector actors.
-    pub threads: usize,
-    /// Per-user communication claim in bits.
-    pub report_bits: usize,
-    /// Server memory bytes.
-    pub memory_bytes: usize,
-}
-
-impl DistributedOracleRun {
-    /// Mean measured wire bytes per user.
-    pub fn wire_bytes_per_user(&self) -> f64 {
-        self.wire_bytes as f64 / self.n.max(1) as f64
-    }
-}
-
-impl From<DistributedOracleRun> for OracleRun {
-    /// A fleet run's record in the batched drivers' shape.
-    fn from(d: DistributedOracleRun) -> Self {
-        Self {
-            answers: d.answers,
-            n: d.n,
-            client_total: d.client_total,
-            server_build: d.server_build,
-            query_total: d.query_total,
-            threads: d.threads,
-            report_bits: d.report_bits,
-            memory_bytes: d.memory_bytes,
-        }
-    }
+    run_oracle_distributed(oracle, data, queries, seed, &plan.fleet(data.len()))
 }
 
 /// Run a frequency oracle across a simulated collector fleet — the
@@ -577,9 +601,9 @@ pub fn run_oracle_distributed(
     queries: &[u64],
     seed: u64,
     plan: &DistPlan,
-) -> DistributedOracleRun {
+) -> OracleRun {
     plan.validate();
-    let (merged, stats) = one_shot_fleet(&DynOracleStream(&*oracle), data, seed, plan);
+    let (merged, stats) = fleet_ingest(&DynOracleStream(&*oracle), data, seed, plan);
 
     let t1 = Instant::now();
     oracle.finish_shard(merged);
@@ -590,7 +614,7 @@ pub fn run_oracle_distributed(
     let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
     let query_total = t2.elapsed();
 
-    DistributedOracleRun {
+    OracleRun {
         answers,
         n: data.len(),
         collectors: plan.collectors,
@@ -599,106 +623,6 @@ pub fn run_oracle_distributed(
         server_build,
         query_total,
         threads: stats.threads,
-        report_bits: oracle.report_bits(),
-        memory_bytes: oracle.memory_bytes(),
-    }
-}
-
-/// Run a type-erased heavy-hitter protocol serially — the dyn twin of
-/// [`run_heavy_hitter`], used by registry-dispatched binaries.
-///
-/// Reports are produced and ingested through the wire-native surface
-/// (per-user `respond_encode_batch` / `absorb_wire`), so the coins —
-/// and therefore the estimates — are bit-for-bit the typed serial
-/// run's.
-pub fn run_dyn_heavy_hitter(
-    server: &mut dyn DynHhProtocol,
-    data: &[u64],
-    seed: u64,
-) -> ProtocolRun {
-    let start = Instant::now();
-    let client_seed = derive_seed(seed, HH_CLIENT_LABEL);
-    let mut client_total = Duration::ZERO;
-    let mut server_ingest = Duration::ZERO;
-    let mut shard = server.new_shard();
-    let mut buf: Vec<u8> = Vec::new();
-    for (i, &x) in data.iter().enumerate() {
-        let t0 = Instant::now();
-        buf.clear();
-        let lens =
-            server.respond_encode_batch(i as u64, std::slice::from_ref(&x), client_seed, &mut buf);
-        client_total += t0.elapsed();
-        let t1 = Instant::now();
-        let frames = WireFrames::new(&buf, &lens)
-            .unwrap_or_else(|e| panic!("user {i}: misframed report: {e}"));
-        server
-            .absorb_wire(&mut shard, i as u64, &frames)
-            .unwrap_or_else(|e| panic!("user {i}: {e}"));
-        server_ingest += t1.elapsed();
-    }
-    let t1 = Instant::now();
-    server.finish_shard(shard);
-    server_ingest += t1.elapsed();
-    let t2 = Instant::now();
-    // Forced-serial decode, like the typed serial reference.
-    let estimates = server.finish_with(&mut FinishScratch::serial());
-    let server_finish = t2.elapsed();
-    ProtocolRun {
-        estimates,
-        n: data.len(),
-        client_total,
-        server_ingest,
-        server_finish,
-        threads: 1,
-        report_bits: server.report_bits(),
-        memory_bytes: server.memory_bytes(),
-        detection_threshold: server.detection_threshold(),
-        wall: start.elapsed(),
-    }
-}
-
-/// Run a type-erased frequency oracle serially — the dyn twin of
-/// [`run_oracle`].
-pub fn run_dyn_oracle(
-    oracle: &mut dyn DynOracle,
-    data: &[u64],
-    queries: &[u64],
-    seed: u64,
-) -> OracleRun {
-    let client_seed = derive_seed(seed, ORACLE_CLIENT_LABEL);
-    let mut client_total = Duration::ZERO;
-    let mut server_build = Duration::ZERO;
-    let mut shard = oracle.new_shard();
-    let mut buf: Vec<u8> = Vec::new();
-    for (i, &x) in data.iter().enumerate() {
-        let t0 = Instant::now();
-        buf.clear();
-        let lens =
-            oracle.respond_encode_batch(i as u64, std::slice::from_ref(&x), client_seed, &mut buf);
-        client_total += t0.elapsed();
-        let t1 = Instant::now();
-        let frames = WireFrames::new(&buf, &lens)
-            .unwrap_or_else(|e| panic!("user {i}: misframed report: {e}"));
-        oracle
-            .absorb_wire(&mut shard, i as u64, &frames)
-            .unwrap_or_else(|e| panic!("user {i}: {e}"));
-        server_build += t1.elapsed();
-    }
-    let t2 = Instant::now();
-    oracle.finish_shard(shard);
-    // Forced-serial finalize, like the typed serial reference.
-    oracle.finalize_with(&mut FinishScratch::serial());
-    server_build += t2.elapsed();
-    let t3 = Instant::now();
-    let answers = queries.iter().map(|&q| oracle.estimate(q)).collect();
-    let query_total = t3.elapsed();
-    OracleRun {
-        answers,
-        n: data.len(),
-        client_total,
-        server_build,
-        query_total,
-        threads: 1,
         report_bits: oracle.report_bits(),
         memory_bytes: oracle.memory_bytes(),
     }
@@ -824,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn total_time_is_the_wall_clock_of_the_call() {
+    fn wall_is_the_wall_clock_of_the_call() {
         let n = 20_000usize;
         let data = Workload::zipf(1 << 12, 1.2).generate(n, 21);
         let make = || ScanHeavyHitters::new(ScanParams::new(n as u64, 1 << 12, 2.0, 0.1), 22);
@@ -836,21 +760,13 @@ mod tests {
             &DistPlan::with_collectors(8),
         );
         let outer = t.elapsed();
-        assert!(
-            run.total_time() <= outer,
-            "{:?} > {outer:?}",
-            run.total_time()
-        );
-        assert!(run.total_time() >= run.server_finish);
+        assert!(run.wall <= outer, "{:?} > {outer:?}", run.wall);
+        assert!(run.wall >= run.server_finish);
         let plan = BatchPlan::with_chunk_size(1 << 11);
         let t = Instant::now();
         let run = run_heavy_hitter_batched(&mut Erased(make()), &data, 23, &plan);
         let outer = t.elapsed();
-        assert!(
-            run.total_time() <= outer,
-            "{:?} > {outer:?}",
-            run.total_time()
-        );
-        assert!(run.total_time() >= run.server_finish);
+        assert!(run.wall <= outer, "{:?} > {outer:?}", run.wall);
+        assert!(run.wall >= run.server_finish);
     }
 }

@@ -70,16 +70,6 @@ impl Default for StreamPlan {
 }
 
 impl StreamPlan {
-    /// The whole population in one epoch with no checkpoints — the shape
-    /// the one-shot distributed drivers run.
-    pub fn one_shot(dist: &DistPlan) -> Self {
-        Self {
-            epoch_size: usize::MAX,
-            checkpoint_every: 0,
-            dist: dist.clone(),
-        }
-    }
-
     /// Panic early (with a named field) on degenerate shapes instead of
     /// failing downstream in chunk division or shard merging.
     pub fn validate(&self) {

@@ -16,7 +16,7 @@ use ldp_heavy_hitters::sim::registry::{
 };
 use ldp_heavy_hitters::sim::{
     run_dyn_heavy_hitter, run_dyn_oracle, run_heavy_hitter_batched, run_oracle_batched,
-    run_pipelined, DynHhStream, PipelineConfig, StreamPlan,
+    run_pipelined, DynHhStream, OracleRun, PipelineConfig, ProtocolRun, StreamPlan,
 };
 
 fn spec(n: usize) -> ProtocolSpec {
@@ -33,45 +33,45 @@ fn spec(n: usize) -> ProtocolSpec {
 /// reference the dyn path is pinned against. Adding a protocol to the
 /// registry without extending this match fails the exhaustiveness
 /// assertions below.
-fn typed_hh_estimates(name: &str, s: &ProtocolSpec, data: &[u64], seed: u64) -> Vec<(u64, f64)> {
+fn typed_hh_run(name: &str, s: &ProtocolSpec, data: &[u64], seed: u64) -> ProtocolRun {
     match name {
         "expander_sketch" => {
             let p = SketchParams::optimal(s.n, s.domain_bits(), s.eps, s.beta);
-            run_heavy_hitter(&mut ExpanderSketch::new(p, s.seed), data, seed).estimates
+            run_heavy_hitter(&mut ExpanderSketch::new(p, s.seed), data, seed)
         }
         "scan" => {
             let p = ScanParams::new(s.n, s.domain, s.eps, s.beta);
-            run_heavy_hitter(&mut ScanHeavyHitters::new(p, s.seed), data, seed).estimates
+            run_heavy_hitter(&mut ScanHeavyHitters::new(p, s.seed), data, seed)
         }
         "bitstogram" => {
             let p = BitstogramParams::optimal(s.n, s.domain_bits(), s.eps, s.beta);
-            run_heavy_hitter(&mut Bitstogram::new(p, s.seed), data, seed).estimates
+            run_heavy_hitter(&mut Bitstogram::new(p, s.seed), data, seed)
         }
         "bassily_smith_hh" => {
             let p = BsHhParams::optimal(s.n, s.domain, s.eps, s.beta);
-            run_heavy_hitter(&mut BassilySmithHeavyHitters::new(p, s.seed), data, seed).estimates
+            run_heavy_hitter(&mut BassilySmithHeavyHitters::new(p, s.seed), data, seed)
         }
         other => panic!("registry gained heavy-hitter protocol {other:?} — extend this test"),
     }
 }
 
-fn typed_oracle_answers(
+fn typed_oracle_run(
     name: &str,
     s: &ProtocolSpec,
     data: &[u64],
     queries: &[u64],
     seed: u64,
-) -> Vec<f64> {
+) -> OracleRun {
     match name {
         "hashtogram" => {
             let p = HashtogramParams::hashed(s.n, s.domain, s.eps, s.beta);
-            run_oracle(&mut Hashtogram::new(p, s.seed), data, queries, seed).answers
+            run_oracle(&mut Hashtogram::new(p, s.seed), data, queries, seed)
         }
-        "krr" => run_oracle(&mut KrrOracle::new(s.domain, s.eps), data, queries, seed).answers,
-        "rappor" => run_oracle(&mut Rappor::new(s.domain, s.eps), data, queries, seed).answers,
+        "krr" => run_oracle(&mut KrrOracle::new(s.domain, s.eps), data, queries, seed),
+        "rappor" => run_oracle(&mut Rappor::new(s.domain, s.eps), data, queries, seed),
         "bassily_smith" => {
             let mut o = BassilySmithOracle::new(s.domain, s.eps, s.n, s.seed);
-            run_oracle(&mut o, data, queries, seed).answers
+            run_oracle(&mut o, data, queries, seed)
         }
         other => panic!("registry gained frequency oracle {other:?} — extend this test"),
     }
@@ -86,7 +86,8 @@ fn every_hh_name_constructs_runs_and_matches_direct_construction() {
     let names = hh_names();
     assert_eq!(names.len(), 4, "registry changed — extend this test");
     for name in names {
-        let typed = typed_hh_estimates(name, &s, &data, seed);
+        let typed_run = typed_hh_run(name, &s, &data, seed);
+        let typed = typed_run.estimates.clone();
         // Serial dyn driver (per-user wire path).
         let serial = {
             let mut server = build_hh(name, &s).expect("registered name builds");
@@ -111,6 +112,35 @@ fn every_hh_name_constructs_runs_and_matches_direct_construction() {
             batched.estimates, typed,
             "{name}: registry batched run diverged from direct construction"
         );
+        let distributed = {
+            let mut server = build_hh(name, &s).expect("registered name builds");
+            run_heavy_hitter_distributed(
+                server.as_mut(),
+                &data,
+                seed,
+                &DistPlan::with_collectors(3),
+            )
+        };
+        assert_eq!(
+            distributed.estimates, typed,
+            "{name}: registry distributed run diverged from direct construction"
+        );
+        // Every driver measures the same wire bytes: the typed serial
+        // run sums `encoded_len()`, the others count the frames they
+        // write.
+        assert!(typed_run.wire_bytes > 0, "{name}: no wire bytes counted");
+        for (driver, wire_bytes) in [
+            ("dyn serial", serial.wire_bytes),
+            ("batched", batched.wire_bytes),
+            ("distributed", distributed.wire_bytes),
+        ] {
+            assert_eq!(
+                wire_bytes, typed_run.wire_bytes,
+                "{name}: {driver} wire bytes differ from the typed serial run's"
+            );
+        }
+        assert_eq!((typed_run.collectors, serial.collectors), (1, 1), "{name}");
+        assert_eq!(distributed.collectors, 3, "{name}");
     }
 }
 
@@ -124,7 +154,8 @@ fn every_oracle_name_constructs_runs_and_matches_direct_construction() {
     let names = oracle_names();
     assert_eq!(names.len(), 4, "registry changed — extend this test");
     for name in names {
-        let typed = typed_oracle_answers(name, &s, &data, &queries, seed);
+        let typed_run = typed_oracle_run(name, &s, &data, &queries, seed);
+        let typed = typed_run.answers.clone();
         let serial = {
             let mut oracle = build_oracle(name, &s).expect("registered name builds");
             run_dyn_oracle(oracle.as_mut(), &data, &queries, seed)
@@ -147,6 +178,30 @@ fn every_oracle_name_constructs_runs_and_matches_direct_construction() {
             batched.answers, typed,
             "{name}: registry batched run diverged from direct construction"
         );
+        let distributed = {
+            let mut oracle = build_oracle(name, &s).expect("registered name builds");
+            let plan = DistPlan::with_collectors(3);
+            run_oracle_distributed(oracle.as_mut(), &data, &queries, seed, &plan)
+        };
+        assert_eq!(
+            distributed.answers, typed,
+            "{name}: registry distributed run diverged from direct construction"
+        );
+        // Every driver measures the same wire bytes (see the
+        // heavy-hitter test above).
+        assert!(typed_run.wire_bytes > 0, "{name}: no wire bytes counted");
+        for (driver, wire_bytes) in [
+            ("dyn serial", serial.wire_bytes),
+            ("batched", batched.wire_bytes),
+            ("distributed", distributed.wire_bytes),
+        ] {
+            assert_eq!(
+                wire_bytes, typed_run.wire_bytes,
+                "{name}: {driver} wire bytes differ from the typed serial run's"
+            );
+        }
+        assert_eq!((typed_run.collectors, serial.collectors), (1, 1), "{name}");
+        assert_eq!(distributed.collectors, 3, "{name}");
     }
 }
 
@@ -165,7 +220,7 @@ fn empty_population_runs_agree_on_every_driver() {
     let dist = DistPlan::with_collectors(3);
     for name in hh_names() {
         let build = || build_hh(name, &s).expect("registered name builds");
-        let typed = hh_bits(typed_hh_estimates(name, &s, &[], seed));
+        let typed = hh_bits(typed_hh_run(name, &s, &[], seed).estimates);
         let serial = run_dyn_heavy_hitter(build().as_mut(), &[], seed).estimates;
         let batched =
             run_heavy_hitter_batched(build().as_mut(), &[], seed, &BatchPlan::default()).estimates;
@@ -177,7 +232,7 @@ fn empty_population_runs_agree_on_every_driver() {
     }
     for name in oracle_names() {
         let build = || build_oracle(name, &s).expect("registered name builds");
-        let typed = answer_bits(typed_oracle_answers(name, &s, &[], &queries, seed));
+        let typed = answer_bits(typed_oracle_run(name, &s, &[], &queries, seed).answers);
         let serial = run_dyn_oracle(build().as_mut(), &[], &queries, seed).answers;
         let batched =
             run_oracle_batched(build().as_mut(), &[], &queries, seed, &BatchPlan::default())
